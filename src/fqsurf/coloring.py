@@ -104,6 +104,17 @@ def _passage_rays(cx, dedge):
     return v, rot, i
 
 
+def _hanging_edges(cx, cycle):
+    """Edge ids hanging off a loop at each passage: (lefts, rights)."""
+    lefts = []
+    rights = []
+    for dedge in cycle:
+        _v, rot, i = _passage_rays(cx, dedge)
+        lefts.append(rot[(i + 1) % 4][0])
+        rights.append(rot[(i - 1) % 4][0])
+    return lefts, rights
+
+
 def build_constraints(cx, loop_report):
     """Parity constraints for the good-coloring conditions.
 
@@ -123,13 +134,7 @@ def build_constraints(cx, loop_report):
             e = cycle[k][0]
             f = cycle[(k + 1) % n][0]
             constraints.append(ParityConstraint(e, f, 1, ALTERNATING))
-        lefts = []
-        rights = []
-        for dedge in cycle:
-            _v, rot, i = _passage_rays(cx, dedge)
-            lefts.append(rot[(i + 1) % 4][0])
-            rights.append(rot[(i - 1) % 4][0])
-        for side in (lefts, rights):
+        for side in _hanging_edges(cx, cycle):
             for k in range(n):
                 constraints.append(
                     ParityConstraint(side[k], side[(k + 1) % n], 0, CONSISTENCY)
@@ -239,20 +244,10 @@ def _witness_from_tree(parent, violated):
 
     chain_a = ancestry(violated.edge_a)
     chain_b = ancestry(violated.edge_b)
-    in_a = {e: k for k, e in enumerate(chain_a)}
+    in_a = set(chain_a)
     lca = next(e for e in chain_b if e in in_a)
-    up = []
-    e = violated.edge_a
-    while e != lca:
-        e_next, c = parent[e]
-        up.append(c)
-        e = e_next
-    down = []
-    e = violated.edge_b
-    while e != lca:
-        e_next, c = parent[e]
-        down.append(c)
-        e = e_next
+    up = [parent[e][1] for e in chain_a[: chain_a.index(lca)]]
+    down = [parent[e][1] for e in chain_b[: chain_b.index(lca)]]
     cycle = up + list(reversed(down)) + [violated]
     return ContradictionWitness(cycle)
 
@@ -349,13 +344,7 @@ def verify_good_coloring(cx, coloring):
                 violations.append(
                     (ALTERNATING, loop.loop_id, e, f)
                 )
-        lefts = []
-        rights = []
-        for dedge in cycle:
-            _v, rot, i = _passage_rays(cx, dedge)
-            lefts.append(rot[(i + 1) % 4][0])
-            rights.append(rot[(i - 1) % 4][0])
-        for name, side in (("left", lefts), ("right", rights)):
+        for name, side in zip(("left", "right"), _hanging_edges(cx, cycle)):
             observed = {coloring.color_of(e) for e in side}
             if len(observed) > 1:
                 violations.append(
@@ -455,8 +444,15 @@ def coloring_from_dict(doc):
         raise ValueError(f"not a {COLORING_FORMAT} document")
     if not doc.get("satisfiable", True):
         raise ValueError("document records a contradiction, not a coloring")
+    colors = {}
+    for e, c in doc["colors"]:
+        if int(e) in colors:
+            raise ValueError(f"edge {e} is colored twice")
+        if c not in (0, 1):
+            raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
+        colors[int(e)] = int(c)
     return EdgeColoring(
-        colors={int(e): int(c) for e, c in doc["colors"]},
+        colors=colors,
         base_vertex=int(doc["base_vertex"]),
         seed=tuple((int(e), int(c)) for e, c in doc["seed"]),
         solution_count=doc.get("solution_count"),

@@ -24,14 +24,13 @@ from itertools import product as iter_product
 from math import gcd
 
 from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
-from .loops import trace_geodesic_loops
-from .surface_complex import succ_type
 from .tessellation import (
     BadDivisibility,
     build_block_tessellation,
     build_rect_tessellation,
     derived_sequence,
     face_count,
+    q_at,
     subdivide_four,
     subdivide_two,
 )
@@ -68,13 +67,6 @@ class AlternatingDecomposition:
     reduced: tuple
 
 
-def _gcd_all(values):
-    out = 0
-    for v in values:
-        out = gcd(out, v)
-    return out
-
-
 def alternating_noncoprime(q):
     """The alternating decomposition of a sequence, or None.
 
@@ -86,13 +78,9 @@ def alternating_noncoprime(q):
     p = len(q)
     if p == 0:
         return None
-
-    def qi(j):
-        return q[(j - 1) % p]
-
     if p % 2 == 0:
-        d = _gcd_all(q[0::2])
-        e = _gcd_all(q[1::2])
+        d = gcd(*q[0::2])
+        e = gcd(*q[1::2])
         if d >= 2 and e >= 2:
             reduced = tuple(
                 q[k] // (d if k % 2 == 0 else e) for k in range(p)
@@ -102,10 +90,10 @@ def alternating_noncoprime(q):
 
     half = (p - 1) // 2
     for i in range(1, p + 1):
-        first = [qi(i + 1 + 2 * t) for t in range(half)]
-        second = [qi(i + 2 + 2 * t) for t in range(half)]
-        d = _gcd_all(first)
-        e = _gcd_all(second)
+        first = [q_at(q, i + 1 + 2 * t) for t in range(half)]
+        second = [q_at(q, i + 2 + 2 * t) for t in range(half)]
+        d = gcd(*first)
+        e = gcd(*second)
         if d >= 2 and e >= 2:
             reduced = list(q)
             for t in range(half):
@@ -121,15 +109,11 @@ def symmetric_axes(q, kind):
     """All axes m making the sequence 2- or 4-symmetric about m."""
     q = tuple(q)
     p = len(q)
-
-    def qi(j):
-        return q[(j - 1) % p]
-
     if kind == "two":
         return {
             m
             for m in range(1, p + 1)
-            if all(qi(m + i) == qi(m - i) for i in range(1, p))
+            if all(q_at(q, m + i) == q_at(q, m - i) for i in range(1, p))
         }
     if kind == "four":
         if p % 4 != 0:
@@ -140,7 +124,8 @@ def symmetric_axes(q, kind):
             m
             for m in range(1, p + 1)
             if all(
-                qi(m + i) == qi(m - i) == qi(m + p // 2 - i) == qi(m + p // 2 + i)
+                q_at(q, m + i) == q_at(q, m - i)
+                == q_at(q, m + p // 2 - i) == q_at(q, m + p // 2 + i)
                 for i in range(1, p)
             )
         }
@@ -602,9 +587,9 @@ def build_certificate(cx, coloring, q):
     failures end up in the per-vertex entries and the overall flag.
     """
     assignment = assign_groups(cx, coloring, q, check=False)
-    report = verify_link_conditions(assignment)
+    checks = assignment.vertex_checks
     links = {v: build_link_graph(assignment, v) for v in range(cx.num_vertices)}
-    ok = assignment.certified and report.ok and all(l.ok for l in links.values())
+    ok = assignment.certified and all(l.ok for l in links.values())
     deco = assignment.decomposition
     doc = {
         "format": CERT_FORMAT,
@@ -625,12 +610,12 @@ def build_certificate(cx, coloring, q):
         "vertices": [
             {
                 "id": v,
-                "types": list(report.checks[v].types),
-                "product_ok": report.checks[v].product_ok,
-                "intersection_ok": report.checks[v].intersection_ok,
-                "index_ok": report.checks[v].index_ok,
+                "types": list(checks[v].types),
+                "product_ok": checks[v].product_ok,
+                "intersection_ok": checks[v].intersection_ok,
+                "index_ok": checks[v].index_ok,
                 "index_sums": {
-                    str(t): s for t, s in sorted(report.checks[v].index_sums.items())
+                    str(t): s for t, s in sorted(checks[v].index_sums.items())
                 },
                 "link_sides": [
                     len(links[v].side_vertices[t]) for t in links[v].types
@@ -646,8 +631,7 @@ def build_certificate(cx, coloring, q):
 
 def _transverse_gcd(q, m):
     """gcd of the entries at odd offsets from axis m."""
-    p = len(q)
-    return _gcd_all(q[(m - 1 + t) % p] for t in range(1, p, 2))
+    return gcd(*(q_at(q, m + t) for t in range(1, len(q), 2)))
 
 
 def _solve_or_fail(cx):
@@ -664,35 +648,20 @@ def _certify_block(p, q, g):
     return cert
 
 
-def _certify_subdiv2(p, q, g, F, axis):
-    base = build_rect_tessellation(p, F // 2, 2)
-    sub, _smap = subdivide_two(base, axis=1)
-    q2 = derived_sequence(q, 2, axis)
-    cert = build_certificate(sub, _solve_or_fail(sub), q2)
+def _certify_subdiv(p, q, g, pieces, grid, axis):
+    """Cut each face of an a×b rect grid into ``pieces`` and certify the result."""
+    base = build_rect_tessellation(p, *grid)
+    subdivide = subdivide_two if pieces == 2 else subdivide_four
+    sub, _smap = subdivide(base, axis=1)
+    q_sub = derived_sequence(q, pieces, axis)
+    cert = build_certificate(sub, _solve_or_fail(sub), q_sub)
     cert["construction"] = {
-        "method": "Subdiv2",
+        "method": f"Subdiv{pieces}",
         "p": p,
         "genus": g,
-        "grid": [F // 2, 2],
+        "grid": list(grid),
         "symmetry_axis": axis,
-        "derived_q": list(q2),
-    }
-    return cert
-
-
-def _certify_subdiv4(p, q, g, F, axis):
-    a = _smallest_prime_factor(F)
-    base = build_rect_tessellation(p, a, F // a)
-    sub, _smap = subdivide_four(base, axis=1)
-    q4 = derived_sequence(q, 4, axis)
-    cert = build_certificate(sub, _solve_or_fail(sub), q4)
-    cert["construction"] = {
-        "method": "Subdiv4",
-        "p": p,
-        "genus": g,
-        "grid": [a, F // a],
-        "symmetry_axis": axis,
-        "derived_q": list(q4),
+        "derived_q": list(q_sub),
     }
     return cert
 
@@ -764,7 +733,7 @@ def decide(p, q, g, certify=False):
         return exists(
             "Subdiv2",
             f"F={F}, q 2-symmetric about {m0} with even transverse gcd",
-            lambda: _certify_subdiv2(p, q, g, F, m0),
+            lambda: _certify_subdiv(p, q, g, 2, (F // 2, 2), m0),
         )
 
     axes = sorted(symmetric_axes(q, "four"))
@@ -772,7 +741,8 @@ def decide(p, q, g, certify=False):
         return Verdict(
             RULED_OUT, "FourSymmetry", f"F={F} odd but q is not 4-symmetric"
         )
-    if F == 1 or _smallest_prime_factor(F) == F:
+    a = _smallest_prime_factor(F)
+    if a == F:
         return Verdict(UNKNOWN, None, f"F={F} is not composite")
     if deco is None:
         return Verdict(UNKNOWN, None, "not alternating non-coprime")
@@ -784,7 +754,7 @@ def decide(p, q, g, certify=False):
     return exists(
         "Subdiv4",
         f"F={F} odd composite, q 4-symmetric about {m0}, d and e even",
-        lambda: _certify_subdiv4(p, q, g, F, m0),
+        lambda: _certify_subdiv(p, q, g, 4, (a, F // a), m0),
     )
 
 

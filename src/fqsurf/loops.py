@@ -65,16 +65,17 @@ class LoopReport:
         return self.loops[loop_id]
 
 
-def _dedge_key(d):
-    return (d[0], 0 if d[1] else 1)
-
-
 def trace_geodesic_loops(cx):
-    """Trace every geodesic loop and assemble the hypothesis report."""
-    order = sorted(
-        [(e.id, True) for e in cx.edges] + [(e.id, False) for e in cx.edges],
-        key=_dedge_key,
-    )
+    """Trace every geodesic loop and assemble the hypothesis report.
+
+    The report is computed on the first call for a complex and cached on it;
+    every later call returns the same shared LoopReport, which callers must
+    treat as read-only.
+    """
+    if cx._loop_report is not None:
+        return cx._loop_report
+    # edges are stored by id, so this walks directed edges in (id, forward first) order
+    order = [(e.id, fwd) for e in cx.edges for fwd in (True, False)]
     visited = set()
     loops = []
     for start in order:
@@ -116,13 +117,14 @@ def trace_geodesic_loops(cx):
         and not any(lp.degenerate for lp in loops)
         and all(n <= 1 for n in inter.values())
     )
-    return LoopReport(
+    cx._loop_report = LoopReport(
         loops=loops,
         per_type_counts=counts,
         odd_loops=odd,
         pairwise_intersections=inter,
         hypotheses_ok=ok,
     )
+    return cx._loop_report
 
 
 def pairwise_intersections(cx, loops):

@@ -84,14 +84,23 @@ def succ_type(t, p):
 
 
 class SurfaceComplex:
-    """A polygonal surface with typed edges; immutable once built."""
+    """A polygonal surface with typed edges; immutable once built.
+
+    Derived structures are computed on first use and cached per complex:
+    edge occurrences, closedness defects, vertex orbits with their rotations,
+    and the geodesic loop report (filled by
+    :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
+    cached objects, so they must be treated as read-only.
+    """
 
     def __init__(self, p, edges, faces):
         self.p = p
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self._occ = None
+        self._defects = None
         self._vertex_data = None
+        self._loop_report = None
 
     # ------------------------------------------------------------------
     # raw structure
@@ -117,16 +126,24 @@ class SurfaceComplex:
             self._occ = occ
         return self._occ
 
+    def closedness_defects(self):
+        """Edges not used exactly once in each sense, as (edge id, reason)."""
+        if self._defects is None:
+            defects = []
+            for e in self.edges:
+                locs = self.occurrences()[e.id]
+                if len(locs) != 2:
+                    defects.append((e.id, f"{len(locs)} sides"))
+                    continue
+                (fa, ka), (fb, kb) = locs
+                if self.faces[fa].sides[ka].reversed == self.faces[fb].sides[kb].reversed:
+                    defects.append((e.id, "same sense twice"))
+            self._defects = defects
+        return self._defects
+
     def is_closed(self):
         """True when every edge is used exactly once in each sense."""
-        for e in self.edges:
-            locs = self.occurrences()[e.id]
-            if len(locs) != 2:
-                return False
-            (fa, ka), (fb, kb) = locs
-            if self.faces[fa].sides[ka].reversed == self.faces[fb].sides[kb].reversed:
-                return False
-        return True
+        return not self.closedness_defects()
 
     # ------------------------------------------------------------------
     # corner navigation
@@ -143,10 +160,6 @@ class SurfaceComplex:
     def next_in_face(self, corner):
         f, k = corner
         return (f, (k + 1) % len(self.faces[f].sides))
-
-    def prev_in_face(self, corner):
-        f, k = corner
-        return (f, (k - 1) % len(self.faces[f].sides))
 
     def opposite(self, corner):
         """The other corner whose side mentions the same edge."""
@@ -186,11 +199,14 @@ class SurfaceComplex:
                     orbits.append(tuple(orbit))
             corner_vertex = {}
             ray_corner = {}
+            rotations = []
             for vid, orbit in enumerate(orbits):
-                for c in orbit:
+                rays = tuple(self.directed_edge(c) for c in orbit)
+                for c, ray in zip(orbit, rays):
                     corner_vertex[c] = vid
-                    ray_corner[self.directed_edge(c)] = c
-            self._vertex_data = (tuple(orbits), corner_vertex, ray_corner)
+                    ray_corner[ray] = c
+                rotations.append(rays)
+            self._vertex_data = (tuple(orbits), corner_vertex, ray_corner, tuple(rotations))
         return self._vertex_data
 
     def vertices(self):
@@ -216,7 +232,7 @@ class SurfaceComplex:
 
     def rotation(self, vertex_id):
         """Outgoing directed edges at a vertex, in clockwise order."""
-        return tuple(self.directed_edge(c) for c in self.vertices()[vertex_id])
+        return self._derive()[3][vertex_id]
 
     def continue_through(self, dedge, turn):
         """Continue an incoming directed edge through its head vertex.
@@ -346,15 +362,7 @@ def validate(cx, expected_genus=None):
     ``structurally_ok`` distinguishes the tiers.
     """
     failures = []
-    bad_edges = []
-    for e in cx.edges:
-        locs = cx.occurrences()[e.id]
-        if len(locs) != 2:
-            bad_edges.append((e.id, f"{len(locs)} sides"))
-        else:
-            (fa, ka), (fb, kb) = locs
-            if cx.faces[fa].sides[ka].reversed == cx.faces[fb].sides[kb].reversed:
-                bad_edges.append((e.id, "same sense twice"))
+    bad_edges = cx.closedness_defects()
     if bad_edges:
         failures.append(
             Finding("Closedness", f"edges used wrongly: {bad_edges[:8]}")
@@ -443,15 +451,6 @@ class DualGraph:
     nodes: tuple
     edges: tuple  # (face_a, face_b, primal_edge_id), ordered by primal edge id
 
-    def neighbors(self, node):
-        out = []
-        for a, b, e in self.edges:
-            if a == node:
-                out.append((b, e))
-            elif b == node:
-                out.append((a, e))
-        return out
-
     def to_dot(self):
         lines = ["graph dual {"]
         for n in self.nodes:
@@ -513,21 +512,8 @@ class IntegerMatrix:
             rows = len(cols[0]) if cols else 0
         return cls([[col[i] for col in cols] for i in range(rows)], rows, len(cols))
 
-    def clone(self):
-        return IntegerMatrix(self.data, self.rows, self.cols)
-
-    def transpose(self):
-        return IntegerMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def hstack(self, other):
         if self.rows != other.rows:

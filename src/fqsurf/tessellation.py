@@ -23,6 +23,7 @@ glues each face's type-t side to its partner's, which is how the block
 construction and several test fixtures are wired.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .loops import assign_face_orientations, trace_geodesic_loops
@@ -156,10 +157,8 @@ def build_block_tessellation(p, g):
         raise ConstructionFailure(
             f"block tessellation failed validation: {report.tags()}"
         )
-    loop_report = trace_geodesic_loops(cx)
-    if not loop_report.hypotheses_ok:
+    if not trace_geodesic_loops(cx).hypotheses_ok:
         raise ConstructionFailure("block tessellation violates the loop hypotheses")
-    cx.loop_report = loop_report
     return cx
 
 
@@ -258,7 +257,6 @@ def build_rect_tessellation(p, a, b):
         raise ConstructionFailure(
             f"rectangular tessellation is not a right-angled surface: {report.tags()}"
         )
-    cx.loop_report = trace_geodesic_loops(cx)
     return cx
 
 
@@ -365,8 +363,7 @@ def _subdivide(cx, pieces, axis):
     # retype by breadth-first offset propagation from sub-face 0, whose
     # leading half-side is declared type 1
     offsets = {0: 1}
-    order = [0]
-    seen = {0}
+    queue = deque([0])
     types = {}
 
     def type_at(face_id, k):
@@ -375,10 +372,8 @@ def _subdivide(cx, pieces, axis):
             return (o - 1 + k) % new_p + 1
         return (o - 1 - k) % new_p + 1
 
-    qi = 0
-    while qi < len(order):
-        f = order[qi]
-        qi += 1
+    while queue:
+        f = queue.popleft()
         for k, (eid, _rev) in enumerate(sub_faces[f]):
             t = type_at(f, k)
             if eid in types and types[eid] != t:
@@ -387,17 +382,14 @@ def _subdivide(cx, pieces, axis):
                     f"{types[eid]} vs {t})"
                 )
             types[eid] = t
-            (fa, ka), (fb, kb) = structural.occurrences()[eid]
-            for g, kg in ((fa, ka), (fb, kb)):
-                if g in seen:
+            for g, kg in structural.occurrences()[eid]:
+                if g in offsets:
                     continue
                 if chir[g] == CCW:
-                    og = (t - 1 - kg) % new_p + 1
+                    offsets[g] = (t - 1 - kg) % new_p + 1
                 else:
-                    og = (t - 1 + kg) % new_p + 1
-                offsets[g] = og
-                seen.add(g)
-                order.append(g)
+                    offsets[g] = (t - 1 + kg) % new_p + 1
+                queue.append(g)
 
     final_edges = [(eid, types[eid]) for eid in range(n_new_edges)]
     final_faces = [
@@ -429,8 +421,8 @@ def _subdivide(cx, pieces, axis):
 
 
 def _subdivision_entry(cx, pieces, axis):
-    if not cx.is_closed():
-        raise ValueError("subdivision requires a closed complex")
+    if axis is not None and not 1 <= axis <= cx.p:
+        raise ValueError(f"axis {axis} is outside 1..{cx.p}")
     if not validate(cx).structurally_ok:
         raise ValueError("subdivision requires a structurally valid complex")
     if axis is not None:
@@ -470,6 +462,11 @@ def subdivide_four(cx, axis=None):
     return _subdivision_entry(cx, 4, axis)
 
 
+def q_at(q, i):
+    """Entry i of a thickness sequence, indexed cyclically from 1."""
+    return q[(i - 1) % len(q)]
+
+
 def derived_sequence(q, pieces, m):
     """Thickness sequence of the subdivided tessellation.
 
@@ -478,27 +475,23 @@ def derived_sequence(q, pieces, m):
     about m is checked, not assumed.
     """
     p = len(q)
-
-    def qi(i):
-        return q[(i - 1) % p]
-
     if pieces == 2:
         for i in range(1, p // 2 + 1):
-            if qi(m + i) != qi(m - i):
+            if q_at(q, m + i) != q_at(q, m - i):
                 raise SymmetryViolation(
                     f"q is not symmetric about {m}: q[{m + i}] != q[{m - i}]"
                 )
-        return tuple(qi(m + i) for i in range(p // 2 + 1)) + (2,)
+        return tuple(q_at(q, m + i) for i in range(p // 2 + 1)) + (2,)
     if pieces == 4:
         if p % 4:
             raise BadDivisibility("quarter subdivision needs p ≡ 0 (mod 4)")
         for i in range(1, p // 2 + 1):
-            vals = {qi(m + i), qi(m - i), qi(m + p // 2 + i), qi(m + p // 2 - i)}
+            vals = {q_at(q, m + h + s * i) for h in (0, p // 2) for s in (1, -1)}
             if len(vals) != 1:
                 raise SymmetryViolation(
                     f"q lacks the fourfold symmetry about {m} at offset {i}"
                 )
-        return tuple(qi(m + i) for i in range(p // 4 + 1)) + (2, 2)
+        return tuple(q_at(q, m + i) for i in range(p // 4 + 1)) + (2, 2)
     raise ValueError("pieces must be 2 or 4")
 
 

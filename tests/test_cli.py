@@ -150,6 +150,17 @@ class TestSubdivideCommand:
         assert rc == 0
         assert len(json.loads(out.read_text())["faces"]) == 36
 
+    @pytest.mark.parametrize("axis", ["9", "-3", "0"])
+    def test_axis_out_of_range(self, tmp_path, capsys, rect_p8_1x2, axis):
+        src = write_complex(tmp_path / "rect.json", rect_p8_1x2)
+        out = tmp_path / "hex.json"
+        rc = main(["subdivide", "--pieces", "2", "--axis", axis,
+                   "-i", src, "-o", str(out)])
+        assert rc == 1
+        assert f"axis {axis} is outside 1..8" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "hex.subdiv.json").exists()
+
     def test_wrong_pieces_rejected_by_parser(self, tmp_path, rect_p8_1x2):
         src = write_complex(tmp_path / "rect.json", rect_p8_1x2)
         rc = main(["subdivide", "--pieces", "3", "-i", src,
@@ -193,6 +204,21 @@ class TestCertifyAndDecide:
         assert rc == 1
         assert json.loads(cert.read_text())["ok"] is False
         assert "failed" in capsys.readouterr().err
+
+    def test_certify_rejects_a_color_outside_zero_one(self, tmp_path,
+                                                        block_p6_g2, capsys):
+        path = write_complex(tmp_path / "block.json", block_p6_g2)
+        coloring = tmp_path / "coloring.json"
+        cert = tmp_path / "cert.json"
+        main(["color", "-i", path, "-o", str(coloring)])
+        doc = json.loads(coloring.read_text())
+        doc["colors"][0][1] = 2
+        coloring.write_text(canonical_json(doc))
+        rc = main(["certify", "-i", path, "--coloring", str(coloring),
+                   "--q", "2,3,2,3,2,3", "-o", str(cert)])
+        assert rc == 1
+        assert "edge 0 has color 2" in capsys.readouterr().err
+        assert not cert.exists()
 
     def test_decide_exists(self, capsys):
         rc = main(["decide", "--p", "6", "--genus", "2", "--q", "2,3,2,3,2,3"])

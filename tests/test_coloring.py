@@ -249,3 +249,16 @@ class TestColoringSerialization:
     def test_format_guard(self):
         with pytest.raises(ValueError):
             coloring_from_dict({"format": "fq-coloring/9", "colors": []})
+
+    @pytest.mark.parametrize("bad", [2, -1, "1", None])
+    def test_color_outside_zero_one_rejected(self, block_p6_g2, bad):
+        doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
+        doc["colors"][0][1] = bad
+        with pytest.raises(ValueError, match="edge 0 has color"):
+            coloring_from_dict(doc)
+
+    def test_duplicate_edge_rejected(self, block_p6_g2):
+        doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
+        doc["colors"].append([0, 1 - doc["colors"][0][1]])
+        with pytest.raises(ValueError, match="edge 0 is colored twice"):
+            coloring_from_dict(doc)

@@ -1,0 +1,149 @@
+"""Golden digests of canonical outputs.
+
+Each case renders one output (canonical JSON, or DOT for the dual graph) and
+compares its sha256 with a recorded digest, so a byte change in a builder,
+a subdivision, the loop report, a solver, a certificate or a verdict shows
+up here by name.  The digests were recorded before derived structures became
+cached per complex; refactors must keep every one of them.
+
+To print the current digests: ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from functools import cache
+
+import pytest
+
+from fqsurf.cli import main
+from fqsurf.coloring import coloring_to_dict, solve_good_coloring
+from fqsurf.lattice import build_certificate, decide, verdict_to_dict
+from fqsurf.loops import loop_report_to_dict, trace_geodesic_loops
+from fqsurf.surface_complex import canonical_json, complex_to_dict, dual_graph
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    derived_sequence,
+    subdivide_four,
+    subdivide_two,
+    subdivision_map_to_dict,
+)
+
+
+@cache
+def _block(p, g):
+    return build_block_tessellation(p, g)
+
+
+@cache
+def _halved():
+    return subdivide_two(build_rect_tessellation(8, 1, 2), axis=1)
+
+
+@cache
+def _quartered():
+    return subdivide_four(build_rect_tessellation(12, 3, 3), axis=1)
+
+
+def _certificate(cx, q):
+    return canonical_json(build_certificate(cx, solve_good_coloring(cx), q))
+
+
+def _verdict(p, q, g):
+    return canonical_json(verdict_to_dict(decide(p, q, g, certify=True)))
+
+
+def _cli_block_verdict():
+    """Criterion 2: the p=6 block verdict written by ``fqsurf decide``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verdict.json")
+        argv = ["decide", "--p", "6", "--genus", "2", "--q", "2,3,2,3,2,3",
+                "--certify", "-o", path]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+CASES = {
+    "complex/block-p6-g2": lambda: canonical_json(complex_to_dict(_block(6, 2))),
+    "complex/block-p6-g17": lambda: canonical_json(complex_to_dict(_block(6, 17))),
+    "complex/rect-p8-1x2": lambda: canonical_json(
+        complex_to_dict(build_rect_tessellation(8, 1, 2))
+    ),
+    "complex/rect-p8-1x2-halved": lambda: canonical_json(complex_to_dict(_halved()[0])),
+    "subdiv/rect-p8-1x2-halved": lambda: canonical_json(
+        subdivision_map_to_dict(_halved()[1])
+    ),
+    "complex/rect-p12-3x3-quartered": lambda: canonical_json(
+        complex_to_dict(_quartered()[0])
+    ),
+    "subdiv/rect-p12-3x3-quartered": lambda: canonical_json(
+        subdivision_map_to_dict(_quartered()[1])
+    ),
+    "loops/block-p6-g2": lambda: canonical_json(
+        loop_report_to_dict(trace_geodesic_loops(_block(6, 2)))
+    ),
+    "loops/rect-p12-3x3-quartered": lambda: canonical_json(
+        loop_report_to_dict(trace_geodesic_loops(_quartered()[0]))
+    ),
+    "coloring/propagate-block-p6-g17": lambda: canonical_json(
+        coloring_to_dict(solve_good_coloring(_block(6, 17), "propagate"))
+    ),
+    "coloring/exhaustive-block-p6-g2": lambda: canonical_json(
+        coloring_to_dict(solve_good_coloring(_block(6, 2), "exhaustive"))
+    ),
+    "cert/criterion-2-block-p6-g2": _cli_block_verdict,
+    "cert/criterion-3-halving": lambda: _certificate(
+        _halved()[0], derived_sequence((3, 2, 9, 2, 3, 2, 9, 2), 2, 1)
+    ),
+    "cert/criterion-4-quartering": lambda: _certificate(
+        _quartered()[0], derived_sequence((2,) * 12, 4, 1)
+    ),
+    "verdict/block-p6-g17": lambda: _verdict(6, (2, 3) * 3, 17),
+    "verdict/subdiv2-p8-g16": lambda: _verdict(8, (3, 2, 9, 2, 3, 2, 9, 2), 16),
+    "verdict/subdiv4-p12-g28": lambda: _verdict(12, (2,) * 12, 28),
+    "verdict/ruled-out-p8-g2": lambda: _verdict(8, (2, 3, 4, 5, 6, 7, 8, 9), 2),
+    "verdict/unknown-p6-g5": lambda: _verdict(6, (2, 3, 5, 7, 2, 3), 5),
+    "dot/block-p6-g2": lambda: dual_graph(_block(6, 2)).to_dot(),
+}
+
+DIGESTS = {
+    "cert/criterion-2-block-p6-g2": "1e2df631ad5258ade3f2a28de3cfb54565828c77c4f4546473ed754ab8c7df2d",
+    "cert/criterion-3-halving": "324493b744d33a243076ef9150e8d9316c94c3edd87e0ae7978d737234888bbc",
+    "cert/criterion-4-quartering": "986e3e2266ddb6ca187eebdeb3ab163e835bada8f7d29e98a843d9665ea0592e",
+    "coloring/exhaustive-block-p6-g2": "6ae8e96229054c31f3a02a2f69ad6a6f4c6b2eb32b4ca4692269feeffb210b38",
+    "coloring/propagate-block-p6-g17": "15643f8ef6116710385e595f6aeb50048a30ee0b67bb1ff9a2f94c4f61670d5a",
+    "complex/block-p6-g17": "6b916400f505470845c5f97e618a85eec3d343761368ef85612a8b60a25dae9b",
+    "complex/block-p6-g2": "c468ae6e0880d174c3384f604802c1d09c8b2d033bf5db1a2c8c19b678d64216",
+    "complex/rect-p12-3x3-quartered": "24125809c353ece6c7bf948500af93c889fd342da845683b999b76039ba3b60c",
+    "complex/rect-p8-1x2": "4ce84e9c914cd689bab9ca0e2fd3e37c9a819a473e27eb5452693ab98a89d78f",
+    "complex/rect-p8-1x2-halved": "9f21449868714e5a8521c491afd79bec179fa23e4241f5347fa7a8908e840fa9",
+    "dot/block-p6-g2": "7a283f72c0c70d06d1a9f44ec1bc7ab1241fe1845856444d38e62cdb6fcd7a23",
+    "loops/block-p6-g2": "66995a00ac61eebfbc92d9908739ee46bb0353526c004fcd4f1db4c1619c320a",
+    "loops/rect-p12-3x3-quartered": "17f1648b9cdc20e9b78fdc06096cd470ef73a7373f4f86bd55e5e9eed10bf2db",
+    "subdiv/rect-p12-3x3-quartered": "06d24d5a3c769aea0f2c96fbc4e53af719799b92dfa1e11b00706caed1312b25",
+    "subdiv/rect-p8-1x2-halved": "1530c25c4226892f364384ca264316e4d5022de54244ba9c004f447799fda392",
+    "verdict/block-p6-g17": "d5e7723abf84629a6ad95c5588c8f2c43e20d627e93e82c3b9851b62edd3ffeb",
+    "verdict/ruled-out-p8-g2": "c5aa9e45ea06bf550620033c5b6446d5668194f684ef6251a62760ddc7be0f9d",
+    "verdict/subdiv2-p8-g16": "29c13e1cee7731a8e30d98740e0c9a2a4e9a7acb93d071a6865a3f87e001c73e",
+    "verdict/subdiv4-p12-g28": "630c4247e00ea23938dad6187ddcd153a32c315d9e892998f75fbb227077942b",
+    "verdict/unknown-p6-g5": "1ac48bbc72a5805255a006a3c44b50be24f0bdf8efb117cc6063cca1e374e6ef",
+}
+
+
+def _digest(name):
+    return hashlib.sha256(CASES[name]().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name):
+    assert _digest(name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(f'    "{name}": "{_digest(name)}",')

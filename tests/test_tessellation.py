@@ -169,6 +169,16 @@ class TestSubdivideTwo:
         with pytest.raises(ValueError):
             subdivide_two(make_open_square(), axis=1)
 
+    @pytest.mark.parametrize("axis", [0, 9, -3])
+    def test_axis_out_of_range_rejected(self, rect_p8_1x2, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is outside 1..8"):
+            subdivide_two(rect_p8_1x2, axis=axis)
+
+    def test_antipodal_axis_is_in_range(self, rect_p8_1x2, hex4):
+        cx, sub = subdivide_two(rect_p8_1x2, axis=5)
+        assert sub.axis == 5
+        assert cx == hex4
+
 
 class TestSubdivideFour:
     def test_quarters_rect_faces(self, rect_p12_3x3, hex36):
@@ -188,6 +198,11 @@ class TestSubdivideFour:
             subdivide_four(rect_p8_1x2)
         with pytest.raises(BadDivisibility):
             subdivide_four(block_p6_g2)
+
+    @pytest.mark.parametrize("axis", [0, 13])
+    def test_axis_out_of_range_rejected(self, rect_p12_3x3, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is outside 1..12"):
+            subdivide_four(rect_p12_3x3, axis=axis)
 
 
 class TestDerivedSequence:
