@@ -451,10 +451,23 @@ def coloring_from_dict(doc):
         if c not in (0, 1):
             raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
         colors[int(e)] = int(c)
+    base = doc["base_vertex"]
+    if type(base) is not int or base < 0:
+        raise ValueError(f"base_vertex {base!r} is not a non-negative integer")
+    seed = []
+    for e, c in doc["seed"]:
+        eid = int(e)
+        if eid not in colors:
+            raise ValueError(f"seed edge {e} is not colored")
+        if c != colors[eid]:
+            raise ValueError(
+                f"seed gives edge {e} color {c!r}, the colors give {colors[eid]}"
+            )
+        seed.append((eid, colors[eid]))
     return EdgeColoring(
         colors=colors,
-        base_vertex=int(doc["base_vertex"]),
-        seed=tuple((int(e), int(c)) for e, c in doc["seed"]),
+        base_vertex=base,
+        seed=tuple(seed),
         solution_count=doc.get("solution_count"),
     )
 

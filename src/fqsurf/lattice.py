@@ -25,11 +25,11 @@ from math import gcd
 
 from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
 from .tessellation import (
-    BadDivisibility,
     build_block_tessellation,
     build_rect_tessellation,
     derived_sequence,
     face_count,
+    is_symmetric,
     q_at,
     subdivide_four,
     subdivide_two,
@@ -107,29 +107,11 @@ def alternating_noncoprime(q):
 
 def symmetric_axes(q, kind):
     """All axes m making the sequence 2- or 4-symmetric about m."""
+    pieces = {"two": 2, "four": 4}.get(kind)
+    if pieces is None:
+        raise ValueError(f"kind must be 'two' or 'four', got {kind!r}")
     q = tuple(q)
-    p = len(q)
-    if kind == "two":
-        return {
-            m
-            for m in range(1, p + 1)
-            if all(q_at(q, m + i) == q_at(q, m - i) for i in range(1, p))
-        }
-    if kind == "four":
-        if p % 4 != 0:
-            raise BadDivisibility(
-                f"4-symmetry needs length divisible by 4, got {p}"
-            )
-        return {
-            m
-            for m in range(1, p + 1)
-            if all(
-                q_at(q, m + i) == q_at(q, m - i)
-                == q_at(q, m + p // 2 - i) == q_at(q, m + p // 2 + i)
-                for i in range(1, p)
-            )
-        }
-    raise ValueError(f"kind must be 'two' or 'four', got {kind!r}")
+    return {m for m in range(1, len(q) + 1) if is_symmetric(q, m, pieces)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +228,9 @@ def assign_groups(cx, coloring, q, check=True):
     for e in cx.edges:
         if e.id not in coloring.colors:
             raise NotGoodColoring(f"edge {e.id} is not colored")
+    unknown = sorted(set(coloring.colors) - set(range(cx.num_edges)))
+    if unknown:
+        raise NotGoodColoring(f"edge {unknown[0]} is colored but not in the complex")
     coloring_ok, violations = verify_good_coloring(cx, coloring)
     if check and not coloring_ok:
         raise NotGoodColoring(f"coloring violates conditions: {violations[:3]}")

@@ -27,9 +27,9 @@ right) reduces to index arithmetic in that rotation; see
 
 The second half of the module is an exact integer linear algebra kit: an
 arbitrary-precision matrix, Smith normal form (plain and with unimodular
-transforms), integer linear solving, kernel bases, and the boundary matrices
-of the cellular chain complex.  Everything is pure Python integers; entries
-grow during elimination and must never be truncated.
+transforms), integer linear solving, and the boundary matrices of the
+cellular chain complex.  Everything is pure Python integers; entries grow
+during elimination and must never be truncated.
 """
 
 from __future__ import annotations
@@ -324,10 +324,7 @@ def build_complex(p, edge_specs, face_specs):
     if [f.id for f in faces] != list(range(len(faces))):
         raise ValueError("face ids must be dense 0..F-1")
 
-    cx = SurfaceComplex(p, edges, faces)
-    if cx.is_closed():
-        cx._derive()
-    return cx
+    return SurfaceComplex(p, edges, faces)
 
 
 @dataclass(frozen=True)
@@ -512,9 +509,6 @@ class IntegerMatrix:
             rows = len(cols[0]) if cols else 0
         return cls([[col[i] for col in cols] for i in range(rows)], rows, len(cols))
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
@@ -697,13 +691,6 @@ def integer_solve(a, b):
         if c[j]:
             return None
     return v.mul_vec(y)
-
-def kernel_basis(a):
-    """A lattice basis of the integer kernel of the matrix."""
-    d, _, v = snf_with_transforms(a)
-    n = min(a.rows, a.cols)
-    rank = sum(1 for j in range(n) if d.data[j][j])
-    return [v.column(j) for j in range(rank, a.cols)]
 
 
 def boundary_matrices(cx):

@@ -14,9 +14,11 @@ repair their parity defects:
   edge types (odd geodesic loops make a consistent labeling impossible), so
   validation passes only at the structural tier.
 * ``subdivide_two`` / ``subdivide_four`` — cut every face through midpoints
-  of its axis-class sides, retype the halved complex from scratch, and return
-  a fully valid tessellation with a smaller polygon together with a record of
-  the surgery.
+  of its axis-class sides, then orient and retype the pieces in a single
+  breadth-first pass over their walks (no provisional complex is built), and
+  return a fully valid tessellation with a smaller polygon together with a
+  record of the surgery.  ``is_symmetric`` is the one statement of the 2- or
+  4-symmetry of a thickness sequence that such a cut needs.
 
 Face matchings are the common engine: a perfect matching of faces per type
 glues each face's type-t side to its partner's, which is how the block
@@ -26,7 +28,7 @@ construction and several test fixtures are wired.
 from collections import deque
 from dataclasses import dataclass
 
-from .loops import assign_face_orientations, trace_geodesic_loops
+from .loops import trace_geodesic_loops
 from .surface_complex import (
     CCW,
     CW,
@@ -333,67 +335,50 @@ def _subdivide(cx, pieces, axis):
                 walk.append((chords[f.id][j], True))
             sub_faces.append(walk)
 
-    # provisional build: structure first, names later
-    n_new_edges = next_id
-    provisional_edges = [(eid, 1) for eid in range(n_new_edges)]
-    provisional_faces = [
-        (idx, CCW, walk) for idx, walk in enumerate(sub_faces)
-    ]
-    structural = build_complex(new_p, provisional_edges, provisional_faces)
-    srep = validate(structural)
-    if not srep.structurally_ok:
-        raise ConstructionFailure(
-            f"subdivided complex is not a right-angled surface: {srep.tags()}"
-        )
-    lr = trace_geodesic_loops(structural)
-    if lr.odd_loops:
-        raise CutSystemFailure(
-            f"axis {axis}: {len(lr.odd_loops)} odd loops survive the cut"
-        )
-    if not lr.hypotheses_ok:
-        raise CutSystemFailure(
-            f"axis {axis}: subdivided loops violate the intersection hypotheses"
-        )
+    occ = [[] for _ in range(next_id)]
+    for idx, walk in enumerate(sub_faces):
+        for k, (eid, _rev) in enumerate(walk):
+            occ[eid].append((idx, k))
 
-    orient = assign_face_orientations(structural)
-    if not orient.bipartite:
-        raise CutSystemFailure(f"axis {axis}: subdivided dual graph is not bipartite")
-    chir = [CCW if orient.colors[f] == 0 else CW for f in range(len(sub_faces))]
-
-    # retype by breadth-first offset propagation from sub-face 0, whose
-    # leading half-side is declared type 1
+    # one breadth-first pass from sub-face 0, whose leading half-side is
+    # declared type 1: each face reached takes the sense opposite to the face
+    # it was reached from (+1 reads types ascending, i.e. ccw) and the type
+    # offset that continues the shared edge.  A type clash is held back until
+    # the pass is over, so a dual graph that is not bipartite (which is what
+    # odd loops force) always reports as a cut failure.
+    sense = {0: 1}
     offsets = {0: 1}
     queue = deque([0])
     types = {}
-
-    def type_at(face_id, k):
-        o = offsets[face_id]
-        if chir[face_id] == CCW:
-            return (o - 1 + k) % new_p + 1
-        return (o - 1 - k) % new_p + 1
-
+    clash = None
     while queue:
         f = queue.popleft()
         for k, (eid, _rev) in enumerate(sub_faces[f]):
-            t = type_at(f, k)
-            if eid in types and types[eid] != t:
-                raise ConstructionFailure(
-                    f"axis {axis}: no consistent relabeling (edge {eid}: "
-                    f"{types[eid]} vs {t})"
-                )
+            t = (offsets[f] - 1 + sense[f] * k) % new_p + 1
+            if eid in types and types[eid] != t and clash is None:
+                clash = f"edge {eid}: {types[eid]} vs {t}"
             types[eid] = t
-            for g, kg in structural.occurrences()[eid]:
-                if g in offsets:
+            for g, kg in occ[eid]:
+                if (g, kg) == (f, k):
                     continue
-                if chir[g] == CCW:
-                    offsets[g] = (t - 1 - kg) % new_p + 1
-                else:
-                    offsets[g] = (t - 1 + kg) % new_p + 1
+                if g in sense:
+                    if sense[g] == sense[f]:
+                        raise CutSystemFailure(
+                            f"axis {axis}: subdivided dual graph is not bipartite"
+                        )
+                    continue
+                sense[g] = -sense[f]
+                offsets[g] = (t - 1 + sense[f] * kg) % new_p + 1
                 queue.append(g)
+    if clash is not None:
+        raise ConstructionFailure(
+            f"axis {axis}: no consistent relabeling ({clash})"
+        )
 
-    final_edges = [(eid, types[eid]) for eid in range(n_new_edges)]
+    final_edges = [(eid, types[eid]) for eid in range(next_id)]
     final_faces = [
-        (idx, chir[idx], walk) for idx, walk in enumerate(sub_faces)
+        (idx, CCW if sense[idx] == 1 else CW, walk)
+        for idx, walk in enumerate(sub_faces)
     ]
     old_genus = (2 - euler_characteristic(cx)) // 2
     out = build_complex(new_p, final_edges, final_faces)
@@ -401,6 +386,10 @@ def _subdivide(cx, pieces, axis):
     if not frep.passed:
         raise ConstructionFailure(
             f"axis {axis}: subdivided complex fails validation: {frep.tags()}"
+        )
+    if not trace_geodesic_loops(out).hypotheses_ok:
+        raise CutSystemFailure(
+            f"axis {axis}: subdivided loops violate the intersection hypotheses"
         )
 
     midpoints = {}
@@ -467,6 +456,26 @@ def q_at(q, i):
     return q[(i - 1) % len(q)]
 
 
+def is_symmetric(q, m, pieces):
+    """Is the thickness sequence ``pieces``-symmetric about axis m?
+
+    2-symmetric: q reads the same both ways from m, so q[m+i] = q[m-i].
+    4-symmetric: it also reads the same both ways from the antipode m+p/2,
+    which needs p divisible by 4.  These are the symmetries a cut into two
+    or four pieces along axis m needs.
+    """
+    p = len(q)
+    if pieces not in (2, 4):
+        raise ValueError("pieces must be 2 or 4")
+    if pieces == 4 and p % 4:
+        raise BadDivisibility(f"4-symmetry needs a length divisible by 4, got {p}")
+    centers = (m,) if pieces == 2 else (m, m + p // 2)
+    return all(
+        len({q_at(q, c + s * i) for c in centers for s in (1, -1)}) == 1
+        for i in range(1, p // 2 + 1)
+    )
+
+
 def derived_sequence(q, pieces, m):
     """Thickness sequence of the subdivided tessellation.
 
@@ -474,25 +483,10 @@ def derived_sequence(q, pieces, m):
     and appends thickness-2 entries for the chords.  The requested symmetry
     about m is checked, not assumed.
     """
-    p = len(q)
-    if pieces == 2:
-        for i in range(1, p // 2 + 1):
-            if q_at(q, m + i) != q_at(q, m - i):
-                raise SymmetryViolation(
-                    f"q is not symmetric about {m}: q[{m + i}] != q[{m - i}]"
-                )
-        return tuple(q_at(q, m + i) for i in range(p // 2 + 1)) + (2,)
-    if pieces == 4:
-        if p % 4:
-            raise BadDivisibility("quarter subdivision needs p ≡ 0 (mod 4)")
-        for i in range(1, p // 2 + 1):
-            vals = {q_at(q, m + h + s * i) for h in (0, p // 2) for s in (1, -1)}
-            if len(vals) != 1:
-                raise SymmetryViolation(
-                    f"q lacks the fourfold symmetry about {m} at offset {i}"
-                )
-        return tuple(q_at(q, m + i) for i in range(p // 4 + 1)) + (2, 2)
-    raise ValueError("pieces must be 2 or 4")
+    if not is_symmetric(q, m, pieces):
+        raise SymmetryViolation(f"q is not {pieces}-symmetric about {m}")
+    read = tuple(q_at(q, m + i) for i in range(len(q) // pieces + 1))
+    return read + (2,) * (pieces // 2)
 
 
 SUBDIV_FORMAT = "fq-subdiv/1"

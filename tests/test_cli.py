@@ -197,7 +197,10 @@ class TestCertifyAndDecide:
         cert = tmp_path / "cert.json"
         main(["color", "-i", path, "-o", str(coloring)])
         doc = json.loads(coloring.read_text())
-        doc["colors"][0][1] = 1 - doc["colors"][0][1]
+        flipped = 1 - doc["colors"][0][1]
+        doc["colors"][0][1] = flipped
+        # the loader checks the seed against the colors, so flip it there too
+        doc["seed"] = [[e, flipped if e == 0 else c] for e, c in doc["seed"]]
         coloring.write_text(canonical_json(doc))
         rc = main(["certify", "-i", path, "--coloring", str(coloring),
                    "--q", "2,3,2,3,2,3", "-o", str(cert)])
@@ -218,6 +221,30 @@ class TestCertifyAndDecide:
                    "--q", "2,3,2,3,2,3", "-o", str(cert)])
         assert rc == 1
         assert "edge 0 has color 2" in capsys.readouterr().err
+        assert not cert.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["colors"].append([40, 0]), "edge 40"),
+            (lambda doc: doc.update(seed=[[99, 7]]), "seed edge 99"),
+            (lambda doc: doc.update(base_vertex=-4), "base_vertex -4"),
+        ],
+    )
+    def test_certify_rejects_a_coloring_that_does_not_fit(
+        self, tmp_path, block_p6_g2, capsys, edit, message
+    ):
+        path = write_complex(tmp_path / "block.json", block_p6_g2)
+        coloring = tmp_path / "coloring.json"
+        cert = tmp_path / "cert.json"
+        main(["color", "-i", path, "-o", str(coloring)])
+        doc = json.loads(coloring.read_text())
+        edit(doc)
+        coloring.write_text(canonical_json(doc))
+        rc = main(["certify", "-i", path, "--coloring", str(coloring),
+                   "--q", "2,3,2,3,2,3", "-o", str(cert)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not cert.exists()
 
     def test_decide_exists(self, capsys):

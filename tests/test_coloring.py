@@ -262,3 +262,22 @@ class TestColoringSerialization:
         doc["colors"].append([0, 1 - doc["colors"][0][1]])
         with pytest.raises(ValueError, match="edge 0 is colored twice"):
             coloring_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(seed=[[99, 7]]), "seed edge 99 is not colored"),
+            (
+                lambda doc: doc.update(seed=[[e, 1 - c] for e, c in doc["seed"]]),
+                "seed gives edge",
+            ),
+            (lambda doc: doc.update(base_vertex=-4), "base_vertex -4"),
+            (lambda doc: doc.update(base_vertex="0"), "base_vertex '0'"),
+            (lambda doc: doc.update(base_vertex=True), "base_vertex True"),
+        ],
+    )
+    def test_seed_and_base_vertex_checked(self, block_p6_g2, edit, message):
+        doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            coloring_from_dict(doc)

@@ -4,10 +4,16 @@ import pytest
 
 import fqsurf.lattice
 import fqsurf.loops
+import fqsurf.surface_complex
+import fqsurf.tessellation
 from fqsurf.coloring import solve_good_coloring
 from fqsurf.lattice import build_certificate, decide
 from fqsurf.loops import trace_geodesic_loops
-from fqsurf.tessellation import build_block_tessellation, build_rect_tessellation
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    subdivide_two,
+)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -42,8 +48,7 @@ def test_builders_attach_no_loop_report_attribute():
     "p, q, genus, method, traced",
     [
         (6, (2, 3) * 3, 2, "Block", 1),
-        # the structural complex inside the subdivision, then the result
-        (8, (3, 2, 9, 2, 3, 2, 9, 2), 2, "Subdiv2", 2),
+        (8, (3, 2, 9, 2, 3, 2, 9, 2), 2, "Subdiv2", 1),
     ],
 )
 def test_decide_counts_intersections_once_per_complex(monkeypatch, p, q, genus,
@@ -60,3 +65,19 @@ def test_certificate_checks_vertex_arithmetic_once(monkeypatch):
     calls = _count_calls(monkeypatch, fqsurf.lattice, "verify_link_conditions")
     assert build_certificate(cx, coloring, (2, 3) * 3)["ok"] is True
     assert len(calls) == 1
+
+
+def test_subdivision_builds_and_validates_once(monkeypatch):
+    rect = build_rect_tessellation(8, 1, 2)
+    built = _count_calls(monkeypatch, fqsurf.tessellation, "build_complex")
+    validated = _count_calls(monkeypatch, fqsurf.tessellation, "validate")
+    dual = [
+        _count_calls(monkeypatch, fqsurf.loops, "dual_graph"),
+        _count_calls(monkeypatch, fqsurf.surface_complex, "dual_graph"),
+    ]
+    out, _smap = subdivide_two(rect, axis=1)
+    assert len(built) == 1
+    # the entry check on the input, then the subdivided complex
+    assert len(validated) == 2
+    assert validated[0][0] is rect and validated[1][0] is out
+    assert dual == [[], []]

@@ -6,6 +6,11 @@ a subdivision, the loop report, a solver, a certificate or a verdict shows
 up here by name.  The digests were recorded before derived structures became
 cached per complex; refactors must keep every one of them.
 
+The subdivision sweep pins every cut axis (and the axis search) of a few
+rectangular grids: the digest of the complex, map and loop report for each
+axis that works, the exception class for each that does not.  It was
+recorded before subdivision became a single orient-and-retype pass.
+
 To print the current digests: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -21,8 +26,12 @@ import pytest
 from fqsurf.cli import main
 from fqsurf.coloring import coloring_to_dict, solve_good_coloring
 from fqsurf.lattice import build_certificate, decide, verdict_to_dict
-from fqsurf.loops import loop_report_to_dict, trace_geodesic_loops
-from fqsurf.surface_complex import canonical_json, complex_to_dict, dual_graph
+from fqsurf.loops import (
+    assign_face_orientations,
+    loop_report_to_dict,
+    trace_geodesic_loops,
+)
+from fqsurf.surface_complex import CCW, CW, canonical_json, complex_to_dict, dual_graph
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -135,6 +144,114 @@ DIGESTS = {
 }
 
 
+SWEEP_RECTS = {
+    "two": (subdivide_two, [(8, 1, 2), (8, 2, 2), (16, 1, 2)]),
+    "four": (subdivide_four, [(12, 1, 3), (20, 1, 3)]),
+}
+
+SWEEP = {
+    f"{kind}/rect-p{rect[0]}-{rect[1]}x{rect[2]}/axis-{axis or 'auto'}": (
+        kind, rect, axis
+    )
+    for kind, (_op, rects) in SWEEP_RECTS.items()
+    for rect in rects
+    for axis in [*range(1, rect[0] + 1), None]
+}
+
+
+@cache
+def _rect(p, a, b):
+    return build_rect_tessellation(p, a, b)
+
+
+def _sweep_outcome(kind, rect, axis):
+    """Digest of complex, map and loop report, or the exception class name."""
+    op = SWEEP_RECTS[kind][0]
+    try:
+        out, smap = op(_rect(*rect), axis=axis)
+    except Exception as exc:  # the class is the pinned outcome
+        return type(exc).__name__, None
+    text = (
+        canonical_json(complex_to_dict(out))
+        + canonical_json(subdivision_map_to_dict(smap))
+        + canonical_json(loop_report_to_dict(trace_geodesic_loops(out)))
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), out
+
+
+SWEEP_PINS = {
+    "four/rect-p12-1x3/axis-1": "c563d3c3947f9605abf15ef764b4cbf6b379b6469cb71aada0c1371655e5c2f3",
+    "four/rect-p12-1x3/axis-10": "7ea02475474f7c7afe854ded2d1a9f8e71da997376727ed375670943245f9ede",
+    "four/rect-p12-1x3/axis-11": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-12": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-2": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-3": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-4": "cf86af3f5e8fbc42c8b2733732d44f0b0358ec3550f11619da50728ffe92fa03",
+    "four/rect-p12-1x3/axis-5": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-6": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-7": "6f8c77f848b3c5bd78879a9415b07cec9e5fc551a77e368c4d726d2c06cc6e9a",
+    "four/rect-p12-1x3/axis-8": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-9": "CutSystemFailure",
+    "four/rect-p12-1x3/axis-auto": "c563d3c3947f9605abf15ef764b4cbf6b379b6469cb71aada0c1371655e5c2f3",
+    "four/rect-p20-1x3/axis-1": "aeeaf62845d13be966bee0491dab85816b979baa4e16702ef274c0f81d1f0014",
+    "four/rect-p20-1x3/axis-10": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-11": "fdd02b241c495c89890800f5ca02b13494a498d70af75f7a03cc57c811dab41a",
+    "four/rect-p20-1x3/axis-12": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-13": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-14": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-15": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-16": "fb072d9c9f53b26d75cdf4c62f99012f1847b99cd5653a2fc452a3f270590c1b",
+    "four/rect-p20-1x3/axis-17": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-18": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-19": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-2": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-20": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-3": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-4": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-5": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-6": "11919535a5cc642a98a2e8182ade96cb7de8774303a7b248c3afed2c5a8a45aa",
+    "four/rect-p20-1x3/axis-7": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-8": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-9": "CutSystemFailure",
+    "four/rect-p20-1x3/axis-auto": "aeeaf62845d13be966bee0491dab85816b979baa4e16702ef274c0f81d1f0014",
+    "two/rect-p16-1x2/axis-1": "1441404fa832f29ed1f184cbd9256211d7320f86d1d2c2707cef5d98b5af932b",
+    "two/rect-p16-1x2/axis-10": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-11": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-12": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-13": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-14": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-15": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-16": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-2": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-3": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-4": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-5": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-6": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-7": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-8": "CutSystemFailure",
+    "two/rect-p16-1x2/axis-9": "883318426fc737a4155e106ec84928fb9007fa979271654ae2bd37934b3de66b",
+    "two/rect-p16-1x2/axis-auto": "1441404fa832f29ed1f184cbd9256211d7320f86d1d2c2707cef5d98b5af932b",
+    "two/rect-p8-1x2/axis-1": "2a62bf061fc4c39892e4a17e6601d51a16cb06fe72eeb8cbe18b28b0592e38c1",
+    "two/rect-p8-1x2/axis-2": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-3": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-4": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-5": "7b09f940f58cec19cbf53339647a639941d3d94d769a4c9a8e6ea3608495f2ee",
+    "two/rect-p8-1x2/axis-6": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-7": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-8": "CutSystemFailure",
+    "two/rect-p8-1x2/axis-auto": "2a62bf061fc4c39892e4a17e6601d51a16cb06fe72eeb8cbe18b28b0592e38c1",
+    "two/rect-p8-2x2/axis-1": "99838749bbee16b8831ef4a5424b7bdc7148b58e6aea26d6a6a3b5d0e02b48dd",
+    "two/rect-p8-2x2/axis-2": "CutSystemFailure",
+    "two/rect-p8-2x2/axis-3": "79f172ece790522ae1cdd3b3a9ec6a3a943013ccf34f6f1722ec42e397525743",
+    "two/rect-p8-2x2/axis-4": "CutSystemFailure",
+    "two/rect-p8-2x2/axis-5": "3dcd9c5564e6e59874bfbb1b6ff05a832bddbf32a9861be16f81e503c6a30d1c",
+    "two/rect-p8-2x2/axis-6": "CutSystemFailure",
+    "two/rect-p8-2x2/axis-7": "93c7728dbeded7b9ecc4bde6a516734e31a1976ef242ec76163f1d04b2f0de9c",
+    "two/rect-p8-2x2/axis-8": "CutSystemFailure",
+    "two/rect-p8-2x2/axis-auto": "99838749bbee16b8831ef4a5424b7bdc7148b58e6aea26d6a6a3b5d0e02b48dd",
+}
+
+
 def _digest(name):
     return hashlib.sha256(CASES[name]().encode("utf-8")).hexdigest()
 
@@ -144,6 +261,19 @@ def test_golden_digest(name):
     assert _digest(name) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_subdivision_sweep(name):
+    pin, out = _sweep_outcome(*SWEEP[name])
+    assert pin == SWEEP_PINS[name]
+    if out is not None:
+        colors = assign_face_orientations(out).colors
+        assert [f.chirality for f in out.faces] == [
+            CCW if colors[f.id] == 0 else CW for f in out.faces
+        ]
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f'    "{name}": "{_digest(name)}",')
+    for name in sorted(SWEEP):
+        print(f'    "{name}": "{_sweep_outcome(*SWEEP[name])[0]}",')

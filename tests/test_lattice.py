@@ -141,6 +141,17 @@ class TestAssignGroups:
         with pytest.raises(NotGoodColoring):
             assign_groups(block_p6_g2, partial, Q6)
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_coloring_of_an_unknown_edge_rejected(self, block_p6_g2, check):
+        coloring = solve_good_coloring(block_p6_g2)
+        extra = EdgeColoring(
+            colors={**coloring.colors, 40: 0},
+            base_vertex=0,
+            seed=coloring.seed,
+        )
+        with pytest.raises(NotGoodColoring, match="edge 40"):
+            assign_groups(block_p6_g2, extra, Q6, check=check)
+
     def test_bad_coloring_rejected_when_checking(self, block_p6_g2):
         flat = EdgeColoring(colors={e: 0 for e in range(12)}, base_vertex=0, seed=())
         with pytest.raises(NotGoodColoring):

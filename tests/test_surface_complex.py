@@ -21,7 +21,6 @@ from fqsurf.surface_complex import (
     complex_to_dict,
     dual_graph,
     integer_solve,
-    kernel_basis,
     smith_normal_form,
     snf_with_transforms,
     succ_type,
@@ -324,13 +323,6 @@ class TestIntegerSolve:
         found = integer_solve(a, b)
         assert found is not None
         assert a.mul_vec(found) == b
-
-    def test_kernel_vectors_annihilate(self):
-        a = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
-        basis = kernel_basis(a)
-        assert len(basis) == 2
-        for k in basis:
-            assert a.mul_vec(k) == [0, 0]
 
 
 class TestHomology:
