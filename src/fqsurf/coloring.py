@@ -7,10 +7,8 @@ between pairs of edges, so the whole problem is a parity constraint system:
 alternating pairs differ (parity 1), same-side hanging pairs agree
 (parity 0).  A coloring exists iff no constraint cycle has odd total parity.
 
-Sides are read off the stored rotation system: rotations list the rays at a
-vertex clockwise, so for a passage arriving along a directed edge whose
-reversed ray sits at index i, the outgoing ray is at i+2, the left hanging
-ray at i+1 and the right at i-1.
+Turns are read off the rotation system by ``SurfaceComplex.continue_through``:
+a passage goes straight at turn 2, left at 1 and right at -1.
 
 The holonomy transport moves a pair (a, b) — the color of the edge being
 walked and of its left neighbor — along an edge walk.  Each step is an
@@ -92,16 +90,11 @@ class ParityConstraintSystem:
         )
 
 
-def _passage_rays(cx, dedge):
-    """Rays around the head of a directed edge: (back, left, straight, right)."""
+def _require_degree_four(cx, dedge):
+    """Left, right and the turns are defined only at a degree-4 head vertex."""
     v = cx.head_vertex(dedge)
-    rot = cx.rotation(v)
-    if len(rot) != 4:
-        raise ValueError(f"vertex {v} has degree {len(rot)}, not 4")
-    eid, forward = dedge
-    back = (eid, not forward)
-    i = rot.index(back)
-    return v, rot, i
+    if len(cx.rotation(v)) != 4:
+        raise ValueError(f"vertex {v} has degree {len(cx.rotation(v))}, not 4")
 
 
 def _hanging_edges(cx, cycle):
@@ -109,9 +102,9 @@ def _hanging_edges(cx, cycle):
     lefts = []
     rights = []
     for dedge in cycle:
-        _v, rot, i = _passage_rays(cx, dedge)
-        lefts.append(rot[(i + 1) % 4][0])
-        rights.append(rot[(i - 1) % 4][0])
+        _require_degree_four(cx, dedge)
+        lefts.append(cx.continue_through(dedge, 1)[0])
+        rights.append(cx.continue_through(dedge, -1)[0])
     return lefts, rights
 
 
@@ -419,9 +412,10 @@ def holonomy(cx, walk):
             )
     for k, dedge in enumerate(walk):
         following = walk[(k + 1) % len(walk)]
-        _v, rot, i = _passage_rays(cx, dedge)
-        j = rot.index(following)
-        total = _STEP_MAPS[(j - i) % 4].after(total)
+        _require_degree_four(cx, dedge)
+        turn = next(t for t in _STEP_MAPS
+                    if cx.continue_through(dedge, t) == following)
+        total = _STEP_MAPS[turn].after(total)
     return total
 
 
@@ -440,36 +434,39 @@ def coloring_to_dict(coloring):
 
 
 def coloring_from_dict(doc):
-    if doc.get("format") != COLORING_FORMAT:
-        raise ValueError(f"not a {COLORING_FORMAT} document")
-    if not doc.get("satisfiable", True):
-        raise ValueError("document records a contradiction, not a coloring")
-    colors = {}
-    for e, c in doc["colors"]:
-        if int(e) in colors:
-            raise ValueError(f"edge {e} is colored twice")
-        if c not in (0, 1):
-            raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
-        colors[int(e)] = int(c)
-    base = doc["base_vertex"]
-    if type(base) is not int or base < 0:
-        raise ValueError(f"base_vertex {base!r} is not a non-negative integer")
-    seed = []
-    for e, c in doc["seed"]:
-        eid = int(e)
-        if eid not in colors:
-            raise ValueError(f"seed edge {e} is not colored")
-        if c != colors[eid]:
-            raise ValueError(
-                f"seed gives edge {e} color {c!r}, the colors give {colors[eid]}"
-            )
-        seed.append((eid, colors[eid]))
-    return EdgeColoring(
-        colors=colors,
-        base_vertex=base,
-        seed=tuple(seed),
-        solution_count=doc.get("solution_count"),
-    )
+    try:
+        if doc.get("format") != COLORING_FORMAT:
+            raise ValueError(f"not a {COLORING_FORMAT} document")
+        if not doc.get("satisfiable", True):
+            raise ValueError("document records a contradiction, not a coloring")
+        colors = {}
+        for e, c in doc["colors"]:
+            if int(e) in colors:
+                raise ValueError(f"edge {e} is colored twice")
+            if c not in (0, 1):
+                raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
+            colors[int(e)] = int(c)
+        base = doc["base_vertex"]
+        if type(base) is not int or base < 0:
+            raise ValueError(f"base_vertex {base!r} is not a non-negative integer")
+        seed = []
+        for e, c in doc["seed"]:
+            eid = int(e)
+            if eid not in colors:
+                raise ValueError(f"seed edge {e} is not colored")
+            if c != colors[eid]:
+                raise ValueError(
+                    f"seed gives edge {e} color {c!r}, the colors give {colors[eid]}"
+                )
+            seed.append((eid, colors[eid]))
+        return EdgeColoring(
+            colors=colors,
+            base_vertex=base,
+            seed=tuple(seed),
+            solution_count=doc.get("solution_count"),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {COLORING_FORMAT} document: {exc!r}") from None
 
 
 def witness_to_dict(witness):

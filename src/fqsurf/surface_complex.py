@@ -87,8 +87,8 @@ class SurfaceComplex:
     """A polygonal surface with typed edges; immutable once built.
 
     Derived structures are computed on first use and cached per complex:
-    edge occurrences, closedness defects, vertex orbits with their rotations,
-    and the geodesic loop report (filled by
+    edge occurrences, closedness defects, vertex orbits, rotations and the
+    ray table, and the geodesic loop report (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
     """
@@ -146,67 +146,42 @@ class SurfaceComplex:
         return not self.closedness_defects()
 
     # ------------------------------------------------------------------
-    # corner navigation
-
-    def side_at(self, corner):
-        f, k = corner
-        return self.faces[f].sides[k]
-
-    def directed_edge(self, corner):
-        """The side leaving this corner, as (edge_id, forward)."""
-        s = self.side_at(corner)
-        return (s.edge, not s.reversed)
-
-    def next_in_face(self, corner):
-        f, k = corner
-        return (f, (k + 1) % len(self.faces[f].sides))
-
-    def opposite(self, corner):
-        """The other corner whose side mentions the same edge."""
-        locs = self.occurrences()[self.side_at(corner).edge]
-        if len(locs) != 2:
-            raise ValueError(
-                f"edge {self.side_at(corner).edge} is not shared by exactly two sides"
-            )
-        a, b = locs
-        return b if a == corner else a
-
-    def sigma(self, corner):
-        """Next corner clockwise around the tail vertex of this corner's side."""
-        return self.next_in_face(self.opposite(corner))
-
-    # ------------------------------------------------------------------
     # derived vertices
 
     def _derive(self):
+        """Walk each vertex's corners once, by ``sigma`` of the module docstring.
+
+        Records the orbits, the rotations and the ray table, which maps each
+        directed edge to its tail vertex and its position in that rotation.
+        """
         if self._vertex_data is None:
             if not self.is_closed():
                 raise ValueError("vertex structure requires a closed complex")
-            seen = set()
+            occ = self.occurrences()
             orbits = []
+            rotations = []
+            ray_table = {}
             for f in self.faces:
                 for k in range(len(f.sides)):
-                    start = (f.id, k)
-                    if start in seen:
-                        continue
-                    orbit = [start]
-                    seen.add(start)
-                    cur = self.sigma(start)
-                    while cur != start:
-                        orbit.append(cur)
-                        seen.add(cur)
-                        cur = self.sigma(cur)
-                    orbits.append(tuple(orbit))
-            corner_vertex = {}
-            ray_corner = {}
-            rotations = []
-            for vid, orbit in enumerate(orbits):
-                rays = tuple(self.directed_edge(c) for c in orbit)
-                for c, ray in zip(orbit, rays):
-                    corner_vertex[c] = vid
-                    ray_corner[ray] = c
-                rotations.append(rays)
-            self._vertex_data = (tuple(orbits), corner_vertex, ray_corner, tuple(rotations))
+                    corner = (f.id, k)
+                    orbit = []
+                    rays = []
+                    while True:
+                        side = self.faces[corner[0]].sides[corner[1]]
+                        ray = (side.edge, not side.reversed)
+                        # a closed complex leaves each directed edge from one corner
+                        if ray in ray_table:
+                            break
+                        ray_table[ray] = (len(orbits), len(rays))
+                        orbit.append(corner)
+                        rays.append(ray)
+                        a, b = occ[side.edge]
+                        g, j = b if a == corner else a
+                        corner = (g, (j + 1) % len(self.faces[g].sides))
+                    if orbit:
+                        orbits.append(tuple(orbit))
+                        rotations.append(tuple(rays))
+            self._vertex_data = (tuple(orbits), tuple(rotations), ray_table)
         return self._vertex_data
 
     def vertices(self):
@@ -217,22 +192,15 @@ class SurfaceComplex:
     def num_vertices(self):
         return len(self.vertices())
 
-    def vertex_of(self, corner):
-        return self._derive()[1][corner]
-
-    def corner_of_directed(self, dedge):
-        """The unique corner whose outgoing side is this directed edge."""
-        return self._derive()[2][dedge]
-
     def tail_vertex(self, dedge):
-        return self.vertex_of(self.corner_of_directed(dedge))
+        return self._derive()[2][dedge][0]
 
     def head_vertex(self, dedge):
-        return self.vertex_of(self.next_in_face(self.corner_of_directed(dedge)))
+        return self.tail_vertex((dedge[0], not dedge[1]))
 
     def rotation(self, vertex_id):
         """Outgoing directed edges at a vertex, in clockwise order."""
-        return self._derive()[3][vertex_id]
+        return self._derive()[1][vertex_id]
 
     def continue_through(self, dedge, turn):
         """Continue an incoming directed edge through its head vertex.
@@ -241,9 +209,8 @@ class SurfaceComplex:
         reversal of the incoming edge: at a degree-4 vertex, ``2`` goes
         straight, ``1`` turns left, ``-1`` turns right and ``0`` doubles back.
         """
-        v = self.head_vertex(dedge)
+        v, i = self._derive()[2][(dedge[0], not dedge[1])]
         rays = self.rotation(v)
-        i = rays.index((dedge[0], not dedge[1]))
         return rays[(i + turn) % len(rays)]
 
     def straight_continuation(self, dedge):
@@ -750,11 +717,14 @@ def complex_to_dict(cx):
 
 
 def complex_from_dict(doc):
-    if doc.get("format") != COMPLEX_FORMAT:
-        raise ValueError(f"unsupported complex format {doc.get('format')!r}")
-    edge_specs = [(e["id"], e["type"]) for e in doc["edges"]]
-    face_specs = [
-        (f["id"], f["chirality"], [(s["edge"], s["reversed"]) for s in f["sides"]])
-        for f in doc["faces"]
-    ]
-    return build_complex(doc["p"], edge_specs, face_specs)
+    try:
+        if doc.get("format") != COMPLEX_FORMAT:
+            raise ValueError(f"unsupported complex format {doc.get('format')!r}")
+        edge_specs = [(e["id"], e["type"]) for e in doc["edges"]]
+        face_specs = [
+            (f["id"], f["chirality"], [(s["edge"], s["reversed"]) for s in f["sides"]])
+            for f in doc["faces"]
+        ]
+        return build_complex(doc["p"], edge_specs, face_specs)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {COMPLEX_FORMAT} document: {exc!r}") from None

@@ -55,6 +55,16 @@ def make_twelve_gon():
     return build_complex(12, [(eid, 1) for eid in range(6)], [(0, "ccw", sides)])
 
 
+def make_octagon():
+    """One octagon glued a b a' b' c d c' d': genus 2, one vertex of degree 8."""
+    return build_complex(
+        8,
+        [(0, 1), (1, 2), (2, 3), (3, 4)],
+        [(0, "ccw", [(0, False), (1, False), (0, True), (1, True),
+                     (2, False), (3, False), (2, True), (3, True)])],
+    )
+
+
 def make_open_square():
     """A lone square; every edge dangles with a single incidence."""
     return build_complex(

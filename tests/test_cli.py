@@ -10,12 +10,26 @@ from fqsurf.lattice import build_certificate
 from fqsurf.surface_complex import canonical_json, complex_to_dict
 from fqsurf.tessellation import build_rect_tessellation, subdivide_two
 
-from conftest import make_open_square
+from conftest import make_octagon, make_open_square
 
 
 def write_complex(path, cx):
     path.write_text(canonical_json(complex_to_dict(cx)))
     return str(path)
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _side_without_reversed(doc):
+    del doc["faces"][0]["sides"][0]["reversed"]
+    return doc
+
+
+def _text_edge_type(doc):
+    doc["edges"][0]["type"] = "1"
+    return doc
 
 
 class TestFaces:
@@ -127,6 +141,13 @@ class TestColorCommand:
         doc = json.loads(out.read_text())
         assert doc["satisfiable"] is False
         assert doc["witness"]
+
+    def test_vertex_of_degree_eight(self, tmp_path, capsys):
+        path = write_complex(tmp_path / "octagon.json", make_octagon())
+        out = tmp_path / "coloring.json"
+        assert main(["color", "-i", path, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: vertex 0 has degree 8, not 4\n"
+        assert not out.exists()
 
 
 class TestSubdivideCommand:
@@ -245,6 +266,42 @@ class TestCertifyAndDecide:
                    "--q", "2,3,2,3,2,3", "-o", str(cert)])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not cert.exists()
+
+    @pytest.mark.parametrize(
+        "target, edit",
+        [
+            ("coloring", lambda doc: {**doc, "seed": 5}),
+            ("coloring", lambda doc: {**doc, "colors": 3}),
+            ("coloring", _drop("base_vertex")),
+            ("coloring", _drop("colors")),
+            ("coloring", lambda doc: [doc]),
+            ("complex", _drop("edges")),
+            ("complex", _side_without_reversed),
+            ("complex", lambda doc: {**doc, "p": "6"}),
+            ("complex", _text_edge_type),
+            ("complex", lambda doc: [doc]),
+        ],
+        ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
+             "coloring-list", "no-edges", "side-no-reversed", "p-text",
+             "type-text", "complex-list"],
+    )
+    def test_certify_rejects_a_document_of_the_wrong_shape(
+        self, tmp_path, block_p6_g2, capsys, target, edit
+    ):
+        path = write_complex(tmp_path / "complex.json", block_p6_g2)
+        coloring = tmp_path / "coloring.json"
+        cert = tmp_path / "cert.json"
+        main(["color", "-i", path, "-o", str(coloring)])
+        edited = tmp_path / f"{target}.json"
+        edited.write_text(json.dumps(edit(json.loads(edited.read_text()))))
+        capsys.readouterr()
+        rc = main(["certify", "-i", path, "--coloring", str(coloring),
+                   "--q", "2,3,2,3,2,3", "-o", str(cert)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"fq-{target}/1" in err
         assert not cert.exists()
 
     def test_decide_exists(self, capsys):

@@ -26,6 +26,8 @@ from fqsurf.coloring import (
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.surface_complex import canonical_json
 
+from conftest import make_octagon
+
 
 class TestConstraintSystem:
     def test_block_system_shape(self, block_p6_g2):
@@ -220,6 +222,16 @@ class TestHolonomy:
             total = Holonomy(swap=swap, offset=(a, b)).after(total)
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert sorted(total.apply(p) for p in pairs) == pairs
+
+
+def test_coloring_needs_degree_four_vertices():
+    """Left and right hanging edges, and turns, exist only at degree 4."""
+    cx = make_octagon()
+    message = "^vertex 0 has degree 8, not 4$"
+    with pytest.raises(ValueError, match=message):
+        solve_good_coloring(cx)
+    with pytest.raises(ValueError, match=message):
+        holonomy(cx, cx.directed_boundary(0))
 
 
 class TestColoringSerialization:

@@ -31,6 +31,7 @@ from fqsurf.tessellation import complex_from_matchings
 from conftest import (
     make_crossing,
     make_disconnected,
+    make_octagon,
     make_open_square,
     make_pillowcase,
     make_same_sense,
@@ -414,3 +415,73 @@ def test_straight_continuation_commutes_with_reversal(cx):
             if len(cx.rotation(cx.head_vertex(back))) != 4:
                 continue
             assert cx.straight_continuation(back) == (e, not fwd)
+
+
+def reference_navigation(cx):
+    """Vertex orbits and corner lookups walked straight from the faces.
+
+    Vertices are the orbits of ``sigma(corner) = next_in_face(opposite(corner))``
+    over the corners ``(face, position)``; each corner owns the side leaving it.
+    Returns the orbits, the vertex of each corner, the corner owning each
+    directed edge, and ``next_in_face``.
+    """
+    occ = cx.occurrences()
+
+    def next_in_face(corner):
+        f, k = corner
+        return (f, (k + 1) % len(cx.faces[f].sides))
+
+    def sigma(corner):
+        a, b = occ[cx.faces[corner[0]].sides[corner[1]].edge]
+        return next_in_face(b if a == corner else a)
+
+    orbits = []
+    vertex_of = {}
+    corner_of = {}
+    for f in cx.faces:
+        for k, s in enumerate(f.sides):
+            corner_of[(s.edge, not s.reversed)] = (f.id, k)
+            if (f.id, k) in vertex_of:
+                continue
+            orbit = [(f.id, k)]
+            while sigma(orbit[-1]) != orbit[0]:
+                orbit.append(sigma(orbit[-1]))
+            for c in orbit:
+                vertex_of[c] = len(orbits)
+            orbits.append(tuple(orbit))
+    return tuple(orbits), vertex_of, corner_of, next_in_face
+
+
+def assert_navigation_matches_reference(cx):
+    orbits, vertex_of, corner_of, next_in_face = reference_navigation(cx)
+    assert cx.vertices() == orbits
+    rotations = []
+    for v, orbit in enumerate(orbits):
+        rays = tuple(
+            (cx.faces[f].sides[k].edge, not cx.faces[f].sides[k].reversed)
+            for f, k in orbit
+        )
+        assert cx.rotation(v) == rays
+        rotations.append(rays)
+    for d, corner in corner_of.items():
+        head = vertex_of[next_in_face(corner)]
+        assert cx.tail_vertex(d) == vertex_of[corner]
+        assert cx.head_vertex(d) == head
+        rays = rotations[head]
+        i = rays.index((d[0], not d[1]))
+        for t in range(4):
+            assert cx.continue_through(d, t) == rays[(i + t) % len(rays)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make_torus, make_pillowcase, make_crossing, make_twelve_gon, make_octagon],
+)
+def test_navigation_matches_the_corner_walk(make):
+    assert_navigation_matches_reference(make())
+
+
+@given(matchings_complexes())
+@settings(max_examples=30, deadline=None)
+def test_navigation_matches_the_corner_walk_on_matchings(cx):
+    assert_navigation_matches_reference(cx)
