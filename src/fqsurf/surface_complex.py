@@ -26,10 +26,12 @@ right) reduces to index arithmetic in that rotation; see
 :meth:`SurfaceComplex.continue_through`.
 
 The second half of the module is an exact integer linear algebra kit: an
-arbitrary-precision matrix, Smith normal form (plain and with unimodular
-transforms), integer linear solving, and the boundary matrices of the
-cellular chain complex.  Everything is pure Python integers; entries grow
-during elimination and must never be truncated.
+arbitrary-precision matrix, Smith normal form, integer linear solving, and
+the boundary matrices of the cellular chain complex.  The plain Smith normal
+form eliminates unit pivots on sparse rows, then runs dense SNF on the core
+left over; the form with unimodular transforms stays dense.  Everything is
+pure Python integers; entries grow during elimination and must never be
+truncated.
 """
 
 from __future__ import annotations
@@ -621,10 +623,52 @@ def smith_normal_form(m):
     Returns ``(diagonal, rank)`` where ``diagonal`` has ``min(rows, cols)``
     nonnegative entries forming a divisibility chain d1 | d2 | ... and
     ``rank`` counts the nonzero ones.
+
+    Unit pivots are eliminated first, on sparse rows (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001).  Columns are swept in index
+    order; a column holding a ±1 entry takes the one in its shortest row
+    (lowest row index on ties) as pivot, is cleared from the other rows by
+    exact row operations, and leaves with the pivot's row, contributing one
+    invariant factor 1.  Sweeps repeat until one finds no unit pivot.  The
+    nonzero rows and columns left form the core, which dense ``_smith``
+    finishes.
     """
-    a, _, _ = _smith(m.data, m.rows, m.cols, track=False)
-    n = min(m.rows, m.cols)
-    diag = tuple(a[i][i] for i in range(n))
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    where = [set() for _ in range(m.cols)]  # column -> rows holding it
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    units = 0
+    swept = False
+    while not swept:
+        swept = True
+        for c in range(m.cols):
+            pivots = [i for i in where[c] if rows[i][c] in (1, -1)]
+            if not pivots:
+                continue
+            r = min(pivots, key=lambda i: (len(rows[i]), i))
+            prow = rows[r]
+            for i in where[c] - {r}:
+                row = rows[i]
+                k = row[c] * prow[c]  # prow[c] is its own inverse
+                for j, x in prow.items():
+                    y = row.get(j, 0) - k * x
+                    if y:
+                        row[j] = y
+                        where[j].add(i)
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            for j in prow:
+                where[j].discard(r)
+            rows[r] = {}
+            units += 1
+            swept = False
+    core_cols = [j for j in range(m.cols) if where[j]]
+    core = [[row.get(j, 0) for j in core_cols] for row in rows if row]
+    a, _, _ = _smith(core, len(core), len(core_cols), track=False)
+    diag = (1,) * units + tuple(a[i][i] for i in range(min(len(core), len(core_cols))))
+    diag += (0,) * (min(m.rows, m.cols) - len(diag))
     return diag, sum(1 for d in diag if d)
 
 
@@ -725,6 +769,11 @@ def complex_from_dict(doc):
             (f["id"], f["chirality"], [(s["edge"], s["reversed"]) for s in f["sides"]])
             for f in doc["faces"]
         ]
+        for fid, _, sides in face_specs:
+            for eid, rev in sides:
+                if not isinstance(rev, bool):
+                    raise ValueError(f"malformed {COMPLEX_FORMAT} document: face {fid}, "
+                                     f"edge {eid}: reversed {rev!r} is not a boolean")
         return build_complex(doc["p"], edge_specs, face_specs)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed {COMPLEX_FORMAT} document: {exc!r}") from None

@@ -419,3 +419,17 @@ def test_criterion_11_deterministic_certificates(tmp_path):
             first = canonical_json(verdict_to_dict(decide(p, q, genus, certify=True)))
             second = canonical_json(verdict_to_dict(decide(p, q, genus, certify=True)))
             assert first == second
+
+
+def test_criterion_12_loops_generate_homology_at_256_faces():
+    with _Timed(12, "geodesic loops generate first homology at F=256", 5.0):
+        for name, cx in [
+            ("block 6/65", build_block_tessellation(6, 65)),
+            ("hex 256 halved",
+             subdivide_two(build_rect_tessellation(8, 64, 2), axis=1)[0]),
+            ("hex 256 quartered",
+             subdivide_four(build_rect_tessellation(12, 8, 8), axis=1)[0]),
+        ]:
+            assert cx.num_faces == 256, name
+            assert loops_generate_h1(cx, trace_geodesic_loops(cx).loops), name
+            assert betti_numbers(cx) == (1, 130, 1), name

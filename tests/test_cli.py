@@ -27,6 +27,13 @@ def _side_without_reversed(doc):
     return doc
 
 
+def _side_reversed(value):
+    def edit(doc):
+        doc["faces"][0]["sides"][0]["reversed"] = value
+        return doc
+    return edit
+
+
 def _text_edge_type(doc):
     doc["edges"][0]["type"] = "1"
     return doc
@@ -278,12 +285,15 @@ class TestCertifyAndDecide:
             ("coloring", lambda doc: [doc]),
             ("complex", _drop("edges")),
             ("complex", _side_without_reversed),
+            ("complex", _side_reversed("false")),
+            ("complex", _side_reversed(0)),
             ("complex", lambda doc: {**doc, "p": "6"}),
             ("complex", _text_edge_type),
             ("complex", lambda doc: [doc]),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
-             "coloring-list", "no-edges", "side-no-reversed", "p-text",
+             "coloring-list", "no-edges", "side-no-reversed",
+             "side-reversed-text", "side-reversed-int", "p-text",
              "type-text", "complex-list"],
     )
     def test_certify_rejects_a_document_of_the_wrong_shape(

@@ -26,6 +26,7 @@ from fqsurf.surface_complex import (
     succ_type,
     validate,
 )
+from fqsurf.loops import trace_geodesic_loops
 from fqsurf.tessellation import complex_from_matchings
 
 from conftest import (
@@ -485,3 +486,91 @@ def test_navigation_matches_the_corner_walk(make):
 @settings(max_examples=30, deadline=None)
 def test_navigation_matches_the_corner_walk_on_matchings(cx):
     assert_navigation_matches_reference(cx)
+
+
+# ------------------------------------------ Smith normal form against its oracles
+
+# mostly 0 and ±1, so both unit elimination and a non-trivial core occur
+SNF_ENTRIES = st.sampled_from(
+    (0,) * 24 + (1, -1) * 12 + tuple(range(2, 10)) + tuple(range(-9, -1))
+)
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    flat = draw(st.lists(SNF_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return IntegerMatrix(
+        [flat[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols
+    )
+
+
+def assert_snf_matches_oracles(m):
+    """``smith_normal_form`` equals the dense transform SNF and sympy's."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    n = min(m.rows, m.cols)
+    diag, rank = smith_normal_form(m)
+    d, _, _ = snf_with_transforms(m)
+    dense = tuple(d.data[i][i] for i in range(n))
+    assert (diag, rank) == (dense, sum(1 for x in dense if x))
+    ref = sympy_snf(Matrix(m.rows, m.cols, [x for row in m.data for x in row]))
+    assert diag == tuple(abs(ref[i, i]) for i in range(n))
+
+
+def homology_matrices(cx):
+    """d1, d2 and the ``[loop cycles | d2]`` matrix of ``loops_generate_h1``."""
+    d2, d1 = boundary_matrices(cx)
+    cols = [lp.as_one_cycle(cx.num_edges) for lp in trace_geodesic_loops(cx).loops]
+    loops = IntegerMatrix.from_columns(cols, rows=cx.num_edges)
+    return d1, d2, loops.hstack(d2)
+
+
+class TestSmithNormalFormOracles:
+    @given(sparse_integer_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_matrices(self, m):
+        assert_snf_matches_oracles(m)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, rows, cols):
+        m = IntegerMatrix([[]] * rows if rows else [], rows, cols)
+        assert smith_normal_form(m) == ((), 0)
+        assert_snf_matches_oracles(m)
+
+    def test_no_unit_entry_is_all_core(self):
+        assert_snf_matches_oracles(
+            IntegerMatrix([[2, 4, 0], [6, 0, 3], [0, 9, -3], [4, -2, 6]])
+        )
+
+    def test_all_unit_pivots(self):
+        m = IntegerMatrix([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+        assert smith_normal_form(m) == ((1, 1, 1), 3)
+        assert_snf_matches_oracles(m)
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_torus, make_pillowcase, make_crossing, make_twelve_gon,
+         make_octagon, make_disconnected],
+    )
+    def test_hand_built_homology(self, make):
+        for m in homology_matrices(make()):
+            assert_snf_matches_oracles(m)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["block_p6_g2", "block_p6_g3", "block_p8_g3", "rect_p8_1x2",
+         "rect_p8_3x2", "hex4", "block_p10_g4", "rect_p12_3x3", "hex36"],
+    )
+    def test_builder_homology(self, request, name):
+        for m in homology_matrices(request.getfixturevalue(name)):
+            assert_snf_matches_oracles(m)
+
+
+@given(matchings_complexes())
+@settings(max_examples=20, deadline=None)
+def test_snf_matches_oracles_on_matchings(cx):
+    for m in homology_matrices(cx):
+        assert_snf_matches_oracles(m)
