@@ -568,13 +568,35 @@ CERT_FORMAT = "fq-cert/1"
 def build_certificate(cx, coloring, q):
     """Certificate payload: the assignment plus both vertex oracles.
 
+    The coset link at a vertex depends only on its local signature: the
+    type pair and, in rotation order, the factor sets and types of the four
+    rays and the factor sets of the four sectors.  It is enumerated once per
+    distinct signature, by ``build_link_graph`` at the lowest vertex that
+    has it, and every vertex with that signature takes its side sizes and
+    verdict.
+
     A coloring that fails verification still yields a certificate; the
     failures end up in the per-vertex entries and the overall flag.
     """
     assignment = assign_groups(cx, coloring, q, check=False)
     checks = assignment.vertex_checks
-    links = {v: build_link_graph(assignment, v) for v in range(cx.num_vertices)}
-    ok = assignment.certified and all(l.ok for l in links.values())
+    by_signature = {}
+    links = []
+    for v in range(cx.num_vertices):
+        rays = cx.rotation(v)
+        signature = (
+            assignment.vertex_types[v],
+            tuple(assignment.edge_factors[e] for e, _ in rays),
+            tuple(cx.edge_type(e) for e, _ in rays),
+            tuple(assignment.face_factors[f] for f in _corner_faces(cx, v)),
+        )
+        if signature not in by_signature:
+            link = build_link_graph(assignment, v)
+            by_signature[signature] = (
+                tuple(len(link.side_vertices[t]) for t in link.types), link.ok
+            )
+        links.append(by_signature[signature])
+    ok = assignment.certified and all(link_ok for _, link_ok in links)
     deco = assignment.decomposition
     doc = {
         "format": CERT_FORMAT,
@@ -602,10 +624,8 @@ def build_certificate(cx, coloring, q):
                 "index_sums": {
                     str(t): s for t, s in sorted(checks[v].index_sums.items())
                 },
-                "link_sides": [
-                    len(links[v].side_vertices[t]) for t in links[v].types
-                ],
-                "link_ok": links[v].ok,
+                "link_sides": list(links[v][0]),
+                "link_ok": links[v][1],
             }
             for v in range(cx.num_vertices)
         ],

@@ -90,7 +90,8 @@ class SurfaceComplex:
 
     Derived structures are computed on first use and cached per complex:
     edge occurrences, closedness defects, vertex orbits, rotations and the
-    ray table, and the geodesic loop report (filled by
+    ray table, the genus-independent findings of :func:`validate`, and the
+    geodesic loop report (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
     """
@@ -102,6 +103,7 @@ class SurfaceComplex:
         self._occ = None
         self._defects = None
         self._vertex_data = None
+        self._validation = None
         self._loop_report = None
 
     # ------------------------------------------------------------------
@@ -326,7 +328,30 @@ def validate(cx, expected_genus=None):
     separately from the labeling axioms (faces reading a consecutive cyclic
     type sequence, vertex types alternating i, i+1); the report's
     ``structurally_ok`` distinguishes the tiers.
+
+    Everything but the genus comparison is computed once per complex and
+    cached; ``expected_genus`` is checked on each call.
     """
+    if cx._validation is None:
+        cx._validation = _axiom_findings(cx)
+    findings, face_findings, euler, genus = cx._validation
+    failures = list(findings)
+    if expected_genus is not None and genus != expected_genus:
+        failures.append(
+            Finding("GenusMismatch", f"computed genus {genus}, expected {expected_genus}")
+        )
+    failures.extend(face_findings)
+    return ValidationReport(
+        passed=not failures,
+        failures=failures,
+        euler_characteristic=euler,
+        genus=genus,
+    )
+
+
+def _axiom_findings(cx):
+    """The findings of :func:`validate` that precede and follow its genus
+    comparison, with the Euler characteristic and genus."""
     failures = []
     bad_edges = cx.closedness_defects()
     if bad_edges:
@@ -382,28 +407,18 @@ def validate(cx, expected_genus=None):
                             f"vertices whose edge types do not alternate i, i+1: {bad_alt[:8]}")
                 )
 
-    if expected_genus is not None and genus != expected_genus:
-        failures.append(
-            Finding("GenusMismatch", f"computed genus {genus}, expected {expected_genus}")
-        )
-
+    face_findings = []
     for f in cx.faces:
         seq = [cx.edge_type(s.edge) for s in f.sides]
         if f.chirality == CW:
             seq = seq[::-1]
         n = len(seq)
         if any(seq[(k + 1) % n] != succ_type(seq[k], cx.p) for k in range(n)):
-            failures.append(
+            face_findings.append(
                 Finding("FaceLabeling",
                         f"face {f.id} does not read a consecutive type cycle: {seq}")
             )
-
-    return ValidationReport(
-        passed=not failures,
-        failures=failures,
-        euler_characteristic=euler,
-        genus=genus,
-    )
+    return tuple(failures), tuple(face_findings), euler, genus
 
 
 def euler_characteristic(cx):

@@ -433,3 +433,15 @@ def test_criterion_12_loops_generate_homology_at_256_faces():
             assert cx.num_faces == 256, name
             assert loops_generate_h1(cx, trace_geodesic_loops(cx).loops), name
             assert betti_numbers(cx) == (1, 130, 1), name
+
+
+def test_criterion_13_thick_links():
+    with _Timed(13, "thick block certificate, every coset link K_{30,42}", 1.0):
+        verdict = decide(6, (30, 42) * 3, 17, certify=True)
+        assert (verdict.outcome, verdict.method) == ("Exists", "Block")
+        cert = verdict.certificate
+        assert cert["ok"] is True
+        assert len(cert["vertices"]) == 96
+        for vertex in cert["vertices"]:
+            assert vertex["link_ok"]
+            assert sorted(vertex["link_sides"]) == [30, 42]

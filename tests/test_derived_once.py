@@ -6,9 +6,11 @@ import fqsurf.lattice
 import fqsurf.loops
 import fqsurf.surface_complex
 import fqsurf.tessellation
+from conftest import make_twelve_gon
 from fqsurf.coloring import solve_good_coloring
-from fqsurf.lattice import build_certificate, decide
+from fqsurf.lattice import _corner_faces, assign_groups, build_certificate, decide
 from fqsurf.loops import trace_geodesic_loops
+from fqsurf.surface_complex import validate
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -65,6 +67,62 @@ def test_certificate_checks_vertex_arithmetic_once(monkeypatch):
     calls = _count_calls(monkeypatch, fqsurf.lattice, "verify_link_conditions")
     assert build_certificate(cx, coloring, (2, 3) * 3)["ok"] is True
     assert len(calls) == 1
+
+
+def _lowest_vertex_per_signature(cx, coloring, q):
+    """Each distinct local signature (everything build_link_graph reads at
+    a vertex, in rotation order) with the lowest vertex that has it."""
+    a = assign_groups(cx, coloring, q, check=False)
+    lowest = {}
+    for v in range(cx.num_vertices):
+        rays = cx.rotation(v)
+        signature = (
+            a.vertex_types[v],
+            tuple(a.edge_factors[e] for e, _ in rays),
+            tuple(cx.edge_type(e) for e, _ in rays),
+            tuple(a.face_factors[f] for f in _corner_faces(cx, v)),
+        )
+        lowest.setdefault(signature, v)
+    return lowest
+
+
+def test_certificate_enumerates_one_link_per_signature(monkeypatch):
+    cx = build_block_tessellation(6, 17)
+    coloring = solve_good_coloring(cx)
+    q = (12, 18) * 3
+    lowest = _lowest_vertex_per_signature(cx, coloring, q)
+    calls = _count_calls(monkeypatch, fqsurf.lattice, "build_link_graph")
+    assert build_certificate(cx, coloring, q)["ok"] is True
+    assert len(calls) == len(lowest) < cx.num_vertices
+    assert [args[1] for args in calls] == list(lowest.values())
+
+
+def test_validate_computes_findings_once_per_complex(monkeypatch):
+    rect = build_rect_tessellation(8, 1, 2)
+    computed = _count_calls(monkeypatch, fqsurf.surface_complex, "_axiom_findings")
+    out, _smap = subdivide_two(rect, axis=1)
+    # the builder already validated rect; only the subdivided complex is new
+    assert len(computed) == 1 and computed[0][0] is out
+    validate(out)
+    assert len(computed) == 1
+
+
+def test_cached_validation_still_compares_the_genus():
+    cx = build_block_tessellation(6, 2)
+    assert validate(cx).passed
+    report = validate(cx, expected_genus=3)
+    assert report.tags() == ["GenusMismatch"]
+    assert report.failures[0].detail == "computed genus 2, expected 3"
+    assert report.genus == 2
+    assert validate(cx, expected_genus=2).passed
+
+
+def test_cached_validation_keeps_the_finding_order():
+    cx = make_twelve_gon()
+    first = [f.tag for f in validate(cx).failures]
+    assert first == ["VertexTypeAlternation", "FaceLabeling"]
+    tags = [f.tag for f in validate(cx, expected_genus=7).failures]
+    assert tags == ["VertexTypeAlternation", "GenusMismatch", "FaceLabeling"]
 
 
 def test_subdivision_builds_and_validates_once(monkeypatch):

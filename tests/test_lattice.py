@@ -1,5 +1,6 @@
 """Thickness decompositions, local groups, link checks, the decision map."""
 
+import functools
 import random
 
 import pytest
@@ -26,7 +27,14 @@ from fqsurf.lattice import (
 )
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.surface_complex import canonical_json
-from fqsurf.tessellation import NonIntegralFaceCount
+from fqsurf.tessellation import (
+    NonIntegralFaceCount,
+    build_block_tessellation,
+    complex_from_matchings,
+)
+
+from conftest import make_torus
+from test_loops import MATCHINGS, _right_angled_pairs
 
 Q6 = (2, 3, 2, 3, 2, 3)
 Q8 = (3, 2, 9, 2, 3, 2, 9, 2)
@@ -232,6 +240,103 @@ class TestCertificate:
         cert = build_certificate(block_p6_g2, mutated, Q6)
         assert cert["ok"] is False
         assert any(not v["link_ok"] for v in cert["vertices"])
+
+
+def _per_vertex_certificate(cx, coloring, q):
+    """The certificate with the coset link enumerated at every vertex.
+
+    One ``build_link_graph`` call per vertex fills each vertex's
+    ``link_sides`` and ``link_ok`` and the overall ``ok``; no other field
+    of the certificate involves the coset link.
+    """
+    assignment = assign_groups(cx, coloring, q, check=False)
+    links = [build_link_graph(assignment, v) for v in range(cx.num_vertices)]
+    doc = build_certificate(cx, coloring, q)
+    for entry, link in zip(doc["vertices"], links):
+        entry["link_sides"] = [len(link.side_vertices[t]) for t in link.types]
+        entry["link_ok"] = link.ok
+    doc["ok"] = assignment.certified and all(link.ok for link in links)
+    return doc
+
+
+def _assert_matches_per_vertex(cx, coloring, q):
+    cert = build_certificate(cx, coloring, q)
+    assert canonical_json(cert) == canonical_json(
+        _per_vertex_certificate(cx, coloring, q)
+    )
+    return cert
+
+
+def _flipped(coloring, edges):
+    return EdgeColoring(
+        colors={e: c ^ (e in edges) for e, c in coloring.colors.items()},
+        base_vertex=coloring.base_vertex,
+        seed=coloring.seed,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating_recipes(p):
+    """Matching recipes whose complex has an alternating type pair at every
+    vertex, so that groups can be assigned to it."""
+    recipes = []
+    for chir, combo in _right_angled_pairs(p):
+        cx = complex_from_matchings(p, chir, [MATCHINGS[c] for c in combo])
+        if all(cx.vertex_type_pair(v) for v in range(cx.num_vertices)):
+            recipes.append((chir, combo))
+    return tuple(recipes)
+
+
+THIN_AND_THICK = [(2, 3), (12, 18)]
+
+
+class TestCertificateAgainstPerVertexLinks:
+    """build_certificate enumerates one link per local signature; its bytes
+    must equal those of a certificate that enumerates every vertex."""
+
+    @pytest.mark.parametrize("pair", THIN_AND_THICK)
+    def test_hand_built_torus(self, pair):
+        cx = make_torus()
+        flat = EdgeColoring(colors={0: 0, 1: 0}, base_vertex=0, seed=())
+        for coloring in (flat, _flipped(flat, {1})):
+            _assert_matches_per_vertex(cx, coloring, pair * 2)
+
+    @pytest.mark.parametrize("pair", THIN_AND_THICK)
+    @pytest.mark.parametrize(
+        "fixture", ["block_p6_g2", "block_p8_g3", "hex4", "hex36"]
+    )
+    def test_builder_outputs(self, request, fixture, pair):
+        cx = request.getfixturevalue(fixture)
+        q = pair * (cx.p // 2)
+        coloring = solve_good_coloring(cx)
+        assert _assert_matches_per_vertex(cx, coloring, q)["ok"] is True
+        for edges in ({0}, set(range(0, cx.num_edges, 3))):
+            broken = _assert_matches_per_vertex(cx, _flipped(coloring, edges), q)
+            assert broken["ok"] is False
+            assert not all(v["link_ok"] for v in broken["vertices"])
+
+    def test_thick_block_genus_17(self):
+        cx = build_block_tessellation(6, 17)
+        coloring = solve_good_coloring(cx)
+        q = (12, 18) * 3
+        assert _assert_matches_per_vertex(cx, coloring, q)["ok"] is True
+        broken = _assert_matches_per_vertex(cx, _flipped(coloring, {5, 40}), q)
+        assert not all(v["link_ok"] for v in broken["vertices"])
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matchings_complexes(self, data):
+        p = data.draw(st.sampled_from([6, 8]))
+        chir, combo = data.draw(st.sampled_from(_alternating_recipes(p)))
+        cx = complex_from_matchings(p, chir, [MATCHINGS[c] for c in combo])
+        colors = data.draw(
+            st.lists(st.integers(0, 1), min_size=cx.num_edges,
+                     max_size=cx.num_edges)
+        )
+        coloring = EdgeColoring(colors=dict(enumerate(colors)), base_vertex=0,
+                                seed=())
+        pair = data.draw(st.sampled_from(THIN_AND_THICK))
+        _assert_matches_per_vertex(cx, coloring, pair * (p // 2))
 
 
 class TestIndexMaps:
