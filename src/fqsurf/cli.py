@@ -58,8 +58,6 @@ def _parse_q(text):
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--q expects comma-separated integers, got {text!r}")
-    if not entries:
-        raise ValueError("--q must not be empty")
     return entries
 
 

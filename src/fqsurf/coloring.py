@@ -19,6 +19,7 @@ well-defined around it.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .loops import trace_geodesic_loops
 
@@ -50,35 +51,41 @@ class ParityConstraint:
 
 
 class ParityConstraintSystem:
-    """Parity relations between edge colors, with component structure."""
+    """Parity relations between edge colors, with component structure.
+
+    ``adjacency`` maps each variable to its (neighbor, constraint) pairs in
+    (neighbor, parity, tag) order; a constraint of a variable with itself is
+    listed twice.
+    """
 
     def __init__(self, variables, constraints):
         self.variables = tuple(variables)
         self.constraints = tuple(constraints)
-        self.components = self._components()
-
-    def _components(self):
-        adj = {v: [] for v in self.variables}
+        adjacency = {v: [] for v in self.variables}
         for c in self.constraints:
-            if c.edge_a not in adj or c.edge_b not in adj:
+            if c.edge_a not in adjacency or c.edge_b not in adjacency:
                 raise ValueError("constraint references unknown edge")
-            adj[c.edge_a].append(c.edge_b)
-            adj[c.edge_b].append(c.edge_a)
+            adjacency[c.edge_a].append((c.edge_b, c))
+            adjacency[c.edge_b].append((c.edge_a, c))
+        for pairs in adjacency.values():
+            pairs.sort(key=lambda item: (item[0], item[1].parity, item[1].tag))
+        self.adjacency = adjacency
+
+    @cached_property
+    def components(self):
+        """The connected components, each sorted, in order of least variable."""
         seen = set()
         comps = []
-        for v in sorted(adj):
+        for v in sorted(self.adjacency):
             if v in seen:
                 continue
-            comp = []
-            queue = deque([v])
             seen.add(v)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in sorted(adj[u]):
+            comp = [v]
+            for u in comp:
+                for w, _c in self.adjacency[u]:
                     if w not in seen:
                         seen.add(w)
-                        queue.append(w)
+                        comp.append(w)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
@@ -189,30 +196,24 @@ def _seed_priorities(cx):
 
 
 def _propagate(cx, system):
-    """Color by breadth-first transport; return coloring or witness."""
-    base, priorities = _seed_priorities(cx)
-    adj = {v: [] for v in system.variables}
-    for c in system.constraints:
-        adj[c.edge_a].append((c.edge_b, c))
-        adj[c.edge_b].append((c.edge_a, c))
-    for v in adj:
-        adj[v].sort(key=lambda item: (item[0], item[1].parity, item[1].tag))
+    """Color by breadth-first transport; return coloring or witness.
 
+    Components are rooted seeds first: each seed edge in seed order takes
+    its seed color, then each still-uncolored variable in increasing order
+    takes color 0.
+    """
+    base, priorities = _seed_priorities(cx)
     colors = {}
     parent = {}
-    for comp in system.components:
-        members = set(comp)
-        root, root_color = comp[0], 0
-        for eid, col in priorities:
-            if eid in members:
-                root, root_color = eid, col
-                break
+    for root, root_color in [*priorities, *((v, 0) for v in sorted(system.variables))]:
+        if root in colors:
+            continue
         colors[root] = root_color
         parent[root] = None
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w, c in adj[u]:
+            for w, c in system.adjacency[u]:
                 if w not in colors:
                     colors[w] = colors[u] ^ c.parity
                     parent[w] = (u, c)

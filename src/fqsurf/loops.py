@@ -193,8 +193,6 @@ def assign_face_orientations(cx):
             return OrientationAssignment(colors=None, odd_cycle=[a])
         adj[a].append((b, e))
         adj[b].append((a, e))
-    for n in adj:
-        adj[n].sort(key=lambda pair: pair[1])
 
     color = {}
     parent = {}

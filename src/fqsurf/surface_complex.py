@@ -29,7 +29,8 @@ The second half of the module is an exact integer linear algebra kit: an
 arbitrary-precision matrix, Smith normal form, integer linear solving, and
 the boundary matrices of the cellular chain complex.  The plain Smith normal
 form eliminates unit pivots on sparse rows, then runs dense SNF on the core
-left over; the form with unimodular transforms stays dense.  Everything is
+left over; the form with unimodular transforms runs dense SNF on the whole
+matrix bordered by identities, which turn into the transforms.  Everything is
 pure Python integers; entries grow during elimination and must never be
 truncated.
 """
@@ -46,7 +47,6 @@ STRUCTURAL_TAGS = frozenset(
     {"Closedness", "Disconnected", "RightAngledVertex", "EulerCharacteristic",
      "GenusMismatch"}
 )
-LABELING_TAGS = frozenset({"FaceLabeling", "VertexTypeAlternation"})
 
 
 class DuplicateId(ValueError):
@@ -537,69 +537,44 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
-def _smith(entries, rows, cols, track):
-    a = [row[:] for row in entries]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if track else None
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if track else None
+def _smith(entries, rows, cols):
+    """Dense Smith normal form of a rows×cols block, bordered by identities.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+    The block sits in the top left of one list of lists, U's identity to its
+    right and V's identity below it (Cohen, GTM 138, §2.4).  Row operations
+    act on whole rows and column operations on whole columns, so the border
+    turns into U and V while pivots are taken only inside the block.  Returns
+    the bordered matrix: D is its top-left rows×cols block, U the rows×rows
+    block right of D, V the cols×cols block below D.
+    """
+    a = [row[:] + [int(i == j) for j in range(rows)] for i, row in enumerate(entries)]
+    a += [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def add_row(dst, src, k):
-        ad, asrc = a[dst], a[src]
-        for idx in range(cols):
-            ad[idx] += k * asrc[idx]
-        if track:
-            ud, usrc = u[dst], u[src]
-            for idx in range(rows):
-                ud[idx] += k * usrc[idx]
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, k):
         for row in a:
             row[dst] += k * row[src]
-        if track:
-            for row in v:
-                row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    where = (i, j)
-        return where
+        """The least nonzero |entry| left in the block, first in row-major order."""
+        found = [(abs(a[i][j]), i, j)
+                 for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        return min(found)[1:] if found else None
 
-    n = min(rows, cols)
-    t = 0
-    while t < n:
+    for t in range(min(rows, cols)):
         piv = find_pivot(t)
         if piv is None:
             break
         while True:
             i0, j0 = piv
-            if i0 != t:
-                swap_rows(t, i0)
+            a[t], a[i0] = a[i0], a[t]
             if j0 != t:
-                swap_cols(t, j0)
+                for row in a:
+                    row[t], row[j0] = row[j0], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p0 = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -615,21 +590,14 @@ def _smith(entries, rows, cols, track):
             if dirty:
                 piv = find_pivot(t)
                 continue
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # an entry p0 does not divide: add its row to row t and repeat
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % p0 for j in range(t + 1, cols))), None)
             if offender is None:
                 break
             add_row(t, offender, 1)
             piv = (t, t)
-        t += 1
-
-    return a, u, v
+    return a
 
 
 def smith_normal_form(m):
@@ -681,7 +649,7 @@ def smith_normal_form(m):
             swept = False
     core_cols = [j for j in range(m.cols) if where[j]]
     core = [[row.get(j, 0) for j in core_cols] for row in rows if row]
-    a, _, _ = _smith(core, len(core), len(core_cols), track=False)
+    a = _smith(core, len(core), len(core_cols))
     diag = (1,) * units + tuple(a[i][i] for i in range(min(len(core), len(core_cols))))
     diag += (0,) * (min(m.rows, m.cols) - len(diag))
     return diag, sum(1 for d in diag if d)
@@ -689,11 +657,11 @@ def smith_normal_form(m):
 
 def snf_with_transforms(m):
     """Smith normal form together with unimodular U, V so that U·M·V = D."""
-    a, u, v = _smith(m.data, m.rows, m.cols, track=True)
+    a = _smith(m.data, m.rows, m.cols)
     return (
-        IntegerMatrix(a, m.rows, m.cols),
-        IntegerMatrix(u, m.rows, m.rows),
-        IntegerMatrix(v, m.cols, m.cols),
+        IntegerMatrix([row[:m.cols] for row in a[:m.rows]], m.rows, m.cols),
+        IntegerMatrix([row[m.cols:] for row in a[:m.rows]], m.rows, m.rows),
+        IntegerMatrix(a[m.rows:], m.cols, m.cols),
     )
 
 

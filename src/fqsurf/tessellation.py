@@ -286,12 +286,13 @@ def _subdivide(cx, pieces, axis):
         pos = [k for k, s in enumerate(f.sides) if s.edge in cut_edges]
         if len(pos) != pieces:
             raise CutSystemFailure(
-                f"face {f.id} has {len(pos)} sides in the cut class, needs {pieces}"
+                f"axis {axis}: face {f.id} has {len(pos)} sides in the cut class, "
+                f"needs {pieces}"
             )
         k0 = pos[0]
         if pos != [k0 + t * step for t in range(pieces)]:
             raise CutSystemFailure(
-                f"face {f.id} cut sides sit at {pos}, not evenly spaced"
+                f"axis {axis}: face {f.id} cut sides sit at {pos}, not evenly spaced"
             )
         face_cuts[f.id] = pos
 
@@ -421,7 +422,7 @@ def _subdivision_entry(cx, pieces, axis):
         try:
             return _subdivide(cx, pieces, m)
         except (CutSystemFailure, ConstructionFailure) as exc:
-            failures.append(f"axis {m}: {exc}")
+            failures.append(str(exc))
     raise CutSystemFailure(
         "no cut axis works; " + "; ".join(failures[:4])
     )

@@ -348,6 +348,12 @@ class TestCertifyAndDecide:
         assert rc == 1
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", ",", "2,,3"])
+    def test_empty_q_entry(self, capsys, text):
+        rc = main(["decide", "--p", "6", "--genus", "2", "--q", text])
+        assert rc == 1
+        assert "--q expects comma-separated integers" in capsys.readouterr().err
+
 
 class TestExport:
     def test_dual_dot(self, tmp_path, block_p6_g2):

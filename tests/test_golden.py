@@ -11,6 +11,11 @@ rectangular grids: the digest of the complex, map and loop report for each
 axis that works, the exception class for each that does not.  It was
 recorded before subdivision became a single orient-and-retype pass.
 
+The contradiction witnesses, the rect colorings and the Smith transforms
+(D, U, V with ``integer_solve`` answers on a fixed list of small matrices)
+were recorded before ``_smith`` bordered its matrix with identities and
+before propagation shared the constraint system's adjacency.
+
 To print the current digests: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -23,15 +28,25 @@ from functools import cache
 
 import pytest
 
+from conftest import make_torus, make_twelve_gon
 from fqsurf.cli import main
-from fqsurf.coloring import coloring_to_dict, solve_good_coloring
+from fqsurf.coloring import coloring_to_dict, solve_good_coloring, witness_to_dict
 from fqsurf.lattice import build_certificate, decide, verdict_to_dict
 from fqsurf.loops import (
     assign_face_orientations,
     loop_report_to_dict,
     trace_geodesic_loops,
 )
-from fqsurf.surface_complex import CCW, CW, canonical_json, complex_to_dict, dual_graph
+from fqsurf.surface_complex import (
+    CCW,
+    CW,
+    IntegerMatrix,
+    canonical_json,
+    complex_to_dict,
+    dual_graph,
+    integer_solve,
+    snf_with_transforms,
+)
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -120,12 +135,70 @@ CASES = {
     "dot/block-p6-g2": lambda: dual_graph(_block(6, 2)).to_dot(),
 }
 
+WITNESS_COMPLEXES = {
+    "rect-p8-1x2": lambda: build_rect_tessellation(8, 1, 2),
+    "rect-p8-3x2": lambda: build_rect_tessellation(8, 3, 2),
+    "rect-p12-3x3": lambda: build_rect_tessellation(12, 3, 3),
+    "twelve-gon": make_twelve_gon,
+    "torus": make_torus,
+}
+
+
+def _witness(make, mode):
+    return canonical_json(witness_to_dict(solve_good_coloring(make(), mode)))
+
+
+for _name, _make in WITNESS_COMPLEXES.items():
+    CASES[f"witness/propagate-{_name}"] = lambda m=_make: _witness(m, "propagate")
+    if _make().num_edges <= 22:
+        CASES[f"witness/exhaustive-{_name}"] = lambda m=_make: _witness(m, "exhaustive")
+for _p, _mode in [(8, "propagate"), (8, "exhaustive"), (16, "propagate")]:
+    CASES[f"coloring/{_mode}-rect-p{_p}-2x2"] = lambda p=_p, mode=_mode: canonical_json(
+        coloring_to_dict(solve_good_coloring(build_rect_tessellation(p, 2, 2), mode))
+    )
+
+# small matrices for Smith transforms: non-unit pivots, a divisibility
+# fix-up, zero rows and columns, negative entries and empty shapes
+MATRICES = {
+    "diag-2-3": IntegerMatrix([[2, 0], [0, 3]]),
+    "diag-4-6-zero": IntegerMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 0]]),
+    "nonunit-3x3": IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
+    "zero-row-col": IntegerMatrix([[0, 0, 0, 0], [0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]),
+    "negative-2x2": IntegerMatrix([[-4, 6], [10, -15]]),
+    "wide-2x4": IntegerMatrix([[3, 5, 7, 0], [6, -2, 4, 8]]),
+    "tall-4x2": IntegerMatrix([[6, 4], [9, 6], [0, 12], [15, -10]]),
+    "unimodular-3x3": IntegerMatrix([[2, 3, 1], [1, 2, 1], [1, 1, 1]]),
+    "zero-2x3": IntegerMatrix.zeros(2, 3),
+    "dense-4x5": IntegerMatrix([[12, -18, 30, 6, 0], [8, 4, -16, 20, 2],
+                                [-9, 27, 15, 3, 6], [14, 7, 21, -28, 35]]),
+    "empty-0x3": IntegerMatrix.zeros(0, 3),
+    "empty-3x0": IntegerMatrix.zeros(3, 0),
+}
+
+
+def _transforms(m):
+    d, u, v = snf_with_transforms(m)
+    rhs = [m.mul_vec([k + 1 for k in range(m.cols)]), [1] * m.rows, [2] * m.rows]
+    return canonical_json({
+        "d": d.data,
+        "u": u.data,
+        "v": v.data,
+        "solve": [integer_solve(m, b) for b in rhs],
+    })
+
+
+for _name, _m in MATRICES.items():
+    CASES[f"snf/{_name}"] = lambda m=_m: _transforms(m)
+
 DIGESTS = {
     "cert/criterion-2-block-p6-g2": "1e2df631ad5258ade3f2a28de3cfb54565828c77c4f4546473ed754ab8c7df2d",
     "cert/criterion-3-halving": "324493b744d33a243076ef9150e8d9316c94c3edd87e0ae7978d737234888bbc",
     "cert/criterion-4-quartering": "986e3e2266ddb6ca187eebdeb3ab163e835bada8f7d29e98a843d9665ea0592e",
     "coloring/exhaustive-block-p6-g2": "6ae8e96229054c31f3a02a2f69ad6a6f4c6b2eb32b4ca4692269feeffb210b38",
+    "coloring/exhaustive-rect-p8-2x2": "faa8017f261e3728d0071184be9ca87836bae81530b91b184593fd8599244185",
     "coloring/propagate-block-p6-g17": "15643f8ef6116710385e595f6aeb50048a30ee0b67bb1ff9a2f94c4f61670d5a",
+    "coloring/propagate-rect-p16-2x2": "4a758eb14c95ac16b9eee6e204374c722f246d1796098b87819e61f3d9962b2a",
+    "coloring/propagate-rect-p8-2x2": "1a313a7228b3935d7f9f08bc34b40b97e0df718aaa2b7bc968f224e89bcf315f",
     "complex/block-p6-g17": "6b916400f505470845c5f97e618a85eec3d343761368ef85612a8b60a25dae9b",
     "complex/block-p6-g2": "c468ae6e0880d174c3384f604802c1d09c8b2d033bf5db1a2c8c19b678d64216",
     "complex/rect-p12-3x3-quartered": "24125809c353ece6c7bf948500af93c889fd342da845683b999b76039ba3b60c",
@@ -134,6 +207,18 @@ DIGESTS = {
     "dot/block-p6-g2": "7a283f72c0c70d06d1a9f44ec1bc7ab1241fe1845856444d38e62cdb6fcd7a23",
     "loops/block-p6-g2": "66995a00ac61eebfbc92d9908739ee46bb0353526c004fcd4f1db4c1619c320a",
     "loops/rect-p12-3x3-quartered": "17f1648b9cdc20e9b78fdc06096cd470ef73a7373f4f86bd55e5e9eed10bf2db",
+    "snf/dense-4x5": "91cd99defb9fe9c95512cf19326651ed2f56ec9e2e2182278c0a16dd34219aec",
+    "snf/diag-2-3": "292db18c0d7b6352ea5534b4b68ab5139c12fe30df2021a2d94b85750b93668c",
+    "snf/diag-4-6-zero": "50ddef8ad46b8d070581ac9eab384353740f55a0aa0cdfdb3f5be11f726c9f51",
+    "snf/empty-0x3": "d00233acb303735a6d40ffa3a6e05f4c8bdf4fc6667dc18a4ec9c0e1378e60e8",
+    "snf/empty-3x0": "01b231d526567da54e1859a2fb8ca622835d7962c061c3f9786f9807251af845",
+    "snf/negative-2x2": "30600c40ed76c09a9aa869163403a0d875242c2a3726d492f6db3dbc3e8c573f",
+    "snf/nonunit-3x3": "c1e32eb3a868b048a1bcc2b5f135fb1d6ddf0b3ee9afa64fbe90f448a51f27b0",
+    "snf/tall-4x2": "c27a2ef674619c66e0be817f7da6ad8cf196c62210eecf82d37ce0f5ffd66526",
+    "snf/unimodular-3x3": "3eb996c699543ee036c3d48c9d204db37172a3c19cb47b76343c3cb4bd14ba6a",
+    "snf/wide-2x4": "8dd09d3d6622cfc30d8b070c52831af41e4cb4a29169210bb68020f073db634e",
+    "snf/zero-2x3": "e4f4a333865c3b794dadaace8c9b6f59e5a78c1c765710476ea06b906c7c5cec",
+    "snf/zero-row-col": "26a2550801ef7d25c32c7ba045c23141765b94ea504a89cef2165cdfc006c589",
     "subdiv/rect-p12-3x3-quartered": "06d24d5a3c769aea0f2c96fbc4e53af719799b92dfa1e11b00706caed1312b25",
     "subdiv/rect-p8-1x2-halved": "1530c25c4226892f364384ca264316e4d5022de54244ba9c004f447799fda392",
     "verdict/block-p6-g17": "d5e7723abf84629a6ad95c5588c8f2c43e20d627e93e82c3b9851b62edd3ffeb",
@@ -141,6 +226,14 @@ DIGESTS = {
     "verdict/subdiv2-p8-g16": "29c13e1cee7731a8e30d98740e0c9a2a4e9a7acb93d071a6865a3f87e001c73e",
     "verdict/subdiv4-p12-g28": "630c4247e00ea23938dad6187ddcd153a32c315d9e892998f75fbb227077942b",
     "verdict/unknown-p6-g5": "1ac48bbc72a5805255a006a3c44b50be24f0bdf8efb117cc6063cca1e374e6ef",
+    "witness/exhaustive-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
+    "witness/exhaustive-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
+    "witness/exhaustive-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
+    "witness/propagate-rect-p12-3x3": "9c7cd62242ddd5b383590fdbac48e0f23baf92ad5ddb5fcd701c90027fe55ba3",
+    "witness/propagate-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
+    "witness/propagate-rect-p8-3x2": "dc1af2c5ad5f436ef233b62bbc40667a0c0c04d8da197b7edcc9ad3f80f2ada2",
+    "witness/propagate-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
+    "witness/propagate-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
 }
 
 

@@ -156,6 +156,15 @@ class TestValidate:
         rep = validate(make_pillowcase())
         assert "RightAngledVertex" in rep.tags()
 
+    def test_degree_eight_vertex_flagged(self):
+        rep = validate(make_octagon())
+        assert rep.tags() == ["FaceLabeling", "RightAngledVertex"]
+        finding = rep.failures[0]
+        assert finding.tag == "RightAngledVertex"
+        assert finding.detail == "vertices without exactly 4 corners: [0]"
+        assert not rep.structurally_ok
+        assert rep.genus == 2
+
     def test_genus_mismatch(self):
         rep = validate(make_torus(), expected_genus=2)
         assert "GenusMismatch" in rep.tags()
@@ -325,6 +334,36 @@ class TestIntegerSolve:
         found = integer_solve(a, b)
         assert found is not None
         assert a.mul_vec(found) == b
+
+
+class TestMatrixInputChecks:
+    @pytest.mark.parametrize(
+        "data,rows,cols",
+        [([[1, 2], [3]], None, None), ([[1, 2]], 2, 2), ([[1, 2]], 1, 3)],
+        ids=["ragged", "too-few-rows", "too-few-cols"],
+    )
+    def test_mis_shaped_data_rejected(self, data, rows, cols):
+        with pytest.raises(ValueError, match="ragged or mis-sized matrix data"):
+            IntegerMatrix(data, rows, cols)
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntegerMatrix([[1, entry]])
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda m: m.mul(IntegerMatrix.zeros(2, 3)), "dimension mismatch"),
+            (lambda m: m.mul_vec([1, 2]), "dimension mismatch"),
+            (lambda m: m.hstack(IntegerMatrix.zeros(3, 1)), "row count mismatch"),
+            (lambda m: integer_solve(m, [1, 2, 3]), "dimension mismatch"),
+        ],
+        ids=["mul", "mul_vec", "hstack", "integer_solve"],
+    )
+    def test_dimension_mismatch_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(IntegerMatrix.zeros(2, 3))
 
 
 class TestHomology:

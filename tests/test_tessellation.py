@@ -9,6 +9,7 @@ from fqsurf.loops import assign_face_orientations, trace_geodesic_loops
 from fqsurf.tessellation import (
     BadDivisibility,
     ConstructionFailure,
+    CutSystemFailure,
     NonIntegralFaceCount,
     SymmetryViolation,
     build_block_tessellation,
@@ -178,6 +179,20 @@ class TestSubdivideTwo:
         cx, sub = subdivide_two(rect_p8_1x2, axis=5)
         assert sub.axis == 5
         assert cx == hex4
+
+    def test_failed_axis_search_names_each_axis_once(self):
+        with pytest.raises(CutSystemFailure) as info:
+            subdivide_two(build_rect_tessellation(12, 1, 1))
+        message = str(info.value)
+        assert message.startswith("no cut axis works; axis 1: subdivided dual graph")
+        # six axes are tried; the message keeps the first four failures
+        for m in range(1, 5):
+            assert message.count(f"axis {m}:") == 1
+        assert "axis 5" not in message
+
+    def test_face_cut_failure_names_its_axis(self, rect_p8_1x2):
+        with pytest.raises(CutSystemFailure, match=r"^axis 2: face 0 cut sides sit at"):
+            subdivide_two(rect_p8_1x2, axis=2)
 
 
 class TestSubdivideFour:
