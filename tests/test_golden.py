@@ -14,7 +14,9 @@ recorded before subdivision became a single orient-and-retype pass.
 The contradiction witnesses, the rect colorings and the Smith transforms
 (D, U, V with ``integer_solve`` answers on a fixed list of small matrices)
 were recorded before ``_smith`` bordered its matrix with identities and
-before propagation shared the constraint system's adjacency.
+before propagation shared the constraint system's adjacency.  The face
+orientation colors of every bipartite complex in acceptance criterion 7's
+suite were recorded before the dual 2-coloring became a parity system.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -28,7 +30,7 @@ from functools import cache
 
 import pytest
 
-from conftest import make_torus, make_twelve_gon
+from conftest import make_crossing, make_torus, make_twelve_gon
 from fqsurf.cli import main
 from fqsurf.coloring import coloring_to_dict, solve_good_coloring, witness_to_dict
 from fqsurf.lattice import build_certificate, decide, verdict_to_dict
@@ -157,6 +159,25 @@ for _p, _mode in [(8, "propagate"), (8, "exhaustive"), (16, "propagate")]:
         coloring_to_dict(solve_good_coloring(build_rect_tessellation(p, 2, 2), mode))
     )
 
+ORIENTATION_COMPLEXES = {
+    "block-p6-g2": lambda: _block(6, 2),
+    "block-p6-g3": lambda: _block(6, 3),
+    "block-p8-g3": lambda: _block(8, 3),
+    "block-p10-g4": lambda: _block(10, 4),
+    "rect-p8-1x2-halved": lambda: _halved()[0],
+    "rect-p12-3x3-quartered": lambda: _quartered()[0],
+    "crossing": make_crossing,
+}
+
+
+def _orientation(make):
+    colors = assign_face_orientations(make()).colors
+    return canonical_json(sorted(colors.items()))
+
+
+for _name, _make in ORIENTATION_COMPLEXES.items():
+    CASES[f"orientation/{_name}"] = lambda m=_make: _orientation(m)
+
 # small matrices for Smith transforms: non-unit pivots, a divisibility
 # fix-up, zero rows and columns, negative entries and empty shapes
 MATRICES = {
@@ -207,6 +228,13 @@ DIGESTS = {
     "dot/block-p6-g2": "7a283f72c0c70d06d1a9f44ec1bc7ab1241fe1845856444d38e62cdb6fcd7a23",
     "loops/block-p6-g2": "66995a00ac61eebfbc92d9908739ee46bb0353526c004fcd4f1db4c1619c320a",
     "loops/rect-p12-3x3-quartered": "17f1648b9cdc20e9b78fdc06096cd470ef73a7373f4f86bd55e5e9eed10bf2db",
+    "orientation/block-p10-g4": "6722383973d67b33e45fa036dcdbb274ccb40e8ab71e5c178bab744ee2351fd0",
+    "orientation/block-p6-g2": "6722383973d67b33e45fa036dcdbb274ccb40e8ab71e5c178bab744ee2351fd0",
+    "orientation/block-p6-g3": "8d741502bcfb365407301b1a18ec622a09b2c32bbde1e8b992baf668c558bd6b",
+    "orientation/block-p8-g3": "6722383973d67b33e45fa036dcdbb274ccb40e8ab71e5c178bab744ee2351fd0",
+    "orientation/crossing": "6867a3e4960a3cb6639b1e5fc59580d5a0e984747a6621300343deed5aead537",
+    "orientation/rect-p12-3x3-quartered": "ada1458caa632453fcf2e3842ee8d61d16ae88cb3b77111a58fa0e14dc96044c",
+    "orientation/rect-p8-1x2-halved": "6867a3e4960a3cb6639b1e5fc59580d5a0e984747a6621300343deed5aead537",
     "snf/dense-4x5": "91cd99defb9fe9c95512cf19326651ed2f56ec9e2e2182278c0a16dd34219aec",
     "snf/diag-2-3": "292db18c0d7b6352ea5534b4b68ab5139c12fe30df2021a2d94b85750b93668c",
     "snf/diag-4-6-zero": "50ddef8ad46b8d070581ac9eab384353740f55a0aa0cdfdb3f5be11f726c9f51",

@@ -16,7 +16,7 @@ from fqsurf.loops import (
     pairwise_intersections,
     trace_geodesic_loops,
 )
-from fqsurf.surface_complex import boundary_matrices, canonical_json
+from fqsurf.surface_complex import boundary_matrices, canonical_json, dual_graph
 from fqsurf.tessellation import complex_from_matchings
 
 from conftest import make_disconnected, make_pillowcase, make_torus
@@ -254,10 +254,19 @@ def test_odd_loop_forces_odd_dual_cycle(cx):
     """An odd geodesic loop always obstructs 2-coloring the dual.
 
     (The converse needs the loops to span homology, so it is checked on the
-    curated fixtures rather than on arbitrary random complexes.)
+    curated fixtures rather than on arbitrary random complexes.)  Whenever
+    the dual is not bipartite, the witness is a closed dual walk of odd
+    length: consecutive faces, the last and the first included, share a
+    dual edge.
     """
     rep = trace_geodesic_loops(cx)
-    if any(lp.degenerate for lp in rep.loops):
+    orient = assign_face_orientations(cx)
+    if rep.odd_loops and not any(lp.degenerate for lp in rep.loops):
+        assert not orient.bipartite
+    if orient.bipartite:
         return
-    if rep.odd_loops:
-        assert not assign_face_orientations(cx).bipartite
+    cycle = orient.odd_cycle
+    assert len(cycle) % 2 == 1
+    adjacent = {frozenset((a, b)) for a, b, _e in dual_graph(cx).edges}
+    for fa, fb in zip(cycle, cycle[1:] + cycle[:1]):
+        assert frozenset((fa, fb)) in adjacent
