@@ -7,6 +7,9 @@ between pairs of edges, so the whole problem is a parity constraint system:
 alternating pairs differ (parity 1), same-side hanging pairs agree
 (parity 0).  A coloring exists iff no constraint cycle has odd total parity.
 
+The face orientations 2-color the dual graph the same way: chirality
+alternates across each dual edge, one parity-1 constraint over face ids.
+
 Turns are read off the rotation system by ``SurfaceComplex.continue_through``:
 a passage goes straight at turn 2, left at 1 and right at -1.
 
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .loops import trace_geodesic_loops
+from .surface_complex import dual_graph
 
 
 class DegenerateLoop(ValueError):
@@ -51,7 +55,7 @@ class ParityConstraint:
 
 
 class ParityConstraintSystem:
-    """Parity relations between edge colors, with component structure.
+    """Parity relations between 0/1 variables, with component structure.
 
     ``adjacency`` maps each variable to its (neighbor, constraint) pairs in
     (neighbor, parity, tag) order; a constraint of a variable with itself is
@@ -195,14 +199,13 @@ def _seed_priorities(cx):
     ]
 
 
-def _propagate(cx, system):
-    """Color by breadth-first transport; return coloring or witness.
+def _transport(system, priorities):
+    """Color by breadth-first transport: (colors, None) or (None, witness).
 
-    Components are rooted seeds first: each seed edge in seed order takes
-    its seed color, then each still-uncolored variable in increasing order
-    takes color 0.
+    Components are rooted seeds first: each (variable, color) priority in
+    order, then each still-uncolored variable in increasing order with
+    color 0.  The first violated constraint is closed through the tree.
     """
-    base, priorities = _seed_priorities(cx)
     colors = {}
     parent = {}
     for root, root_color in [*priorities, *((v, 0) for v in sorted(system.variables))]:
@@ -221,11 +224,18 @@ def _propagate(cx, system):
 
     for c in system.constraints:
         if colors[c.edge_a] ^ colors[c.edge_b] != c.parity:
-            return _witness_from_tree(parent, c)
+            return None, _witness_from_tree(parent, c)
+    return {v: colors[v] for v in sorted(colors)}, None
 
+
+def _propagate(cx, system):
+    """Color from the canonical seeds; return coloring or witness."""
+    base, priorities = _seed_priorities(cx)
+    colors, witness = _transport(system, priorities)
+    if witness is not None:
+        return witness
     seed = tuple((eid, colors[eid]) for eid, _c in priorities)
-    final = {v: colors[v] for v in sorted(colors)}
-    return EdgeColoring(colors=final, base_vertex=base, seed=seed)
+    return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
 
 
 def _witness_from_tree(parent, violated):
@@ -345,6 +355,38 @@ def verify_good_coloring(cx, coloring):
                     (CONSISTENCY, loop.loop_id, name, tuple(sorted(set(side))))
                 )
     return (not violations, violations)
+
+
+@dataclass
+class OrientationAssignment:
+    colors: object
+    odd_cycle: object
+
+    @property
+    def bipartite(self):
+        return self.colors is not None
+
+
+def assign_face_orientations(cx):
+    """2-color the dual graph, or exhibit an odd dual cycle.
+
+    One parity-1 constraint per dual edge, in primal-edge order.  The odd
+    cycle lists the faces along the witness from its violated constraint's
+    first face; a self-adjacent face is an odd cycle of length 1.
+    """
+    dg = dual_graph(cx)
+    system = ParityConstraintSystem(
+        dg.nodes, [ParityConstraint(a, b, 1, ALTERNATING) for a, b, _e in dg.edges]
+    )
+    colors, witness = _transport(system, [])
+    if witness is None:
+        return OrientationAssignment(colors=colors, odd_cycle=None)
+    face = witness.cycle[-1].edge_a
+    odd_cycle = []
+    for c in witness.cycle:
+        odd_cycle.append(face)
+        face = c.edge_a if face == c.edge_b else c.edge_b
+    return OrientationAssignment(colors=None, odd_cycle=odd_cycle)
 
 
 class Holonomy:

@@ -9,18 +9,15 @@ equal to its own reversal traverses some edge in both senses; such loops are
 flagged degenerate and disqualify the complex from the coloring hypotheses.
 
 Also here: pairwise loop intersection counts, the Smith-normal-form check
-that the loops (together with face boundaries) generate all of H1, the
-decomposition of a difference of homologous cycles into face boundaries, and
-the 2-coloring of the dual graph by face orientation.
+that the loops (together with face boundaries) generate all of H1, and the
+decomposition of a difference of homologous cycles into face boundaries.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .surface_complex import (
     IntegerMatrix,
     boundary_matrices,
-    dual_graph,
     integer_solve,
     smith_normal_form,
 )
@@ -168,60 +165,6 @@ def difference_is_face_sum(cx, cycle1, cycle2):
             raise NotACycle("input chain has nonzero boundary")
     diff = [x - y for x, y in zip(cycle1, cycle2)]
     return integer_solve(d2, diff)
-
-
-@dataclass
-class OrientationAssignment:
-    colors: object
-    odd_cycle: object
-
-    @property
-    def bipartite(self):
-        return self.colors is not None
-
-
-def assign_face_orientations(cx):
-    """2-color the dual graph, or exhibit an odd dual cycle.
-
-    Breadth-first from the lowest face of each component, visiting dual edges
-    in primal-edge order.  A self-adjacent face is an odd cycle of length 1.
-    """
-    dg = dual_graph(cx)
-    adj = {n: [] for n in dg.nodes}
-    for a, b, e in dg.edges:
-        if a == b:
-            return OrientationAssignment(colors=None, odd_cycle=[a])
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-
-    color = {}
-    parent = {}
-    for root in dg.nodes:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            f = queue.popleft()
-            for g, _e in adj[f]:
-                if g not in color:
-                    color[g] = 1 - color[f]
-                    parent[g] = f
-                    queue.append(g)
-                elif color[g] == color[f]:
-                    anc_f = [f]
-                    while parent[anc_f[-1]] is not None:
-                        anc_f.append(parent[anc_f[-1]])
-                    in_f = set(anc_f)
-                    anc_g = [g]
-                    while anc_g[-1] not in in_f:
-                        anc_g.append(parent[anc_g[-1]])
-                    lca = anc_g[-1]
-                    up = anc_f[: anc_f.index(lca) + 1]
-                    cycle = list(reversed(up)) + anc_g[:-1]
-                    return OrientationAssignment(colors=None, odd_cycle=cycle)
-    return OrientationAssignment(colors=color, odd_cycle=None)
 
 
 LOOPS_FORMAT = "fq-loops/1"

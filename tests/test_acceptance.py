@@ -19,6 +19,7 @@ from fqsurf.cli import main
 from fqsurf.coloring import (
     EXHAUSTIVE_EDGE_LIMIT,
     EdgeColoring,
+    assign_face_orientations,
     build_constraints,
     solve_good_coloring,
     verify_good_coloring,
@@ -34,11 +35,7 @@ from fqsurf.lattice import (
     verdict_to_dict,
     verify_link_conditions,
 )
-from fqsurf.loops import (
-    assign_face_orientations,
-    loops_generate_h1,
-    trace_geodesic_loops,
-)
+from fqsurf.loops import loops_generate_h1, trace_geodesic_loops
 from fqsurf.surface_complex import (
     betti_numbers,
     canonical_json,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import fqsurf.coloring
 import fqsurf.lattice
 import fqsurf.loops
 import fqsurf.surface_complex
@@ -130,7 +131,7 @@ def test_subdivision_builds_and_validates_once(monkeypatch):
     built = _count_calls(monkeypatch, fqsurf.tessellation, "build_complex")
     validated = _count_calls(monkeypatch, fqsurf.tessellation, "validate")
     dual = [
-        _count_calls(monkeypatch, fqsurf.loops, "dual_graph"),
+        _count_calls(monkeypatch, fqsurf.coloring, "dual_graph"),
         _count_calls(monkeypatch, fqsurf.surface_complex, "dual_graph"),
     ]
     out, _smap = subdivide_two(rect, axis=1)

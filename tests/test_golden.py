@@ -32,13 +32,14 @@ import pytest
 
 from conftest import make_crossing, make_torus, make_twelve_gon
 from fqsurf.cli import main
-from fqsurf.coloring import coloring_to_dict, solve_good_coloring, witness_to_dict
-from fqsurf.lattice import build_certificate, decide, verdict_to_dict
-from fqsurf.loops import (
+from fqsurf.coloring import (
     assign_face_orientations,
-    loop_report_to_dict,
-    trace_geodesic_loops,
+    coloring_to_dict,
+    solve_good_coloring,
+    witness_to_dict,
 )
+from fqsurf.lattice import build_certificate, decide, verdict_to_dict
+from fqsurf.loops import loop_report_to_dict, trace_geodesic_loops
 from fqsurf.surface_complex import (
     CCW,
     CW,

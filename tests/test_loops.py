@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqsurf.coloring import assign_face_orientations
 from fqsurf.loops import (
     NotACycle,
-    assign_face_orientations,
     difference_is_face_sum,
     loop_report_to_dict,
     loops_generate_h1,

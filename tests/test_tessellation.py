@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsurf.surface_complex import canonical_json, complex_to_dict, validate
-from fqsurf.loops import assign_face_orientations, trace_geodesic_loops
+from fqsurf.coloring import assign_face_orientations
+from fqsurf.loops import trace_geodesic_loops
 from fqsurf.tessellation import (
     BadDivisibility,
     ConstructionFailure,
