@@ -423,9 +423,7 @@ def _subdivision_entry(cx, pieces, axis):
             return _subdivide(cx, pieces, m)
         except (CutSystemFailure, ConstructionFailure) as exc:
             failures.append(str(exc))
-    raise CutSystemFailure(
-        "no cut axis works; " + "; ".join(failures[:4])
-    )
+    raise CutSystemFailure("no cut axis works; " + "; ".join(failures))
 
 
 def subdivide_two(cx, axis=None):

@@ -186,10 +186,9 @@ class TestSubdivideTwo:
             subdivide_two(build_rect_tessellation(12, 1, 1))
         message = str(info.value)
         assert message.startswith("no cut axis works; axis 1: subdivided dual graph")
-        # six axes are tried; the message keeps the first four failures
-        for m in range(1, 5):
+        # six axes are tried, and the message names each failure once
+        for m in range(1, 7):
             assert message.count(f"axis {m}:") == 1
-        assert "axis 5" not in message
 
     def test_face_cut_failure_names_its_axis(self, rect_p8_1x2):
         with pytest.raises(CutSystemFailure, match=r"^axis 2: face 0 cut sides sit at"):
