@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .loops import trace_geodesic_loops
-from .surface_complex import dual_graph
+from .surface_complex import _require_int, dual_graph
 
 
 class DegenerateLoop(ValueError):
@@ -484,24 +484,27 @@ def coloring_from_dict(doc):
             raise ValueError("document records a contradiction, not a coloring")
         colors = {}
         for e, c in doc["colors"]:
-            if int(e) in colors:
+            _require_int(COLORING_FORMAT, "colored edge", e)
+            if e in colors:
                 raise ValueError(f"edge {e} is colored twice")
-            if c not in (0, 1):
-                raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
-            colors[int(e)] = int(c)
+            if type(c) is not int or c not in (0, 1):
+                raise ValueError(f"malformed {COLORING_FORMAT} document: "
+                                 f"edge {e} has color {c!r}, not 0 or 1")
+            colors[e] = c
         base = doc["base_vertex"]
         if type(base) is not int or base < 0:
             raise ValueError(f"base_vertex {base!r} is not a non-negative integer")
         seed = []
         for e, c in doc["seed"]:
-            eid = int(e)
-            if eid not in colors:
+            _require_int(COLORING_FORMAT, "seed edge", e)
+            _require_int(COLORING_FORMAT, "seed color", c)
+            if e not in colors:
                 raise ValueError(f"seed edge {e} is not colored")
-            if c != colors[eid]:
+            if c != colors[e]:
                 raise ValueError(
-                    f"seed gives edge {e} color {c!r}, the colors give {colors[eid]}"
+                    f"seed gives edge {e} color {c!r}, the colors give {colors[e]}"
                 )
-            seed.append((eid, colors[eid]))
+            seed.append((e, c))
         return EdgeColoring(
             colors=colors,
             base_vertex=base,

@@ -743,17 +743,29 @@ def complex_to_dict(cx):
     }
 
 
+def _require_int(fmt, what, value):
+    """Reject anything but a JSON integer: floats, strings and booleans too."""
+    if type(value) is not int:
+        raise ValueError(f"malformed {fmt} document: {what} {value!r} is not an integer")
+
+
 def complex_from_dict(doc):
     try:
         if doc.get("format") != COMPLEX_FORMAT:
             raise ValueError(f"unsupported complex format {doc.get('format')!r}")
+        _require_int(COMPLEX_FORMAT, "p", doc["p"])
         edge_specs = [(e["id"], e["type"]) for e in doc["edges"]]
+        for eid, etype in edge_specs:
+            _require_int(COMPLEX_FORMAT, "edge id", eid)
+            _require_int(COMPLEX_FORMAT, "edge type", etype)
         face_specs = [
             (f["id"], f["chirality"], [(s["edge"], s["reversed"]) for s in f["sides"]])
             for f in doc["faces"]
         ]
         for fid, _, sides in face_specs:
+            _require_int(COMPLEX_FORMAT, "face id", fid)
             for eid, rev in sides:
+                _require_int(COMPLEX_FORMAT, "side edge", eid)
                 if not isinstance(rev, bool):
                     raise ValueError(f"malformed {COMPLEX_FORMAT} document: face {fid}, "
                                      f"edge {eid}: reversed {rev!r} is not a boolean")

@@ -39,6 +39,17 @@ def _text_edge_type(doc):
     return doc
 
 
+def _replace(*path, value):
+    """Set the entry at a key path to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return edit
+
+
 class TestFaces:
     def test_prints_the_count(self, capsys):
         assert main(["faces", "--p", "6", "--genus", "2"]) == 0
@@ -82,6 +93,13 @@ class TestTessellate:
             == 1
         )
 
+    def test_non_integer_grid_spec(self, tmp_path, capsys):
+        out = str(tmp_path / "rect.json")
+        rc = main(["tessellate", "--p", "8", "--genus", "2", "--rect", "1xb",
+                   "-o", out])
+        assert rc == 1
+        assert "--rect expects AxB with integers, got '1xb'" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -107,6 +125,15 @@ class TestValidateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", "-i", str(bad)]) == 2
+
+    def test_float_edge_id_rejected(self, tmp_path, capsys, block_p6_g2):
+        path = tmp_path / "block.json"
+        doc = complex_to_dict(block_p6_g2)
+        doc["edges"][1]["id"] = 1.0
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "-i", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed fq-complex/1 document: edge id 1.0 is not an integer\n"
 
 
 class TestLoopsCommand:
@@ -169,6 +196,16 @@ class TestSubdivideCommand:
         assert sidecar["format"] == "fq-subdiv/1"
         assert sidecar["pieces"] == 2
         assert sidecar["axis"] == 1
+
+    def test_sidecar_name_without_json_suffix(self, tmp_path, rect_p8_1x2):
+        src = write_complex(tmp_path / "rect.json", rect_p8_1x2)
+        out = tmp_path / "hexout"
+        rc = main(["subdivide", "--pieces", "2", "--axis", "1",
+                   "-i", src, "-o", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["p"] == 6
+        sidecar = json.loads((tmp_path / "hexout.subdiv.json").read_text())
+        assert sidecar["format"] == "fq-subdiv/1"
 
     def test_quarters(self, tmp_path, rect_p12_3x3):
         src = write_complex(tmp_path / "rect.json", rect_p12_3x3)
@@ -290,11 +327,25 @@ class TestCertifyAndDecide:
             ("complex", lambda doc: {**doc, "p": "6"}),
             ("complex", _text_edge_type),
             ("complex", lambda doc: [doc]),
+            ("coloring", _replace("colors", 2, 0, value=2.5)),
+            ("coloring", _replace("colors", 2, 0, value="2")),
+            ("coloring", _replace("colors", 1, 1, value=True)),
+            ("coloring", _replace("colors", 1, 1, value=1.0)),
+            ("coloring", _replace("seed", 2, 0, value=1.0)),
+            ("coloring", _replace("seed", 2, 1, value=True)),
+            ("complex", _replace("p", value=6.0)),
+            ("complex", _replace("edges", 1, "id", value=1.0)),
+            ("complex", _replace("edges", 0, "type", value=1.0)),
+            ("complex", _replace("faces", 0, "id", value=False)),
+            ("complex", _replace("faces", 0, "sides", 0, "edge", value=0.0)),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
              "coloring-list", "no-edges", "side-no-reversed",
              "side-reversed-text", "side-reversed-int", "p-text",
-             "type-text", "complex-list"],
+             "type-text", "complex-list", "colored-edge-float",
+             "colored-edge-text", "color-true", "color-float",
+             "seed-edge-float", "seed-color-true", "p-float", "edge-id-float",
+             "type-float", "face-id-bool", "side-edge-float"],
     )
     def test_certify_rejects_a_document_of_the_wrong_shape(
         self, tmp_path, block_p6_g2, capsys, target, edit

@@ -262,11 +262,18 @@ class TestColoringSerialization:
         with pytest.raises(ValueError):
             coloring_from_dict({"format": "fq-coloring/9", "colors": []})
 
-    @pytest.mark.parametrize("bad", [2, -1, "1", None])
+    @pytest.mark.parametrize("bad", [2, -1, "1", None, True, 1.0])
     def test_color_outside_zero_one_rejected(self, block_p6_g2, bad):
         doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
         doc["colors"][0][1] = bad
         with pytest.raises(ValueError, match="edge 0 has color"):
+            coloring_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [2.5, "2", 2.0])
+    def test_colored_edge_must_be_an_integer(self, block_p6_g2, bad):
+        doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
+        doc["colors"][2][0] = bad
+        with pytest.raises(ValueError, match="colored edge"):
             coloring_from_dict(doc)
 
     def test_duplicate_edge_rejected(self, block_p6_g2):
@@ -286,6 +293,9 @@ class TestColoringSerialization:
             (lambda doc: doc.update(base_vertex=-4), "base_vertex -4"),
             (lambda doc: doc.update(base_vertex="0"), "base_vertex '0'"),
             (lambda doc: doc.update(base_vertex=True), "base_vertex True"),
+            (lambda doc: doc["seed"][2].__setitem__(0, 1.0), "seed edge 1.0"),
+            (lambda doc: doc["seed"][2].__setitem__(0, "1"), "seed edge '1'"),
+            (lambda doc: doc["seed"][2].__setitem__(1, True), "seed color True"),
         ],
     )
     def test_seed_and_base_vertex_checked(self, block_p6_g2, edit, message):

@@ -94,6 +94,10 @@ class TestSymmetricAxes:
         with pytest.raises(BadDivisibility):
             symmetric_axes((2,) * 6, "four")
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be 'two' or 'four', got 'three'"):
+            symmetric_axes(Q8, "three")
+
     @given(st.lists(st.integers(2, 9), min_size=8, max_size=8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_axis_means_palindrome(self, q, m):
@@ -175,6 +179,17 @@ class TestAssignGroups:
         coloring = solve_good_coloring(block_p6_g2)
         with pytest.raises(ValueError):
             assign_groups(block_p6_g2, coloring, Q6[:-1])
+
+    def test_odd_p_rejected(self):
+        cx = complex_from_matchings(5, ("ccw", "cw"), [[(0, 1)]] * 5)
+        flat = EdgeColoring(colors={e: 0 for e in range(5)}, base_vertex=0, seed=())
+        with pytest.raises(ValueError, match="p must be even, got 5"):
+            assign_groups(cx, flat, (2,) * 5)
+
+    def test_thickness_one_rejected(self, block_p6_g2):
+        coloring = solve_good_coloring(block_p6_g2)
+        with pytest.raises(ValueError, match="thickness entries must be at least 2"):
+            assign_groups(block_p6_g2, coloring, (2, 1, 2, 3, 2, 3))
 
 
 class TestMutationAgreement:
@@ -442,6 +457,7 @@ class TestDecide:
             (12, Q12, 2),
             (12, Q12, 6),
             (12, (3,) * 12, 10),
+            (12, (2, 2, 3, 2, 3, 2, 2, 2, 3, 2, 3, 2), 10),
         ],
     )
     def test_unknown_gaps(self, p, q, g):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fqsurf.coloring import assign_face_orientations
 from fqsurf.loops import (
+    GeodesicLoop,
     NotACycle,
     difference_is_face_sum,
     loop_report_to_dict,
@@ -110,6 +111,11 @@ class TestCycleSpace:
     def test_single_loop_does_not_generate(self, block_p6_g2):
         rep = trace_geodesic_loops(block_p6_g2)
         assert not loops_generate_h1(block_p6_g2, rep.loops[:1])
+
+    def test_non_cycle_does_not_generate(self, block_p6_g2):
+        # edge 0 runs between two distinct vertices, so it has a boundary
+        edge = GeodesicLoop(0, 1, ((0, True),), 1, "odd", False)
+        assert not loops_generate_h1(block_p6_g2, [edge])
 
     def test_loop_vectors_are_cycles(self, hex4):
         rep = trace_geodesic_loops(hex4)

@@ -69,6 +69,15 @@ class TestComplexFromMatchings:
         with pytest.raises(ValueError):
             complex_from_matchings(6, ("ccw", "cw", "cw", "ccw"), [[(0, 1)]] * 6)
 
+    def test_matching_count_must_equal_p(self):
+        with pytest.raises(ValueError, match="expected 4 matchings, got 3"):
+            complex_from_matchings(4, ("ccw", "cw"), [[(0, 1)]] * 3)
+
+    def test_face_matched_twice_rejected(self):
+        twice = [(0, 1), (1, 2)]
+        with pytest.raises(ValueError, match="face 1 matched twice at type 1"):
+            complex_from_matchings(6, ("ccw", "cw", "ccw"), [twice] + [[(0, 1)]] * 5)
+
 
 class TestBlockBuilder:
     @pytest.mark.parametrize("p,g", [(6, 2), (6, 3), (8, 3), (10, 4), (6, 4)])
@@ -118,6 +127,10 @@ class TestRectBuilder:
             build_rect_tessellation(6, 2, 2)
         with pytest.raises(BadDivisibility):
             build_rect_tessellation(4, 2, 2)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            build_rect_tessellation(8, 0, 2)
 
     def test_odd_column_odd_notch_unpairable(self):
         with pytest.raises(ConstructionFailure):
