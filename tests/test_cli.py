@@ -126,15 +126,6 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", "-i", str(bad)]) == 2
 
-    def test_float_edge_id_rejected(self, tmp_path, capsys, block_p6_g2):
-        path = tmp_path / "block.json"
-        doc = complex_to_dict(block_p6_g2)
-        doc["edges"][1]["id"] = 1.0
-        path.write_text(json.dumps(doc))
-        assert main(["validate", "-i", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: malformed fq-complex/1 document: edge id 1.0 is not an integer\n"
-
 
 class TestLoopsCommand:
     def test_stdout_report(self, tmp_path, capsys, block_p6_g2):
