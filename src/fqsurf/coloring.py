@@ -477,42 +477,44 @@ def coloring_to_dict(coloring):
 
 
 def coloring_from_dict(doc):
+    def malformed(what):
+        return ValueError(f"malformed {COLORING_FORMAT} document: {what}")
+
     try:
         if doc.get("format") != COLORING_FORMAT:
             raise ValueError(f"not a {COLORING_FORMAT} document")
         if not doc.get("satisfiable", True):
-            raise ValueError("document records a contradiction, not a coloring")
+            raise ValueError(f"{COLORING_FORMAT} document records a contradiction, "
+                             "not a coloring")
         colors = {}
         for e, c in doc["colors"]:
             _require_int(COLORING_FORMAT, "colored edge", e)
             if e in colors:
-                raise ValueError(f"edge {e} is colored twice")
+                raise malformed(f"edge {e} is colored twice")
             if type(c) is not int or c not in (0, 1):
-                raise ValueError(f"malformed {COLORING_FORMAT} document: "
-                                 f"edge {e} has color {c!r}, not 0 or 1")
+                raise malformed(f"edge {e} has color {c!r}, not 0 or 1")
             colors[e] = c
         base = doc["base_vertex"]
         if type(base) is not int or base < 0:
-            raise ValueError(f"base_vertex {base!r} is not a non-negative integer")
+            raise malformed(f"base_vertex {base!r} is not a non-negative integer")
         seed = []
         for e, c in doc["seed"]:
             _require_int(COLORING_FORMAT, "seed edge", e)
             _require_int(COLORING_FORMAT, "seed color", c)
             if e not in colors:
-                raise ValueError(f"seed edge {e} is not colored")
+                raise malformed(f"seed edge {e} is not colored")
             if c != colors[e]:
-                raise ValueError(
-                    f"seed gives edge {e} color {c!r}, the colors give {colors[e]}"
-                )
+                raise malformed(f"seed gives edge {e} color {c!r}, "
+                                f"the colors give {colors[e]}")
             seed.append((e, c))
+        count = doc.get("solution_count")
+        if count is not None and (type(count) is not int or count < 1):
+            raise malformed(f"solution_count {count!r} is not null or a positive integer")
         return EdgeColoring(
-            colors=colors,
-            base_vertex=base,
-            seed=tuple(seed),
-            solution_count=doc.get("solution_count"),
+            colors=colors, base_vertex=base, seed=tuple(seed), solution_count=count
         )
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {COLORING_FORMAT} document: {exc!r}") from None
+        raise malformed(repr(exc)) from None
 
 
 def witness_to_dict(witness):

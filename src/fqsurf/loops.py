@@ -143,11 +143,13 @@ def loops_generate_h1(cx, loops):
     saturated lattice is the whole thing).
     """
     d2, d1 = boundary_matrices(cx)
-    cols = [lp.as_one_cycle(cx.num_edges) for lp in loops]
-    if cols:
-        m = IntegerMatrix.from_columns(cols, rows=cx.num_edges).hstack(d2)
-    else:
-        m = d2
+    rows = [{} for _ in range(cx.num_edges)]
+    for k, lp in enumerate(loops):
+        for e, fwd in lp.directed_edges:
+            rows[e][k] = rows[e].get(k, 0) + (1 if fwd else -1)
+    for row, face_row in zip(rows, d2.entries):
+        row.update((len(loops) + j, x) for j, x in face_row.items())
+    m = IntegerMatrix.from_rows(rows, len(loops) + cx.num_faces)
     if not d1.mul(m).is_zero():
         return False
     _, r1 = smith_normal_form(d1)

@@ -26,13 +26,13 @@ right) reduces to index arithmetic in that rotation; see
 :meth:`SurfaceComplex.continue_through`.
 
 The second half of the module is an exact integer linear algebra kit: an
-arbitrary-precision matrix, Smith normal form, integer linear solving, and
-the boundary matrices of the cellular chain complex.  The plain Smith normal
-form eliminates unit pivots on sparse rows, then runs dense SNF on the core
-left over; the form with unimodular transforms runs dense SNF on the whole
-matrix bordered by identities, which turn into the transforms.  Everything is
-pure Python integers; entries grow during elimination and must never be
-truncated.
+arbitrary-precision matrix stored as sparse rows, Smith normal form, integer
+linear solving, and the boundary matrices of the cellular chain complex.  The
+plain Smith normal form eliminates unit pivots on the sparse rows, then runs
+dense SNF on the core left over; the form with unimodular transforms runs
+dense SNF on the matrix bordered by identities, which turn into the
+transforms.  Dense lists exist only inside those two.  Entries are exact
+Python integers that grow during elimination and are never truncated.
 """
 
 from __future__ import annotations
@@ -458,9 +458,9 @@ def dual_graph(cx):
 
 
 class IntegerMatrix:
-    """A dense matrix of Python ints.  No floats, ever."""
+    """Python ints as sparse rows, one ``{col: nonzero value}`` dict each.  No floats."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, data, rows=None, cols=None):
         data = [list(row) for row in data]
@@ -470,67 +470,57 @@ class IntegerMatrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("ragged or mis-sized matrix data")
-        for row in data:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"non-integer entry {x!r}")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        bad = [x for row in data for x in row if not isinstance(x, int)]
+        if bad:
+            raise TypeError(f"non-integer entry {bad[0]!r}")
+        self.rows, self.cols = rows, cols
+        self.entries = [{j: x for j, x in enumerate(row) if x} for row in data]
+
+    @classmethod
+    def from_rows(cls, entries, cols):
+        """A matrix from ``{col: value}`` rows of ints; zero values are dropped."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = len(entries), cols
+        m.entries = [{j: x for j, x in row.items() if x} for row in entries]
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls.from_rows([{}] * rows, cols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return cls.from_rows([{i: 1} for i in range(n)], n)
 
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        cols = list(columns)
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        return cls([[col[i] for col in cols] for i in range(rows)], rows, len(cols))
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return IntegerMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            self.rows,
-            self.cols + other.cols,
-        )
+    @property
+    def data(self):
+        """A fresh dense copy, one list per row."""
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.entries]
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                x = row[k]
-                if x:
-                    ok = other.data[k]
-                    oi = out[i]
-                    for j in range(other.cols):
-                        oi[j] += x * ok[j]
-        return IntegerMatrix(out, self.rows, other.cols)
+        out = [{} for _ in self.entries]
+        for acc, row in zip(out, self.entries):
+            for k, x in row.items():
+                for j, y in other.entries[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+        return IntegerMatrix.from_rows(out, other.cols)
 
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return [sum(r[j] * vec[j] for j in range(self.cols)) for r in self.data]
+        return [sum(x * vec[j] for j, x in row.items()) for row in self.entries]
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.entries)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntegerMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __repr__(self):
@@ -616,7 +606,7 @@ def smith_normal_form(m):
     nonzero rows and columns left form the core, which dense ``_smith``
     finishes.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    rows = [dict(row) for row in m.entries]
     where = [set() for _ in range(m.cols)]  # column -> rows holding it
     for i, row in enumerate(rows):
         for j in row:
@@ -674,7 +664,7 @@ def integer_solve(a, b):
     y = [0] * a.cols
     n = min(a.rows, a.cols)
     for j in range(n):
-        dj = d.data[j][j]
+        dj = d.entries[j].get(j, 0)
         if dj:
             if c[j] % dj:
                 return None
@@ -693,15 +683,17 @@ def boundary_matrices(cx):
     Forward traversal contributes +1 in d2; an edge is oriented from the tail
     to the head of its forward side, giving head-minus-tail columns in d1.
     """
-    d2 = IntegerMatrix.zeros(cx.num_edges, cx.num_faces)
+    d2 = [{} for _ in range(cx.num_edges)]
     for f in cx.faces:
         for s in f.sides:
-            d2.data[s.edge][f.id] += -1 if s.reversed else 1
-    d1 = IntegerMatrix.zeros(cx.num_vertices, cx.num_edges)
+            d2[s.edge][f.id] = d2[s.edge].get(f.id, 0) + (-1 if s.reversed else 1)
+    d1 = [{} for _ in range(cx.num_vertices)]
     for e in cx.edges:
-        d1.data[cx.head_vertex((e.id, True))][e.id] += 1
-        d1.data[cx.tail_vertex((e.id, True))][e.id] -= 1
-    return d2, d1
+        head, tail = cx.head_vertex((e.id, True)), cx.tail_vertex((e.id, True))
+        d1[head][e.id] = d1[head].get(e.id, 0) + 1
+        d1[tail][e.id] = d1[tail].get(e.id, 0) - 1
+    return (IntegerMatrix.from_rows(d2, cx.num_faces),
+            IntegerMatrix.from_rows(d1, cx.num_edges))
 
 
 def betti_numbers(cx):

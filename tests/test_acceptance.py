@@ -442,3 +442,17 @@ def test_criterion_13_thick_links():
         for vertex in cert["vertices"]:
             assert vertex["link_ok"]
             assert sorted(vertex["link_sides"]) == [30, 42]
+
+
+def test_criterion_14_loops_generate_homology_at_1024_faces():
+    with _Timed(14, "geodesic loops generate first homology at F=1024", 10.0):
+        for name, cx in [
+            ("block 6/257", build_block_tessellation(6, 257)),
+            ("hex 1024 halved",
+             subdivide_two(build_rect_tessellation(8, 256, 2), axis=1)[0]),
+            ("hex 1024 quartered",
+             subdivide_four(build_rect_tessellation(12, 16, 16), axis=1)[0]),
+        ]:
+            assert cx.num_faces == 1024, name
+            assert loops_generate_h1(cx, trace_geodesic_loops(cx).loops), name
+            assert betti_numbers(cx) == (1, 514, 1), name

@@ -329,6 +329,7 @@ class TestCertifyAndDecide:
             ("complex", _replace("edges", 0, "type", value=1.0)),
             ("complex", _replace("faces", 0, "id", value=False)),
             ("complex", _replace("faces", 0, "sides", 0, "edge", value=0.0)),
+            ("coloring", lambda doc: {**doc, "solution_count": "many"}),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
              "coloring-list", "no-edges", "side-no-reversed",
@@ -336,7 +337,8 @@ class TestCertifyAndDecide:
              "type-text", "complex-list", "colored-edge-float",
              "colored-edge-text", "color-true", "color-float",
              "seed-edge-float", "seed-color-true", "p-float", "edge-id-float",
-             "type-float", "face-id-bool", "side-edge-float"],
+             "type-float", "face-id-bool", "side-edge-float",
+             "solution-count-text"],
     )
     def test_certify_rejects_a_document_of_the_wrong_shape(
         self, tmp_path, block_p6_g2, capsys, target, edit

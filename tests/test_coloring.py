@@ -291,10 +291,17 @@ class TestColoringSerialization:
             (lambda doc: doc["seed"][2].__setitem__(0, 1.0), "seed edge 1.0"),
             (lambda doc: doc["seed"][2].__setitem__(0, "1"), "seed edge '1'"),
             (lambda doc: doc["seed"][2].__setitem__(1, True), "seed color True"),
+            (lambda doc: doc.update(solution_count="many"), "solution_count 'many'"),
+            (lambda doc: doc.update(solution_count=0), "solution_count 0"),
+            (lambda doc: doc.update(solution_count=True), "solution_count True"),
+            (lambda doc: doc.update(solution_count=2.0), "solution_count 2.0"),
+            (lambda doc: doc["colors"].append(doc["colors"][0]), "edge 0 is colored twice"),
+            (lambda doc: doc.update(satisfiable=False), "records a contradiction"),
         ],
     )
     def test_seed_and_base_vertex_checked(self, block_p6_g2, edit, message):
         doc = coloring_to_dict(solve_good_coloring(block_p6_g2))
         edit(doc)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             coloring_from_dict(doc)
+        assert COLORING_FORMAT in str(info.value)

@@ -356,10 +356,9 @@ class TestMatrixInputChecks:
         [
             (lambda m: m.mul(IntegerMatrix.zeros(2, 3)), "dimension mismatch"),
             (lambda m: m.mul_vec([1, 2]), "dimension mismatch"),
-            (lambda m: m.hstack(IntegerMatrix.zeros(3, 1)), "row count mismatch"),
             (lambda m: integer_solve(m, [1, 2, 3]), "dimension mismatch"),
         ],
-        ids=["mul", "mul_vec", "hstack", "integer_solve"],
+        ids=["mul", "mul_vec", "integer_solve"],
     )
     def test_dimension_mismatch_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -370,6 +369,13 @@ class TestHomology:
     def test_boundary_composition_vanishes(self, block_p6_g2):
         d2, d1 = boundary_matrices(block_p6_g2)
         assert d1.mul(d2).is_zero()
+
+    def test_torus_boundary_maps_store_nothing(self):
+        # the one edge pair meets the one face in both senses, and every
+        # edge has both ends at the one vertex: each entry sums to zero
+        for m in boundary_matrices(make_torus()):
+            assert m.is_zero()
+            assert m.entries == [{}] * m.rows
 
     def test_torus_betti(self):
         assert betti_numbers(make_torus()) == (1, 2, 1)
@@ -536,13 +542,17 @@ SNF_ENTRIES = st.sampled_from(
 
 
 @st.composite
+def dense_entries(draw, rows, cols):
+    """A rows×cols list of lists drawn from ``SNF_ENTRIES``."""
+    flat = draw(st.lists(SNF_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+@st.composite
 def sparse_integer_matrices(draw):
     rows = draw(st.integers(1, 8))
     cols = draw(st.integers(1, 8))
-    flat = draw(st.lists(SNF_ENTRIES, min_size=rows * cols, max_size=rows * cols))
-    return IntegerMatrix(
-        [flat[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols
-    )
+    return IntegerMatrix(draw(dense_entries(rows, cols)), rows, cols)
 
 
 def assert_snf_matches_oracles(m):
@@ -563,8 +573,9 @@ def homology_matrices(cx):
     """d1, d2 and the ``[loop cycles | d2]`` matrix of ``loops_generate_h1``."""
     d2, d1 = boundary_matrices(cx)
     cols = [lp.as_one_cycle(cx.num_edges) for lp in trace_geodesic_loops(cx).loops]
-    loops = IntegerMatrix.from_columns(cols, rows=cx.num_edges)
-    return d1, d2, loops.hstack(d2)
+    faces = d2.data
+    rows = [[c[e] for c in cols] + faces[e] for e in range(cx.num_edges)]
+    return d1, d2, IntegerMatrix(rows, cx.num_edges, len(cols) + cx.num_faces)
 
 
 class TestSmithNormalFormOracles:
@@ -613,3 +624,107 @@ class TestSmithNormalFormOracles:
 def test_snf_matches_oracles_on_matchings(cx):
     for m in homology_matrices(cx):
         assert_snf_matches_oracles(m)
+
+
+# ------------------------------------- sparse matrix against dense references
+
+
+def dense_product(a, b, cols):
+    """The product of two list-of-lists matrices, b having ``cols`` columns."""
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for row in a]
+
+
+@st.composite
+def dense_products(draw):
+    """Dense factors a (rows×inner) and b (inner×cols), with shapes down to 0.
+
+    Half the time the pair becomes ``[a | a]`` and ``[b ; -b]``, whose product
+    is zero with every term cancelled by its twin.
+    """
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    a = draw(dense_entries(rows, inner))
+    b = draw(dense_entries(inner, cols))
+    if draw(st.booleans()):
+        a = [row + row for row in a]
+        b = b + [[-x for x in row] for row in b]
+    return a, b, cols
+
+
+def dense_boundary_matrices(cx):
+    """d2 and d1 as lists of lists, filled entry by entry."""
+    d2 = [[0] * cx.num_faces for _ in range(cx.num_edges)]
+    for f in cx.faces:
+        for s in f.sides:
+            d2[s.edge][f.id] += -1 if s.reversed else 1
+    d1 = [[0] * cx.num_edges for _ in range(cx.num_vertices)]
+    for e in cx.edges:
+        d1[cx.head_vertex((e.id, True))][e.id] += 1
+        d1[cx.tail_vertex((e.id, True))][e.id] -= 1
+    return d2, d1
+
+
+def assert_boundary_matches_dense(cx):
+    d2, d1 = boundary_matrices(cx)
+    dense2, dense1 = dense_boundary_matrices(cx)
+    assert (d2.rows, d2.cols, d2.data) == (cx.num_edges, cx.num_faces, dense2)
+    assert (d1.rows, d1.cols, d1.data) == (cx.num_vertices, cx.num_edges, dense1)
+    assert d2 == IntegerMatrix(dense2, cx.num_edges, cx.num_faces)
+    assert d1 == IntegerMatrix(dense1, cx.num_vertices, cx.num_edges)
+
+
+class TestSparseMatrixAgainstDense:
+    @given(dense_products(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_products(self, factors, data):
+        a, b, cols = factors
+        ref = dense_product(a, b, cols)
+        m, n = IntegerMatrix(a, len(a), len(b)), IntegerMatrix(b, len(b), cols)
+        product = m.mul(n)
+        assert (product.rows, product.cols, product.data) == (len(a), cols, ref)
+        assert product == IntegerMatrix(ref, len(a), cols)
+        assert product.is_zero() == all(x == 0 for row in ref for x in row)
+        assert all(0 not in row.values() for row in product.entries)
+        vec = data.draw(st.lists(st.integers(-9, 9), min_size=len(b), max_size=len(b)))
+        assert m.mul_vec(vec) == [sum(x * y for x, y in zip(row, vec)) for row in a]
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_views_and_equality(self, rows, cols, data):
+        a = data.draw(dense_entries(rows, cols))
+        b = data.draw(dense_entries(rows, cols))
+        m = IntegerMatrix(a, rows, cols)
+        assert m.data == a
+        assert m.entries == [{j: x for j, x in enumerate(row) if x} for row in a]
+        assert m.is_zero() == all(x == 0 for row in a for x in row)
+        assert (m == IntegerMatrix(b, rows, cols)) == (a == b)
+        # zeros handed to the sparse constructor are dropped
+        with_zeros = IntegerMatrix.from_rows([dict(enumerate(row)) for row in a], cols)
+        assert with_zeros == m and with_zeros.entries == m.entries
+        # the dense view is a copy
+        view = m.data
+        for row in view:
+            row[:] = [x + 1 for x in row]
+        assert m.data == a
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_torus, make_pillowcase, make_crossing, make_twelve_gon,
+         make_octagon, make_disconnected],
+    )
+    def test_hand_built_boundary_maps(self, make):
+        assert_boundary_matches_dense(make())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["block_p6_g2", "block_p6_g3", "block_p8_g3", "rect_p8_1x2",
+         "rect_p8_3x2", "hex4", "block_p10_g4", "rect_p12_3x3", "hex36"],
+    )
+    def test_builder_boundary_maps(self, request, name):
+        assert_boundary_matches_dense(request.getfixturevalue(name))
+
+
+@given(matchings_complexes())
+@settings(max_examples=20, deadline=None)
+def test_boundary_maps_match_dense_on_matchings(cx):
+    assert_boundary_matches_dense(cx)
