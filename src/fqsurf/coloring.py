@@ -480,6 +480,11 @@ def coloring_from_dict(doc):
     def malformed(what):
         return ValueError(f"malformed {COLORING_FORMAT} document: {what}")
 
+    def pair(what, entry):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise malformed(f"{what} entry {entry!r} is not an [edge, color] pair")
+        return entry
+
     try:
         if doc.get("format") != COLORING_FORMAT:
             raise ValueError(f"not a {COLORING_FORMAT} document")
@@ -487,7 +492,8 @@ def coloring_from_dict(doc):
             raise ValueError(f"{COLORING_FORMAT} document records a contradiction, "
                              "not a coloring")
         colors = {}
-        for e, c in doc["colors"]:
+        for entry in doc["colors"]:
+            e, c = pair("colors", entry)
             _require_int(COLORING_FORMAT, "colored edge", e)
             if e in colors:
                 raise malformed(f"edge {e} is colored twice")
@@ -498,7 +504,8 @@ def coloring_from_dict(doc):
         if type(base) is not int or base < 0:
             raise malformed(f"base_vertex {base!r} is not a non-negative integer")
         seed = []
-        for e, c in doc["seed"]:
+        for entry in doc["seed"]:
+            e, c = pair("seed", entry)
             _require_int(COLORING_FORMAT, "seed edge", e)
             _require_int(COLORING_FORMAT, "seed color", c)
             if e not in colors:

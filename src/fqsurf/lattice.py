@@ -10,7 +10,10 @@ data at each vertex reproduces a complete bipartite link of the right size.
 
 Two independent routes check the vertex condition: direct arithmetic on
 factor subsets (products, intersections and index sums), and an explicit
-enumeration of cosets that builds the link graph and inspects it.
+enumeration of cosets that builds the link graph and inspects it.  Both
+read the vertex's local signature (type pair, ray factor sets and types,
+sector factor sets), which the group assignment computes once per vertex;
+each reaches its verdict on its own.
 
 Odd-length geodesic loops obstruct existence: each one forces a reflection
 symmetry on the sequence indices, and the closure of those reflections
@@ -25,6 +28,7 @@ from math import gcd
 
 from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
 from .tessellation import (
+    _require_int_parameter,
     build_block_tessellation,
     build_rect_tessellation,
     derived_sequence,
@@ -42,10 +46,6 @@ class NotGoodColoring(ValueError):
 
 class NotAlternatingNonCoprime(ValueError):
     """The thickness sequence admits no alternating decomposition."""
-
-
-class FaceGroupInconsistency(ValueError):
-    """Different corners of one face yield different face groups."""
 
 
 class OddPUnsupported(ValueError):
@@ -178,11 +178,10 @@ class GroupAssignment:
     orders: dict
     coloring: EdgeColoring
     edge_factors: dict
-    vertex_types: dict
-    vertex_universe: dict
     face_factors: dict
     face_conflicts: dict
     coloring_ok: bool
+    signatures: tuple
     vertex_checks: dict = field(default_factory=dict)
     certified: bool = False
 
@@ -200,21 +199,29 @@ def _edge_factor_set(edge_type, color, deco):
     return frozenset(base)
 
 
-def assign_groups(cx, coloring, q, check=True):
+def assign_groups(cx, coloring, q):
     """Attach factor subgroups to edges, vertices and faces.
 
     Edge of type i: {D, A_i} plus E when colored 1 for odd i, and {E, A_i}
     plus D when colored 1 for even i.  A vertex on types (i, i+1) carries
-    the full product universe; each face gets the intersection of the two
-    edge groups at one of its corners, which the coloring's consistency
-    makes independent of the corner.
+    the full product universe {D, E, A_i, A_{i+1}}; each face gets the
+    intersection of the two edge groups at its first corner, which a good
+    coloring makes independent of the corner.
 
-    With ``check`` (the default) a bad coloring raises NotGoodColoring and
-    disagreeing corners raise FaceGroupInconsistency; with ``check=False``
-    both are recorded on the assignment instead, so deliberately broken
-    instances can still be inspected by the link checkers.
+    A coloring that does not cover exactly the complex's edges raises
+    NotGoodColoring.  Any other failure is recorded, not raised: a broken
+    coloring condition in ``coloring_ok`` and faces whose corners disagree
+    in ``face_conflicts``, so broken instances can still be inspected by
+    the link checkers; ``certified`` is true only when nothing failed.
+
+    ``signatures[v]`` is everything the link checkers read at vertex v:
+    the type pair and, in rotation order, the factor sets and types of the
+    four rays and the factor sets of the four sectors, sector k lying
+    clockwise between rays k and k+1.
     """
-    q = tuple(int(x) for x in q)
+    q = tuple(q)
+    for x in q:
+        _require_int_parameter("q entry", x)
     if cx.p % 2 != 0:
         raise ValueError(f"p must be even, got {cx.p}")
     if len(q) != cx.p:
@@ -231,9 +238,7 @@ def assign_groups(cx, coloring, q, check=True):
     unknown = sorted(set(coloring.colors) - set(range(cx.num_edges)))
     if unknown:
         raise NotGoodColoring(f"edge {unknown[0]} is colored but not in the complex")
-    coloring_ok, violations = verify_good_coloring(cx, coloring)
-    if check and not coloring_ok:
-        raise NotGoodColoring(f"coloring violates conditions: {violations[:3]}")
+    coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
     edge_factors = {
@@ -252,23 +257,20 @@ def assign_groups(cx, coloring, q, check=True):
             per_corner.append(edge_factors[ea] & edge_factors[eb])
         face_factors[f.id] = per_corner[0]
         if any(c != per_corner[0] for c in per_corner):
-            if check:
-                raise FaceGroupInconsistency(
-                    f"face {f.id} corners disagree: {sorted(map(sorted, set(per_corner)))}"
-                )
             face_conflicts[f.id] = tuple(per_corner)
 
-    vertex_types = {}
-    vertex_universe = {}
-    for v in range(cx.num_vertices):
+    signatures = []
+    for v, orbit in enumerate(cx.vertices()):
         pair = cx.vertex_type_pair(v)
         if pair is None:
             raise ValueError(f"vertex {v} has no alternating type pair")
-        i, j = pair
-        vertex_types[v] = pair
-        vertex_universe[v] = frozenset(
-            {D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)}
-        )
+        rays = cx.rotation(v)
+        signatures.append((
+            pair,
+            tuple(edge_factors[e] for e, _ in rays),
+            tuple(cx.edge_type(e) for e, _ in rays),
+            tuple(face_factors[orbit[(k + 1) % 4][0]] for k in range(4)),
+        ))
 
     assignment = GroupAssignment(
         cx=cx,
@@ -277,11 +279,10 @@ def assign_groups(cx, coloring, q, check=True):
         orders=orders,
         coloring=coloring,
         edge_factors=edge_factors,
-        vertex_types=vertex_types,
-        vertex_universe=vertex_universe,
         face_factors=face_factors,
         face_conflicts=face_conflicts,
         coloring_ok=coloring_ok,
+        signatures=tuple(signatures),
     )
     report = verify_link_conditions(assignment)
     assignment.vertex_checks = report.checks
@@ -289,14 +290,6 @@ def assign_groups(cx, coloring, q, check=True):
         coloring_ok and not face_conflicts and report.ok
     )
     return assignment
-
-
-def _corner_faces(cx, vertex):
-    """Face ids of the four sectors around a vertex, sector k lying
-    clockwise between rays k and k+1."""
-    orbit = cx.vertices()[vertex]
-    n = len(orbit)
-    return [orbit[(k + 1) % n][0] for k in range(n)]
 
 
 def verify_link_conditions(assignment):
@@ -308,24 +301,18 @@ def verify_link_conditions(assignment):
     lifted type-i edge gets link degree q_i — the two type-i edges sum
     to q_j and the two type-j edges sum to q_i.
     """
-    cx = assignment.cx
     q = assignment.q
     checks = {}
-    for v in range(cx.num_vertices):
-        i, j = assignment.vertex_types[v]
-        universe = assignment.vertex_universe[v]
-        rays = cx.rotation(v)
-        ray_factors = [assignment.edge_factors[e] for e, _ in rays]
-        ray_types = [cx.edge_type(e) for e, _ in rays]
-        faces = _corner_faces(cx, v)
+    for v, signature in enumerate(assignment.signatures):
+        (i, j), ray_factors, ray_types, sector_factors = signature
+        universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
 
         product_ok = all(
             (ray_factors[k] | ray_factors[(k + 1) % 4]) == universe
             for k in range(4)
         )
         intersection_ok = all(
-            (ray_factors[k] & ray_factors[(k + 1) % 4])
-            == assignment.face_factors[faces[k]]
+            (ray_factors[k] & ray_factors[(k + 1) % 4]) == sector_factors[k]
             for k in range(4)
         )
 
@@ -379,14 +366,10 @@ def build_link_graph(assignment, vertex):
     graph whose type-i side has exactly q_j vertices (and vice versa) —
     the same conditions as verify_link_conditions, derived independently.
     """
-    cx = assignment.cx
     q = assignment.q
-    i, j = assignment.vertex_types[vertex]
-    universe = assignment.vertex_universe[vertex]
+    (i, j), ray_factors, ray_types, sector_factors = assignment.signatures[vertex]
+    universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
     orders = assignment.orders
-    rays = cx.rotation(vertex)
-    ray_types = [cx.edge_type(e) for e, _ in rays]
-    faces = _corner_faces(cx, vertex)
 
     def cosets(factors):
         absent = sorted(universe - factors)
@@ -395,16 +378,16 @@ def build_link_graph(assignment, vertex):
             tuple(zip(absent, values)) for values in iter_product(*spaces)
         ]
 
-    ray_absent = [sorted(universe - assignment.edge_factors[e]) for e, _ in rays]
+    ray_absent = [sorted(universe - factors) for factors in ray_factors]
     side_vertices = {i: [], j: []}
     for k in range(4):
-        for coset in cosets(assignment.edge_factors[rays[k][0]]):
+        for coset in cosets(ray_factors[k]):
             side_vertices[ray_types[k]].append((k, coset))
 
     edges = []
     for k in range(4):
         k2 = (k + 1) % 4
-        for coset in cosets(assignment.face_factors[faces[k]]):
+        for coset in cosets(sector_factors[k]):
             values = dict(coset)
             a = (k, tuple((t, values.get(t, 0)) for t in ray_absent[k]))
             b = (k2, tuple((t, values.get(t, 0)) for t in ray_absent[k2]))
@@ -568,28 +551,19 @@ CERT_FORMAT = "fq-cert/1"
 def build_certificate(cx, coloring, q):
     """Certificate payload: the assignment plus both vertex oracles.
 
-    The coset link at a vertex depends only on its local signature: the
-    type pair and, in rotation order, the factor sets and types of the four
-    rays and the factor sets of the four sectors.  It is enumerated once per
-    distinct signature, by ``build_link_graph`` at the lowest vertex that
-    has it, and every vertex with that signature takes its side sizes and
-    verdict.
+    The coset link at a vertex depends only on its local signature in
+    ``assignment.signatures``.  It is enumerated once per distinct
+    signature, by ``build_link_graph`` at the lowest vertex that has it,
+    and every vertex with that signature takes its side sizes and verdict.
 
     A coloring that fails verification still yields a certificate; the
     failures end up in the per-vertex entries and the overall flag.
     """
-    assignment = assign_groups(cx, coloring, q, check=False)
+    assignment = assign_groups(cx, coloring, q)
     checks = assignment.vertex_checks
     by_signature = {}
     links = []
-    for v in range(cx.num_vertices):
-        rays = cx.rotation(v)
-        signature = (
-            assignment.vertex_types[v],
-            tuple(assignment.edge_factors[e] for e, _ in rays),
-            tuple(cx.edge_type(e) for e, _ in rays),
-            tuple(assignment.face_factors[f] for f in _corner_faces(cx, v)),
-        )
+    for v, signature in enumerate(assignment.signatures):
         if signature not in by_signature:
             link = build_link_graph(assignment, v)
             by_signature[signature] = (
@@ -601,7 +575,7 @@ def build_certificate(cx, coloring, q):
     doc = {
         "format": CERT_FORMAT,
         "p": cx.p,
-        "q": list(q),
+        "q": list(assignment.q),
         "d": deco.d,
         "e": deco.e,
         "reduced": list(deco.reduced),
@@ -683,7 +657,11 @@ def decide(p, q, g, certify=False):
     check failure downgrades the verdict to InternalError, never to a
     silent success.
     """
-    q = tuple(int(x) for x in q)
+    _require_int_parameter("p", p)
+    _require_int_parameter("genus", g)
+    q = tuple(q)
+    for x in q:
+        _require_int_parameter("q entry", x)
     if p % 2 != 0:
         raise OddPUnsupported(f"p={p}: only even p is supported")
     if p < 6:

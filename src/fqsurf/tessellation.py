@@ -58,8 +58,16 @@ class SymmetryViolation(ValueError):
     """The thickness sequence lacks the symmetry an operation assumes."""
 
 
+def _require_int_parameter(name, value):
+    """Reject anything but a Python int: floats, strings and booleans too."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def face_count(p, g):
     """Number of p-gon faces a genus-g right-angled tessellation must have."""
+    _require_int_parameter("p", p)
+    _require_int_parameter("genus", g)
     if p < 5:
         raise ValueError("p must be at least 5")
     if g < 2:

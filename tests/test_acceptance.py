@@ -340,7 +340,7 @@ def test_criterion_09_link_oracle_cross_check():
                 seed=coloring.seed,
                 solution_count=None,
             )
-            damaged = assign_groups(cx, mutated, q, check=False)
+            damaged = assign_groups(cx, mutated, q)
             direct = set(verify_link_conditions(damaged).failing_vertices())
             by_graph = {
                 v

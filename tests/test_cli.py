@@ -330,6 +330,11 @@ class TestCertifyAndDecide:
             ("complex", _replace("faces", 0, "id", value=False)),
             ("complex", _replace("faces", 0, "sides", 0, "edge", value=0.0)),
             ("coloring", lambda doc: {**doc, "solution_count": "many"}),
+            ("coloring", _replace("colors", 2, value=[3])),
+            ("coloring", _replace("colors", 2, value=[0, 1, 2])),
+            ("coloring", lambda doc: {**doc, "colors": "abc"}),
+            ("coloring", _replace("seed", 2, value=[3])),
+            ("coloring", _replace("seed", value="x")),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
              "coloring-list", "no-edges", "side-no-reversed",
@@ -338,7 +343,8 @@ class TestCertifyAndDecide:
              "colored-edge-text", "color-true", "color-float",
              "seed-edge-float", "seed-color-true", "p-float", "edge-id-float",
              "type-float", "face-id-bool", "side-edge-float",
-             "solution-count-text"],
+             "solution-count-text", "colors-entry-short", "colors-entry-long",
+             "colors-text", "seed-entry-short", "seed-text"],
     )
     def test_certify_rejects_a_document_of_the_wrong_shape(
         self, tmp_path, block_p6_g2, capsys, target, edit

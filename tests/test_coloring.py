@@ -297,6 +297,13 @@ class TestColoringSerialization:
             (lambda doc: doc.update(solution_count=2.0), "solution_count 2.0"),
             (lambda doc: doc["colors"].append(doc["colors"][0]), "edge 0 is colored twice"),
             (lambda doc: doc.update(satisfiable=False), "records a contradiction"),
+            (lambda doc: doc["colors"].__setitem__(2, [3]), r"colors entry \[3\]"),
+            (lambda doc: doc["colors"].__setitem__(2, [0, 1, 2]), r"colors entry \[0, 1, 2\]"),
+            (lambda doc: doc["colors"].__setitem__(2, "01"), "colors entry '01'"),
+            (lambda doc: doc.update(colors="abc"), "colors entry 'a'"),
+            (lambda doc: doc["seed"].__setitem__(2, [3]), r"seed entry \[3\]"),
+            (lambda doc: doc["seed"].__setitem__(2, [0, 1, 2]), r"seed entry \[0, 1, 2\]"),
+            (lambda doc: doc.update(seed="x"), "seed entry 'x'"),
         ],
     )
     def test_seed_and_base_vertex_checked(self, block_p6_g2, edit, message):

@@ -8,8 +8,8 @@ import fqsurf.loops
 import fqsurf.surface_complex
 import fqsurf.tessellation
 from conftest import make_twelve_gon
-from fqsurf.coloring import solve_good_coloring
-from fqsurf.lattice import _corner_faces, assign_groups, build_certificate, decide
+from fqsurf.coloring import EdgeColoring, solve_good_coloring
+from fqsurf.lattice import assign_groups, build_certificate, decide
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.surface_complex import validate
 from fqsurf.tessellation import (
@@ -72,17 +72,30 @@ def test_certificate_checks_vertex_arithmetic_once(monkeypatch):
 
 def _lowest_vertex_per_signature(cx, coloring, q):
     """Each distinct local signature (everything build_link_graph reads at
-    a vertex, in rotation order) with the lowest vertex that has it."""
-    a = assign_groups(cx, coloring, q, check=False)
-    lowest = {}
-    for v in range(cx.num_vertices):
+    a vertex, in rotation order) with the lowest vertex that has it.
+
+    The signatures are recomputed here from the complex and checked
+    against the ones the assignment stores.
+    """
+    a = assign_groups(cx, coloring, q)
+    signatures = []
+    for v, orbit in enumerate(cx.vertices()):
         rays = cx.rotation(v)
-        signature = (
-            a.vertex_types[v],
+        types = tuple(cx.edge_type(e) for e, _ in rays)
+        # the type pair (i, i+1), read from the first two rays
+        a_type, b_type = types[:2]
+        pair = (a_type, b_type) if b_type == a_type % cx.p + 1 else (b_type, a_type)
+        signatures.append((
+            pair,
             tuple(a.edge_factors[e] for e, _ in rays),
-            tuple(cx.edge_type(e) for e, _ in rays),
-            tuple(a.face_factors[f] for f in _corner_faces(cx, v)),
-        )
+            types,
+            # sector k lies clockwise between rays k and k+1
+            tuple(a.face_factors[orbit[(k + 1) % len(orbit)][0]]
+                  for k in range(len(orbit))),
+        ))
+    assert a.signatures == tuple(signatures)
+    lowest = {}
+    for v, signature in enumerate(signatures):
         lowest.setdefault(signature, v)
     return lowest
 
@@ -96,6 +109,15 @@ def test_certificate_enumerates_one_link_per_signature(monkeypatch):
     assert build_certificate(cx, coloring, q)["ok"] is True
     assert len(calls) == len(lowest) < cx.num_vertices
     assert [args[1] for args in calls] == list(lowest.values())
+
+
+@pytest.mark.parametrize("fixture", ["block_p8_g3", "hex4", "hex36"])
+def test_assignment_stores_each_vertex_signature(request, fixture):
+    cx = request.getfixturevalue(fixture)
+    coloring = solve_good_coloring(cx)
+    for colors in (coloring.colors, {**coloring.colors, 0: 1 - coloring.colors[0]}):
+        recolored = EdgeColoring(colors=colors, base_vertex=0, seed=())
+        assert _lowest_vertex_per_signature(cx, recolored, (2, 4) * (cx.p // 2))
 
 
 def test_validate_computes_findings_once_per_complex(monkeypatch):

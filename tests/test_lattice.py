@@ -153,8 +153,7 @@ class TestAssignGroups:
         with pytest.raises(NotGoodColoring):
             assign_groups(block_p6_g2, partial, Q6)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_coloring_of_an_unknown_edge_rejected(self, block_p6_g2, check):
+    def test_coloring_of_an_unknown_edge_rejected(self, block_p6_g2):
         coloring = solve_good_coloring(block_p6_g2)
         extra = EdgeColoring(
             colors={**coloring.colors, 40: 0},
@@ -162,18 +161,18 @@ class TestAssignGroups:
             seed=coloring.seed,
         )
         with pytest.raises(NotGoodColoring, match="edge 40"):
-            assign_groups(block_p6_g2, extra, Q6, check=check)
+            assign_groups(block_p6_g2, extra, Q6)
 
-    def test_bad_coloring_rejected_when_checking(self, block_p6_g2):
+    def test_bad_coloring_is_recorded_not_raised(self, block_p6_g2):
+        # all corners of the flat coloring agree; one flip makes two faces disagree
         flat = EdgeColoring(colors={e: 0 for e in range(12)}, base_vertex=0, seed=())
-        with pytest.raises(NotGoodColoring):
-            assign_groups(block_p6_g2, flat, Q6)
-
-    def test_unchecked_mode_records_failure_instead(self, block_p6_g2):
-        flat = EdgeColoring(colors={e: 0 for e in range(12)}, base_vertex=0, seed=())
-        assignment = assign_groups(block_p6_g2, flat, Q6, check=False)
-        assert not assignment.coloring_ok
-        assert not assignment.certified
+        coloring = solve_good_coloring(block_p6_g2)
+        flipped = _flipped(coloring, {0})
+        for bad, conflicts in ((flat, []), (flipped, [0, 3])):
+            assignment = assign_groups(block_p6_g2, bad, Q6)
+            assert not assignment.coloring_ok
+            assert sorted(assignment.face_conflicts) == conflicts
+            assert not assignment.certified
 
     def test_length_mismatch(self, block_p6_g2):
         coloring = solve_good_coloring(block_p6_g2)
@@ -191,6 +190,14 @@ class TestAssignGroups:
         with pytest.raises(ValueError, match="thickness entries must be at least 2"):
             assign_groups(block_p6_g2, coloring, (2, 1, 2, 3, 2, 3))
 
+    @pytest.mark.parametrize("bad", [2.9, 2.0, "2", True])
+    def test_non_integer_thickness_rejected(self, block_p6_g2, bad):
+        coloring = solve_good_coloring(block_p6_g2)
+        with pytest.raises(ValueError, match=f"q entry must be an integer, got {bad!r}"):
+            assign_groups(block_p6_g2, coloring, (bad, 3, 2, 3, 2, 3))
+        with pytest.raises(ValueError, match=f"q entry must be an integer, got {bad!r}"):
+            build_certificate(block_p6_g2, coloring, (bad, 3, 2, 3, 2, 3))
+
 
 class TestMutationAgreement:
     """Flipping one color must break both oracles in the same places."""
@@ -202,7 +209,7 @@ class TestMutationAgreement:
             base_vertex=coloring.base_vertex,
             seed=coloring.seed,
         )
-        assignment = assign_groups(block_p6_g2, mutated, Q6, check=False)
+        assignment = assign_groups(block_p6_g2, mutated, Q6)
         report = verify_link_conditions(assignment)
         assert not report.ok
         eq_fail = set(report.failing_vertices())
@@ -221,7 +228,7 @@ class TestMutationAgreement:
             base_vertex=coloring.base_vertex,
             seed=coloring.seed,
         )
-        assignment = assign_groups(block_p6_g2, mutated, Q6, check=False)
+        assignment = assign_groups(block_p6_g2, mutated, Q6)
         assert assignment.face_conflicts
         assert not assignment.certified
 
@@ -264,7 +271,7 @@ def _per_vertex_certificate(cx, coloring, q):
     ``link_sides`` and ``link_ok`` and the overall ``ok``; no other field
     of the certificate involves the coset link.
     """
-    assignment = assign_groups(cx, coloring, q, check=False)
+    assignment = assign_groups(cx, coloring, q)
     links = [build_link_graph(assignment, v) for v in range(cx.num_vertices)]
     doc = build_certificate(cx, coloring, q)
     for entry, link in zip(doc["vertices"], links):
@@ -478,6 +485,16 @@ class TestDecide:
             decide(6, (2, 1, 2, 2, 2, 2), 2)
         with pytest.raises(ValueError):
             decide(6, Q6, 1)
+        for bad in (6.5, 2.0, "2", True):
+            for certify in (False, True):
+                with pytest.raises(ValueError, match=f"genus must be an integer, got {bad!r}"):
+                    decide(6, Q6, bad, certify=certify)
+                with pytest.raises(ValueError, match=f"q entry must be an integer, got {bad!r}"):
+                    decide(6, (2, 3, 2, 3, 2, bad), 2, certify=certify)
+            with pytest.raises(ValueError, match=f"p must be an integer, got {bad!r}"):
+                decide(bad, Q6, 2)
+        with pytest.raises(ValueError, match="p must be an integer, got 6.0"):
+            decide(6.0, Q6, 2)
 
     def test_non_integral_face_count_propagates(self):
         with pytest.raises(NonIntegralFaceCount):

@@ -41,6 +41,11 @@ class TestFaceCount:
             face_count(4, 2)
         with pytest.raises(ValueError):
             face_count(6, 1)
+        for bad in (6.0, 6.5, "6", True):
+            with pytest.raises(ValueError, match=f"p must be an integer, got {bad!r}"):
+                face_count(bad, 2)
+            with pytest.raises(ValueError, match=f"genus must be an integer, got {bad!r}"):
+                face_count(6, bad)
 
     @given(st.integers(5, 16), st.integers(2, 12))
     @settings(max_examples=80, deadline=None)
