@@ -12,12 +12,6 @@ alternates across each dual edge, one parity-1 constraint over face ids.
 
 Turns are read off the rotation system by ``SurfaceComplex.continue_through``:
 a passage goes straight at turn 2, left at 1 and right at -1.
-
-The holonomy transport moves a pair (a, b) — the color of the edge being
-walked and of its left neighbor — along an edge walk.  Each step is an
-affine map of {0,1}^2 determined by the turn taken, and a closed walk
-composes to the identity exactly when path-propagated colors are
-well-defined around it.
 """
 
 from collections import deque
@@ -34,10 +28,6 @@ class DegenerateLoop(ValueError):
 
 class TooLargeForExhaustive(ValueError):
     """Exhaustive search is capped at 22 edges."""
-
-
-class NotClosed(ValueError):
-    """The walk does not return to its starting vertex."""
 
 
 EXHAUSTIVE_EDGE_LIMIT = 22
@@ -101,19 +91,18 @@ class ParityConstraintSystem:
         )
 
 
-def _require_degree_four(cx, dedge):
-    """Left, right and the turns are defined only at a degree-4 head vertex."""
-    v = cx.head_vertex(dedge)
-    if len(cx.rotation(v)) != 4:
-        raise ValueError(f"vertex {v} has degree {len(cx.rotation(v))}, not 4")
-
-
 def _hanging_edges(cx, cycle):
-    """Edge ids hanging off a loop at each passage: (lefts, rights)."""
+    """Edge ids hanging off a loop at each passage: (lefts, rights).
+
+    Left and right are defined only at a degree-4 head vertex.
+    """
     lefts = []
     rights = []
     for dedge in cycle:
-        _require_degree_four(cx, dedge)
+        v = cx.head_vertex(dedge)
+        degree = len(cx.rotation(v))
+        if degree != 4:
+            raise ValueError(f"vertex {v} has degree {degree}, not 4")
         lefts.append(cx.continue_through(dedge, 1)[0])
         rights.append(cx.continue_through(dedge, -1)[0])
     return lefts, rights
@@ -387,79 +376,6 @@ def assign_face_orientations(cx):
         odd_cycle.append(face)
         face = c.edge_a if face == c.edge_b else c.edge_b
     return OrientationAssignment(colors=None, odd_cycle=odd_cycle)
-
-
-class Holonomy:
-    """Affine map of the color pair (a, b): optional coordinate swap plus
-    an offset in each coordinate."""
-
-    __slots__ = ("swap", "offset")
-
-    def __init__(self, swap=False, offset=(0, 0)):
-        self.swap = bool(swap)
-        self.offset = (offset[0] % 2, offset[1] % 2)
-
-    def apply(self, pair):
-        a, b = pair
-        if self.swap:
-            a, b = b, a
-        return ((a + self.offset[0]) % 2, (b + self.offset[1]) % 2)
-
-    def after(self, earlier):
-        """Composite map: self applied after ``earlier``."""
-        t = earlier.offset
-        if self.swap:
-            t = (t[1], t[0])
-        return Holonomy(
-            swap=self.swap ^ earlier.swap,
-            offset=((t[0] + self.offset[0]) % 2, (t[1] + self.offset[1]) % 2),
-        )
-
-    @property
-    def is_identity(self):
-        return not self.swap and self.offset == (0, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Holonomy):
-            return NotImplemented
-        return self.swap == other.swap and self.offset == other.offset
-
-    def __hash__(self):
-        return hash((self.swap, self.offset))
-
-    def __repr__(self):
-        return f"Holonomy(swap={self.swap}, offset={self.offset})"
-
-
-# transfer maps by turn: 0 = back, 1 = left, 2 = straight, 3 = right
-_STEP_MAPS = {
-    0: Holonomy(swap=False, offset=(0, 1)),
-    1: Holonomy(swap=True, offset=(0, 0)),
-    2: Holonomy(swap=False, offset=(1, 0)),
-    3: Holonomy(swap=True, offset=(1, 1)),
-}
-
-
-def holonomy(cx, walk):
-    """Compose the color-pair transport along a closed directed-edge walk."""
-    walk = list(walk)
-    total = Holonomy()
-    if not walk:
-        return total
-    for k, dedge in enumerate(walk):
-        following = walk[(k + 1) % len(walk)]
-        if cx.head_vertex(dedge) != cx.tail_vertex(following):
-            raise NotClosed(
-                f"step {k} ends at vertex {cx.head_vertex(dedge)} but the next "
-                f"starts at {cx.tail_vertex(following)}"
-            )
-    for k, dedge in enumerate(walk):
-        following = walk[(k + 1) % len(walk)]
-        _require_degree_four(cx, dedge)
-        turn = next(t for t in _STEP_MAPS
-                    if cx.continue_through(dedge, t) == following)
-        total = _STEP_MAPS[turn].after(total)
-    return total
 
 
 COLORING_FORMAT = "fq-coloring/1"

@@ -67,6 +67,14 @@ class AlternatingDecomposition:
     reduced: tuple
 
 
+def _require_int_sequence(q):
+    """The sequence as a tuple, each entry checked to be a Python int."""
+    q = tuple(q)
+    for x in q:
+        _require_int_parameter("q entry", x)
+    return q
+
+
 def alternating_noncoprime(q):
     """The alternating decomposition of a sequence, or None.
 
@@ -74,7 +82,7 @@ def alternating_noncoprime(q):
     divisor e >= 2.  Odd length: the same after removing one entry at some
     offset i, scanned in increasing order.
     """
-    q = tuple(int(x) for x in q)
+    q = _require_int_sequence(q)
     p = len(q)
     if p == 0:
         return None
@@ -110,7 +118,7 @@ def symmetric_axes(q, kind):
     pieces = {"two": 2, "four": 4}.get(kind)
     if pieces is None:
         raise ValueError(f"kind must be 'two' or 'four', got {kind!r}")
-    q = tuple(q)
+    q = _require_int_sequence(q)
     return {m for m in range(1, len(q) + 1) if is_symmetric(q, m, pieces)}
 
 
@@ -219,9 +227,7 @@ def assign_groups(cx, coloring, q):
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
     """
-    q = tuple(q)
-    for x in q:
-        _require_int_parameter("q entry", x)
+    q = _require_int_sequence(q)
     if cx.p % 2 != 0:
         raise ValueError(f"p must be even, got {cx.p}")
     if len(q) != cx.p:
@@ -659,9 +665,7 @@ def decide(p, q, g, certify=False):
     """
     _require_int_parameter("p", p)
     _require_int_parameter("genus", g)
-    q = tuple(q)
-    for x in q:
-        _require_int_parameter("q entry", x)
+    q = _require_int_sequence(q)
     if p % 2 != 0:
         raise OddPUnsupported(f"p={p}: only even p is supported")
     if p < 6:

@@ -195,6 +195,9 @@ def build_rect_tessellation(p, a, b):
     face).  Genus comes out to 1 + ab(p-4)/8.  Edge types are provisional —
     structural validity is enforced, full labeling cannot hold here.
     """
+    _require_int_parameter("p", p)
+    _require_int_parameter("a", a)
+    _require_int_parameter("b", b)
     if p % 4 or p < 8:
         raise BadDivisibility("rectangular construction needs p ≡ 0 (mod 4), p >= 8")
     if a < 1 or b < 1:
@@ -419,8 +422,10 @@ def _subdivide(cx, pieces, axis):
 
 
 def _subdivision_entry(cx, pieces, axis):
-    if axis is not None and not 1 <= axis <= cx.p:
-        raise ValueError(f"axis {axis} is outside 1..{cx.p}")
+    if axis is not None:
+        _require_int_parameter("axis", axis)
+        if not 1 <= axis <= cx.p:
+            raise ValueError(f"axis {axis} is outside 1..{cx.p}")
     if not validate(cx).structurally_ok:
         raise ValueError("subdivision requires a structurally valid complex")
     if axis is not None:

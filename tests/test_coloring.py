@@ -1,8 +1,6 @@
-"""Parity constraints, the two solvers, verification, holonomy transport."""
+"""Parity constraints, the two solvers, verification, serialization."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fqsurf.coloring import (
     ALTERNATING,
@@ -11,14 +9,11 @@ from fqsurf.coloring import (
     ContradictionWitness,
     DegenerateLoop,
     EdgeColoring,
-    Holonomy,
-    NotClosed,
     ParityConstraintSystem,
     TooLargeForExhaustive,
     build_constraints,
     coloring_from_dict,
     coloring_to_dict,
-    holonomy,
     solve_good_coloring,
     verify_good_coloring,
     witness_to_dict,
@@ -87,9 +82,18 @@ class TestPropagate:
         assert a.colors == b.colors
         assert a.seed == b.seed
 
-    def test_unsatisfiable_yields_witness(self, rect_p8_1x2):
-        witness = solve_good_coloring(rect_p8_1x2)
+    @pytest.mark.parametrize(
+        "name",
+        ["rect_p8_1x2", "rect_p8_3x2", "rect_p12_3x3", "torus", "twelve_gon"],
+    )
+    def test_unsatisfiable_yields_witness(self, name, request):
+        """The witness is a closed chain: each constraint shares a variable
+        with the next, the last with the first, and the parities sum to 1."""
+        witness = solve_good_coloring(request.getfixturevalue(name))
         assert isinstance(witness, ContradictionWitness)
+        chain = witness.cycle
+        for c, following in zip(chain, chain[1:] + chain[:1]):
+            assert {c.edge_a, c.edge_b} & {following.edge_a, following.edge_b}
         assert witness.total_parity == 1
 
     def test_witness_constraints_come_from_the_system(self, rect_p8_1x2):
@@ -172,66 +176,11 @@ class TestVerification:
         assert violations == []
 
 
-class TestHolonomy:
-    def test_empty_walk_is_identity(self, block_p6_g2):
-        assert holonomy(block_p6_g2, []).is_identity
-
-    def test_face_boundary_is_identity(self, block_p6_g2):
-        for fid in range(block_p6_g2.num_faces):
-            walk = block_p6_g2.directed_boundary(fid)
-            assert holonomy(block_p6_g2, walk).is_identity
-
-    def test_even_loops_are_identity(self, block_p6_g2):
-        for lp in trace_geodesic_loops(block_p6_g2).loops:
-            assert holonomy(block_p6_g2, list(lp.directed_edges)).is_identity
-
-    def test_odd_loop_is_an_obstruction(self, rect_p8_1x2):
-        report = trace_geodesic_loops(rect_p8_1x2)
-        odd = report.loop(report.odd_loops[0])
-        h = holonomy(rect_p8_1x2, list(odd.directed_edges))
-        assert not h.is_identity
-        assert h == Holonomy(swap=False, offset=(1, 0))
-
-    def test_open_walk_rejected(self, block_p6_g2):
-        with pytest.raises(NotClosed):
-            holonomy(block_p6_g2, [(0, True), (0, True)])
-
-    def test_apply_matches_composition(self):
-        maps = [
-            Holonomy(swap=False, offset=(0, 1)),
-            Holonomy(swap=True, offset=(0, 0)),
-            Holonomy(swap=False, offset=(1, 0)),
-            Holonomy(swap=True, offset=(1, 1)),
-        ]
-        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for h1 in maps:
-            for h2 in maps:
-                for pair in pairs:
-                    assert h2.after(h1).apply(pair) == h2.apply(h1.apply(pair))
-
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 1)),
-            max_size=6,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_transport_is_a_bijection(self, raw):
-        total = Holonomy()
-        for swap, a, b in raw:
-            total = Holonomy(swap=swap, offset=(a, b)).after(total)
-        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert sorted(total.apply(p) for p in pairs) == pairs
-
-
 def test_coloring_needs_degree_four_vertices():
-    """Left and right hanging edges, and turns, exist only at degree 4."""
+    """Left and right hanging edges exist only at degree-4 vertices."""
     cx = make_octagon()
-    message = "^vertex 0 has degree 8, not 4$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^vertex 0 has degree 8, not 4$"):
         solve_good_coloring(cx)
-    with pytest.raises(ValueError, match=message):
-        holonomy(cx, cx.directed_boundary(0))
 
 
 class TestColoringSerialization:

@@ -66,6 +66,11 @@ class TestAlternatingDecomposition:
         assert (deco.d, deco.e, deco.offset) == (2, 4, 1)
         assert deco.reduced == (3, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize("q", [(2.9, 3, 2, 3, 2, 3), (2, 3, True, 3, 2, 3)])
+    def test_non_integer_entry_rejected(self, q):
+        with pytest.raises(ValueError, match="q entry must be an integer"):
+            alternating_noncoprime(q)
+
     @given(st.lists(st.integers(2, 12), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_reduced_times_gcd_rebuilds_q(self, q):
@@ -97,6 +102,13 @@ class TestSymmetricAxes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be 'two' or 'four', got 'three'"):
             symmetric_axes(Q8, "three")
+
+    @pytest.mark.parametrize(
+        "q", [(2.5, 3, 2, 3, 2.5, 3, 2, 3), (2, 3, 2, True, 2, 3, 2, True)]
+    )
+    def test_non_integer_entry_rejected(self, q):
+        with pytest.raises(ValueError, match="q entry must be an integer"):
+            symmetric_axes(q, "two")
 
     @given(st.lists(st.integers(2, 9), min_size=8, max_size=8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

@@ -137,6 +137,20 @@ class TestRectBuilder:
         with pytest.raises(ValueError, match="grid dimensions must be positive"):
             build_rect_tessellation(8, 0, 2)
 
+    @pytest.mark.parametrize(
+        "p,a,b,name",
+        [
+            (8, 1.0, 2, "a"),
+            (8, True, 2, "a"),
+            (8, 1, 2.0, "b"),
+            (8.0, 1, 2, "p"),
+            (True, 1, 2, "p"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, p, a, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build_rect_tessellation(p, a, b)
+
     def test_odd_column_odd_notch_unpairable(self):
         with pytest.raises(ConstructionFailure):
             build_rect_tessellation(8, 1, 1)
@@ -194,6 +208,11 @@ class TestSubdivideTwo:
         with pytest.raises(ValueError, match=f"axis {axis} is outside 1..8"):
             subdivide_two(rect_p8_1x2, axis=axis)
 
+    @pytest.mark.parametrize("axis", [1.0, True])
+    def test_non_integer_axis_rejected(self, rect_p8_1x2, axis):
+        with pytest.raises(ValueError, match="^axis must be an integer"):
+            subdivide_two(rect_p8_1x2, axis=axis)
+
     def test_antipodal_axis_is_in_range(self, rect_p8_1x2, hex4):
         cx, sub = subdivide_two(rect_p8_1x2, axis=5)
         assert sub.axis == 5
@@ -235,6 +254,11 @@ class TestSubdivideFour:
     @pytest.mark.parametrize("axis", [0, 13])
     def test_axis_out_of_range_rejected(self, rect_p12_3x3, axis):
         with pytest.raises(ValueError, match=f"axis {axis} is outside 1..12"):
+            subdivide_four(rect_p12_3x3, axis=axis)
+
+    @pytest.mark.parametrize("axis", [1.0, True])
+    def test_non_integer_axis_rejected(self, rect_p12_3x3, axis):
+        with pytest.raises(ValueError, match="^axis must be an integer"):
             subdivide_four(rect_p12_3x3, axis=axis)
 
 
