@@ -5,7 +5,8 @@ each geodesic loop and, for an oriented loop, the hanging edges on one side
 all agree (likewise the other side).  Both conditions are parity relations
 between pairs of edges, so the whole problem is a parity constraint system:
 alternating pairs differ (parity 1), same-side hanging pairs agree
-(parity 0).  A coloring exists iff no constraint cycle has odd total parity.
+(parity 0).  Each relation is stated once, as a ``ParityConstraint`` named
+tuple.  A coloring exists iff no constraint cycle has odd total parity.
 
 The face orientations 2-color the dual graph the same way: chirality
 alternates across each dual edge, one parity-1 constraint over face ids.
@@ -17,6 +18,7 @@ a passage goes straight at turn 2, left at 1 and right at -1.
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .loops import trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
@@ -36,8 +38,7 @@ ALTERNATING = "alternating"
 CONSISTENCY = "consistency"
 
 
-@dataclass(frozen=True)
-class ParityConstraint:
+class ParityConstraint(NamedTuple):
     edge_a: int
     edge_b: int
     parity: int
@@ -113,27 +114,28 @@ def build_constraints(cx, loop_report):
 
     Alternating: consecutive edges of each loop differ.  Consistency: the
     left hanging edges at consecutive visited vertices agree, and likewise
-    the right ones, chained cyclically around the loop.
+    the right ones, chained cyclically around the loop.  Each relation
+    (unordered pair, tag) is stated once, where it first appears: a loop
+    of length 2 names its one pair twice, and a loop that passes another
+    twice meets the same hanging pairs again.
     """
-    constraints = []
+    relations = {}
     for loop in loop_report.loops:
         if loop.degenerate:
             raise DegenerateLoop(
                 f"loop {loop.loop_id} folds back on itself"
             )
-        cycle = loop.directed_edges
-        n = len(cycle)
-        for k in range(n):
-            e = cycle[k][0]
-            f = cycle[(k + 1) % n][0]
-            constraints.append(ParityConstraint(e, f, 1, ALTERNATING))
-        for side in _hanging_edges(cx, cycle):
-            for k in range(n):
-                constraints.append(
-                    ParityConstraint(side[k], side[(k + 1) % n], 0, CONSISTENCY)
-                )
+        edges = [e for e, _fwd in loop.directed_edges]
+        left, right = _hanging_edges(cx, loop.directed_edges)
+        for chain, parity, tag in (
+            (edges, 1, ALTERNATING), (left, 0, CONSISTENCY), (right, 0, CONSISTENCY)
+        ):
+            for a, b in zip(chain, chain[1:] + chain[:1]):
+                key = (a, b, tag) if a < b else (b, a, tag)
+                if key not in relations:
+                    relations[key] = ParityConstraint(a, b, parity, tag)
     variables = [e.id for e in cx.edges]
-    return ParityConstraintSystem(variables, constraints)
+    return ParityConstraintSystem(variables, relations.values())
 
 
 @dataclass
@@ -444,13 +446,5 @@ def witness_to_dict(witness):
     return {
         "format": COLORING_FORMAT,
         "satisfiable": False,
-        "witness": [
-            {
-                "edge_a": c.edge_a,
-                "edge_b": c.edge_b,
-                "parity": c.parity,
-                "tag": c.tag,
-            }
-            for c in witness.cycle
-        ],
+        "witness": [c._asdict() for c in witness.cycle],
     }

@@ -27,8 +27,8 @@ from itertools import product as iter_product
 from math import gcd
 
 from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
+from .surface_complex import _require_int_parameter, _require_int_sequence
 from .tessellation import (
-    _require_int_parameter,
     build_block_tessellation,
     build_rect_tessellation,
     derived_sequence,
@@ -65,14 +65,6 @@ class AlternatingDecomposition:
     e: int
     offset: object
     reduced: tuple
-
-
-def _require_int_sequence(q):
-    """The sequence as a tuple, each entry checked to be a Python int."""
-    q = tuple(q)
-    for x in q:
-        _require_int_parameter("q entry", x)
-    return q
 
 
 def alternating_noncoprime(q):

@@ -258,13 +258,16 @@ def build_complex(p, edge_specs, face_specs):
     must exist.  Semantic surface axioms are deliberately not enforced here —
     run :func:`validate` for those.  Degenerate but well-formed inputs (a
     single face, a pair of squares) are accepted on purpose, and p may be as
-    small as 3.
+    small as 3.  Every id and type, and p, must be a Python int.
     """
+    _require_int_parameter("p", p)
     if p < 3:
         raise ValueError("p must be at least 3")
     edges = []
     seen = set()
     for eid, etype in edge_specs:
+        _require_int_parameter("edge id", eid)
+        _require_int_parameter("edge type", etype)
         if eid in seen:
             raise DuplicateId(f"edge id {eid} declared twice")
         seen.add(eid)
@@ -278,6 +281,7 @@ def build_complex(p, edge_specs, face_specs):
     faces = []
     seen_f = set()
     for fid, chirality, sides in face_specs:
+        _require_int_parameter("face id", fid)
         if fid in seen_f:
             raise DuplicateId(f"face id {fid} declared twice")
         seen_f.add(fid)
@@ -287,6 +291,7 @@ def build_complex(p, edge_specs, face_specs):
             raise WrongSideCount(f"face {fid} has {len(sides)} sides, expected {p}")
         packed = []
         for eid, rev in sides:
+            _require_int_parameter("side edge", eid)
             if eid not in seen:
                 raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
             packed.append(Side(eid, bool(rev)))
@@ -739,6 +744,20 @@ def _require_int(fmt, what, value):
     """Reject anything but a JSON integer: floats, strings and booleans too."""
     if type(value) is not int:
         raise ValueError(f"malformed {fmt} document: {what} {value!r} is not an integer")
+
+
+def _require_int_parameter(name, value):
+    """Reject anything but a Python int: floats, strings and booleans too."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_int_sequence(q):
+    """The sequence as a tuple, each entry checked to be a Python int."""
+    q = tuple(q)
+    for x in q:
+        _require_int_parameter("q entry", x)
+    return q
 
 
 def complex_from_dict(doc):

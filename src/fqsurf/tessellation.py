@@ -32,6 +32,8 @@ from .loops import trace_geodesic_loops
 from .surface_complex import (
     CCW,
     CW,
+    _require_int_parameter,
+    _require_int_sequence,
     build_complex,
     euler_characteristic,
     validate,
@@ -56,12 +58,6 @@ class CutSystemFailure(RuntimeError):
 
 class SymmetryViolation(ValueError):
     """The thickness sequence lacks the symmetry an operation assumes."""
-
-
-def _require_int_parameter(name, value):
-    """Reject anything but a Python int: floats, strings and booleans too."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def face_count(p, g):
@@ -476,6 +472,9 @@ def is_symmetric(q, m, pieces):
     which needs p divisible by 4.  These are the symmetries a cut into two
     or four pieces along axis m needs.
     """
+    q = _require_int_sequence(q)
+    _require_int_parameter("axis", m)
+    _require_int_parameter("pieces", pieces)
     p = len(q)
     if pieces not in (2, 4):
         raise ValueError("pieces must be 2 or 4")

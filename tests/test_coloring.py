@@ -20,6 +20,12 @@ from fqsurf.coloring import (
 )
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.surface_complex import canonical_json
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    subdivide_four,
+    subdivide_two,
+)
 
 from conftest import make_octagon
 
@@ -30,11 +36,11 @@ class TestConstraintSystem:
             block_p6_g2, trace_geodesic_loops(block_p6_g2)
         )
         assert len(system.variables) == 12
-        assert len(system.constraints) == 36
+        assert len(system.constraints) == 18
         by_tag = {}
         for c in system.constraints:
             by_tag[c.tag] = by_tag.get(c.tag, 0) + 1
-        assert by_tag == {ALTERNATING: 12, CONSISTENCY: 24}
+        assert by_tag == {ALTERNATING: 6, CONSISTENCY: 12}
 
     def test_block_has_two_components(self, block_p6_g2):
         system = build_constraints(
@@ -56,6 +62,57 @@ class TestConstraintSystem:
                 variables=(0, 1),
                 constraints=(ParityConstraint(0, 7, 1, ALTERNATING),),
             )
+
+
+def _relation_keys(cx):
+    system = build_constraints(cx, trace_geodesic_loops(cx))
+    return [
+        (frozenset((c.edge_a, c.edge_b)), c.parity, c.tag)
+        for c in system.constraints
+    ]
+
+
+class TestEachRelationOnce:
+    """Every (unordered pair, parity, tag) relation is stated once."""
+
+    @pytest.mark.parametrize(
+        "name, solutions",
+        [
+            ("block_p6_g2", 4),
+            ("block_p6_g3", None),
+            ("block_p8_g3", 4),
+            ("block_p10_g4", 4),
+            ("hex4", 4),
+            ("hex36", None),
+            ("crossing", 4),
+            ("rect_p8_1x2", None),
+            ("rect_p8_3x2", None),
+            ("rect_p12_3x3", None),
+            ("torus", None),
+            ("twelve_gon", None),
+        ],
+    )
+    def test_fixture_relations_are_distinct(self, name, solutions, request):
+        """Where the exhaustive scan runs, its count is the one pinned before
+        repeated relations were dropped."""
+        cx = request.getfixturevalue(name)
+        keys = _relation_keys(cx)
+        assert len(set(keys)) == len(keys)
+        if solutions is not None:
+            assert solve_good_coloring(cx, mode="exhaustive").solution_count == solutions
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_block_tessellation(6, 65),
+            lambda: subdivide_two(build_rect_tessellation(8, 64, 2), axis=1)[0],
+            lambda: subdivide_four(build_rect_tessellation(12, 8, 8), axis=1)[0],
+        ],
+        ids=["block 256", "halved 256", "quartered 256"],
+    )
+    def test_surface_scale_relations_are_distinct(self, build):
+        keys = _relation_keys(build())
+        assert len(set(keys)) == len(keys)
 
 
 class TestPropagate:

@@ -92,6 +92,27 @@ class TestBuildComplex:
         with pytest.raises(ValueError):
             build_complex(2, [], [])
 
+    @pytest.mark.parametrize(
+        "p, edges, face_id, first_side",
+        [
+            (4.0, [(0, 1), (1, 2)], 0, 0),
+            (4, [(0.0, 1), (1, 2)], 0, 0),
+            (4, [(0, 1), (True, 2)], 0, 0),
+            (4, [(0, 1.0), (1, 2)], 0, 0),
+            (4, [(0, True), (1, 2)], 0, 0),
+            (4, [(0, 1), (1, 2)], 0.0, 0),
+            (4, [(0, 1), (1, 2)], False, 0),
+            (4, [(0, 1), (1, 2)], 0, 0.0),
+            (4, [(0, 1), (1, 2)], 0, False),
+        ],
+    )
+    def test_non_integers_rejected(self, p, edges, face_id, first_side):
+        """A float or bool id, type or p never reaches a complex (and so
+        never reaches its canonical JSON)."""
+        sides = [(first_side, False), (1, False), (0, True), (1, True)]
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_complex(p, edges, [(face_id, CCW, sides)])
+
 
 class TestTorusGeometry:
     """The one-square torus is small enough to check by hand."""

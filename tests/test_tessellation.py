@@ -18,6 +18,7 @@ from fqsurf.tessellation import (
     complex_from_matchings,
     derived_sequence,
     face_count,
+    is_symmetric,
     subdivide_four,
     subdivide_two,
     subdivision_map_to_dict,
@@ -287,6 +288,24 @@ class TestDerivedSequence:
     def test_unknown_piece_count(self):
         with pytest.raises(ValueError):
             derived_sequence((2,) * 8, 3, 1)
+
+    @pytest.mark.parametrize("check", [is_symmetric, derived_sequence])
+    @pytest.mark.parametrize(
+        "q, m, pieces, name",
+        [
+            ((3.0, 2, 9, 2, 3.0, 2, 9, 2), 1, 2, "q entry"),
+            ((True, 2, 9, 2, True, 2, 9, 2), 1, 2, "q entry"),
+            ((3, 2, 9, 2, 3, 2, 9, 2), 1.0, 2, "axis"),
+            ((3, 2, 9, 2, 3, 2, 9, 2), True, 2, "axis"),
+            ((3, 2, 9, 2, 3, 2, 9, 2), 1, 2.0, "pieces"),
+            ((2,) * 8, 1, True, "pieces"),
+        ],
+    )
+    def test_non_integer_inputs_rejected(self, check, q, m, pieces, name):
+        # is_symmetric takes (q, m, pieces), derived_sequence (q, pieces, m)
+        args = (q, m, pieces) if check is is_symmetric else (q, pieces, m)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            check(*args)
 
     @given(st.integers(1, 8), st.lists(st.integers(2, 9), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
