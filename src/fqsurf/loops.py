@@ -13,6 +13,7 @@ that the loops (together with face boundaries) generate all of H1, and the
 decomposition of a difference of homologous cycles into face boundaries.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .surface_complex import (
@@ -55,6 +56,8 @@ class LoopReport:
     loops: list
     per_type_counts: dict
     odd_loops: list
+    # shared-vertex counts for each unordered pair of loops that meet,
+    # keyed by position in `loops`
     pairwise_intersections: dict
     hypotheses_ok: bool
 
@@ -125,12 +128,16 @@ def trace_geodesic_loops(cx):
 
 
 def pairwise_intersections(cx, loops):
-    """Shared-vertex counts for every unordered pair of distinct loops."""
-    vsets = [lp.vertex_ids(cx) for lp in loops]
+    """Shared-vertex counts for each unordered pair of loops that meet,
+    keyed by position in `loops`; pairs that share no vertex are absent."""
+    on_vertex = {}
+    for i, lp in enumerate(loops):
+        for v in lp.vertex_ids(cx):
+            on_vertex.setdefault(v, []).append(i)
     out = {}
-    for i in range(len(loops)):
-        for j in range(i + 1, len(loops)):
-            out[(i, j)] = len(vsets[i] & vsets[j])
+    for members in on_vertex.values():
+        for pair in itertools.combinations(members, 2):
+            out[pair] = out.get(pair, 0) + 1
     return out
 
 
@@ -176,7 +183,6 @@ def loop_report_to_dict(report):
     inter = [
         {"a": i, "b": j, "vertices": n}
         for (i, j), n in sorted(report.pairwise_intersections.items())
-        if n
     ]
     return {
         "format": LOOPS_FORMAT,

@@ -258,7 +258,8 @@ def build_complex(p, edge_specs, face_specs):
     must exist.  Semantic surface axioms are deliberately not enforced here —
     run :func:`validate` for those.  Degenerate but well-formed inputs (a
     single face, a pair of squares) are accepted on purpose, and p may be as
-    small as 3.  Every id and type, and p, must be a Python int.
+    small as 3.  Every id and type, and p, must be a Python int, and every
+    side's reversed flag a bool.
     """
     _require_int_parameter("p", p)
     if p < 3:
@@ -294,7 +295,9 @@ def build_complex(p, edge_specs, face_specs):
             _require_int_parameter("side edge", eid)
             if eid not in seen:
                 raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
-            packed.append(Side(eid, bool(rev)))
+            if type(rev) is not bool:
+                raise ValueError(f"face {fid}, edge {eid}: reversed must be a bool, got {rev!r}")
+            packed.append(Side(eid, rev))
         faces.append(Face(fid, chirality, tuple(packed)))
     faces.sort(key=lambda f: f.id)
     if [f.id for f in faces] != list(range(len(faces))):

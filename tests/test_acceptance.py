@@ -456,3 +456,11 @@ def test_criterion_14_loops_generate_homology_at_1024_faces():
             assert cx.num_faces == 1024, name
             assert loops_generate_h1(cx, trace_geodesic_loops(cx).loops), name
             assert betti_numbers(cx) == (1, 514, 1), name
+
+
+def test_criterion_15_block_certificate_at_4096_faces():
+    with _Timed(15, "block certificate at F=4096", 5.0):
+        verdict = decide(6, (2, 3) * 3, 1025, certify=True)
+        assert (verdict.outcome, verdict.method) == ("Exists", "Block")
+        assert verdict.certificate["ok"] is True
+        assert face_count(6, 1025) == 4096

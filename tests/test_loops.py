@@ -18,7 +18,13 @@ from fqsurf.loops import (
     trace_geodesic_loops,
 )
 from fqsurf.surface_complex import boundary_matrices, canonical_json, dual_graph
-from fqsurf.tessellation import complex_from_matchings
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    complex_from_matchings,
+    subdivide_four,
+    subdivide_two,
+)
 
 from conftest import make_disconnected, make_pillowcase, make_torus
 
@@ -49,10 +55,7 @@ class TestCrossingLoops:
 
     def test_pairwise_counts(self, crossing):
         rep = trace_geodesic_loops(crossing)
-        assert rep.pairwise_intersections == {
-            (0, 1): 2, (0, 2): 0, (0, 3): 0,
-            (1, 2): 2, (1, 3): 2, (2, 3): 0,
-        }
+        assert rep.pairwise_intersections == {(0, 1): 2, (1, 2): 2, (1, 3): 2}
 
     def test_crossing_defeats_hypotheses(self, crossing):
         rep = trace_geodesic_loops(crossing)
@@ -69,9 +72,64 @@ class TestTwelveGonLoops:
 
     def test_vertex_sharing(self, twelve_gon):
         rep = trace_geodesic_loops(twelve_gon)
-        assert pairwise_intersections(twelve_gon, rep.loops) == {
-            (0, 1): 1, (0, 2): 1, (1, 2): 0,
-        }
+        assert pairwise_intersections(twelve_gon, rep.loops) == {(0, 1): 1, (0, 2): 1}
+
+
+def _dense_pairwise(cx, loops):
+    """The quadratic oracle: intersect the vertex sets of every pair of
+    loops and keep the nonzero counts."""
+    vsets = [lp.vertex_ids(cx) for lp in loops]
+    out = {}
+    for i, j in itertools.combinations(range(len(loops)), 2):
+        n = len(vsets[i] & vsets[j])
+        if n:
+            out[(i, j)] = n
+    return out
+
+
+def _assert_matches_dense(cx):
+    rep = trace_geodesic_loops(cx)
+    dense = _dense_pairwise(cx, rep.loops)
+    assert rep.pairwise_intersections == dense
+    assert pairwise_intersections(cx, rep.loops) == dense
+    # keyed by position in the argument, not by loop_id
+    flipped = rep.loops[::-1]
+    assert pairwise_intersections(cx, flipped) == _dense_pairwise(cx, flipped)
+    assert rep.hypotheses_ok == (
+        not rep.odd_loops
+        and not any(lp.degenerate for lp in rep.loops)
+        and all(n <= 1 for n in dense.values())
+    )
+
+
+class TestPairwiseAgainstDense:
+    """Vertex-incidence counting agrees with pairwise vertex-set intersection."""
+
+    @pytest.mark.parametrize(
+        "name", ["torus", "crossing", "twelve_gon", "pillowcase", "block_p6_g2", "hex4"]
+    )
+    def test_fixtures(self, request, name):
+        _assert_matches_dense(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_block_tessellation(6, 3),
+            lambda: build_block_tessellation(8, 3),
+            lambda: build_block_tessellation(10, 4),
+            lambda: build_block_tessellation(6, 65),
+            lambda: subdivide_two(build_rect_tessellation(8, 3, 2), axis=1)[0],
+            lambda: subdivide_two(build_rect_tessellation(8, 64, 2), axis=1)[0],
+            lambda: subdivide_four(build_rect_tessellation(12, 3, 3), axis=1)[0],
+            lambda: subdivide_four(build_rect_tessellation(12, 8, 8), axis=1)[0],
+        ],
+        ids=["block-6-3", "block-8-3", "block-10-4", "block-6-65",
+             "subdiv2-24", "subdiv2-256", "subdiv4-36", "subdiv4-256"],
+    )
+    def test_builder_outputs(self, build):
+        cx = build()
+        assert cx.num_faces <= 256
+        _assert_matches_dense(cx)
 
 
 class TestDegenerateLoops:
@@ -276,3 +334,15 @@ def test_odd_loop_forces_odd_dual_cycle(cx):
     adjacent = {frozenset((a, b)) for a, b, _e in dual_graph(cx).edges}
     for fa, fb in zip(cycle, cycle[1:] + cycle[:1]):
         assert frozenset((fa, fb)) in adjacent
+
+
+@given(closed_complexes())
+@settings(max_examples=50, deadline=None)
+def test_pairwise_matches_dense_on_closed_complexes(cx):
+    _assert_matches_dense(cx)
+
+
+@given(right_angled_complexes())
+@settings(max_examples=50, deadline=None)
+def test_pairwise_matches_dense_on_right_angled_complexes(cx):
+    _assert_matches_dense(cx)

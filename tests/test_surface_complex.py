@@ -113,6 +113,22 @@ class TestBuildComplex:
         with pytest.raises(ValueError, match="must be an integer"):
             build_complex(p, edges, [(face_id, CCW, sides)])
 
+    @pytest.mark.parametrize(
+        "sides, edge, value",
+        [
+            ([(0, 0), (1, "no"), (0, 1), (1, True)], 0, "0"),
+            ([(0, False), (1, "no"), (0, True), (1, True)], 1, "'no'"),
+            ([(0, False), (1, False), (0, 1), (1, True)], 0, "1"),
+            ([(0, False), (1, 0), (0, True), (1, True)], 1, "0"),
+        ],
+        ids=["mixed", "string", "int-1", "int-0"],
+    )
+    def test_non_bool_reversed_rejected(self, sides, edge, value):
+        """A side's reversed flag is stored as given, so only a bool is accepted."""
+        with pytest.raises(ValueError) as info:
+            build_complex(4, [(0, 1), (1, 2)], [(0, "ccw", sides)])
+        assert str(info.value) == f"face 0, edge {edge}: reversed must be a bool, got {value}"
+
 
 class TestTorusGeometry:
     """The one-square torus is small enough to check by hand."""
