@@ -82,12 +82,10 @@ def _cmd_tessellate(args):
         cx = build_block_tessellation(args.p, args.genus)
     else:
         a, b = _parse_grid(args.rect)
-        implied = 1 + a * b * (args.p - 4) // 8
-        if a * b * (args.p - 4) % 8 != 0 or implied != args.genus:
-            raise ValueError(
-                f"a {a}x{b} grid of {args.p}-gons has genus "
-                f"{1 + a * b * (args.p - 4) / 8:g}, not {args.genus}"
-            )
+        needed = face_count(args.p, args.genus)
+        if a * b != needed:
+            raise ValueError(f"a {a}x{b} grid has {a * b} faces; "
+                             f"genus {args.genus} needs {needed}")
         cx = build_rect_tessellation(args.p, a, b)
     _write_text(args.output, canonical_json(complex_to_dict(cx)))
     return 0

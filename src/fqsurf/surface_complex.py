@@ -767,22 +767,11 @@ def complex_from_dict(doc):
     try:
         if doc.get("format") != COMPLEX_FORMAT:
             raise ValueError(f"unsupported complex format {doc.get('format')!r}")
-        _require_int(COMPLEX_FORMAT, "p", doc["p"])
         edge_specs = [(e["id"], e["type"]) for e in doc["edges"]]
-        for eid, etype in edge_specs:
-            _require_int(COMPLEX_FORMAT, "edge id", eid)
-            _require_int(COMPLEX_FORMAT, "edge type", etype)
         face_specs = [
             (f["id"], f["chirality"], [(s["edge"], s["reversed"]) for s in f["sides"]])
             for f in doc["faces"]
         ]
-        for fid, _, sides in face_specs:
-            _require_int(COMPLEX_FORMAT, "face id", fid)
-            for eid, rev in sides:
-                _require_int(COMPLEX_FORMAT, "side edge", eid)
-                if not isinstance(rev, bool):
-                    raise ValueError(f"malformed {COMPLEX_FORMAT} document: face {fid}, "
-                                     f"edge {eid}: reversed {rev!r} is not a boolean")
         return build_complex(doc["p"], edge_specs, face_specs)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {COMPLEX_FORMAT} document: {exc!r}") from None

@@ -464,3 +464,53 @@ def test_criterion_15_block_certificate_at_4096_faces():
         assert (verdict.outcome, verdict.method) == ("Exists", "Block")
         assert verdict.certificate["ok"] is True
         assert face_count(6, 1025) == 4096
+
+
+_SWEEP_MULTIPLIERS = (1, 2, 1, 3, 2, 1, 1, 5, 1, 2, 3, 1, 1, 2, 1, 1, 3, 1, 2, 1)
+
+
+def _sweep_sequences(p):
+    """Alternating multiples of d and e, plain, 2- and 4-symmetric about axis 1.
+
+    Odd (1-based) positions take multiples of d and even ones multiples of
+    e.  A fold maps each 0-based position to the multiplier it reads:
+    reflecting k -> -k makes the sequence 2-symmetric about axis 1, and
+    also reading k modulo p/2 makes it 4-symmetric.  The last sequence has
+    no alternating decomposition.
+    """
+    half = p // 2
+    folds = [lambda k: k, lambda k: min(k, -k % p)]
+    if p % 4 == 0:
+        folds.append(lambda k: min(k % half, -k % half))
+    for d, e in ((2, 4), (6, 3), (3, 2)):
+        for fold in folds:
+            yield tuple(
+                (d if k % 2 == 0 else e) * _SWEEP_MULTIPLIERS[fold(k)] for k in range(p)
+            )
+    yield tuple(2 + (k % 4 == 2) for k in range(p))
+
+
+def test_criterion_16_certified_sweep_has_no_internal_error():
+    with _Timed(16, "certified decide sweep, no InternalError", 10.0):
+        reached = set()
+        subdiv4_genera = set()
+        for p in range(6, 21, 2):
+            genera = [g for g in range(2, 14) if 8 * (g - 1) % (p - 4) == 0]
+            if p == 12:
+                genera += [16, 28]
+            for g in genera:
+                for q in _sweep_sequences(p):
+                    verdict = decide(p, q, g, certify=True)
+                    assert verdict.outcome != "InternalError", (p, q, g, verdict.reason)
+                    reached.add((verdict.outcome, verdict.method))
+                    if verdict.method == "Subdiv4":
+                        subdiv4_genera.add((p, g))
+        assert reached == {
+            ("Exists", "Block"),
+            ("Exists", "Subdiv2"),
+            ("Exists", "Subdiv4"),
+            ("RuledOut", "TwoSymmetry"),
+            ("RuledOut", "FourSymmetry"),
+            ("Unknown", None),
+        }
+        assert {(12, 10), (12, 16), (12, 28)} <= subdiv4_genera

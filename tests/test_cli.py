@@ -39,6 +39,11 @@ def _text_edge_type(doc):
     return doc
 
 
+def _face_short_a_side(doc):
+    doc["faces"][0]["sides"].pop()
+    return doc
+
+
 def _replace(*path, value):
     """Set the entry at a key path to value."""
     def edit(doc):
@@ -100,6 +105,16 @@ class TestTessellate:
         assert rc == 1
         assert "--rect expects AxB with integers, got '1xb'" in capsys.readouterr().err
 
+    def test_huge_grid_is_a_clean_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "rect.json"
+        rc = main(["tessellate", "--p", "8", "--genus", "2", "--rect",
+                   f"1x{10 ** 400}", "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("faces; genus 2 needs 2\n")
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -125,6 +140,23 @@ class TestValidateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", "-i", str(bad)]) == 2
+
+
+class TestOpenComplex:
+    @pytest.mark.parametrize(
+        "command",
+        [["loops"], ["color", "-o", "coloring.json"], ["export", "--dual", "dual.dot"]],
+        ids=["loops", "color", "export"],
+    )
+    def test_fails_with_one_error_line(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        write_complex(tmp_path / "open.json", make_open_square())
+        assert main([command[0], "-i", "open.json", *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "closed complex" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["open.json"]
 
 
 class TestLoopsCommand:
@@ -335,6 +367,13 @@ class TestCertifyAndDecide:
             ("coloring", lambda doc: {**doc, "colors": "abc"}),
             ("coloring", _replace("seed", 2, value=[3])),
             ("coloring", _replace("seed", value="x")),
+            ("complex", _replace("edges", 1, "id", value=0)),
+            ("complex", _replace("faces", 0, "sides", 0, "edge", value=99)),
+            ("complex", _face_short_a_side),
+            ("complex", _replace("edges", 0, "type", value=0)),
+            ("complex", _replace("faces", 0, "chirality", value="up")),
+            ("complex", _replace("faces", 0, "id", value=7)),
+            ("complex", _replace("p", value=2)),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
              "coloring-list", "no-edges", "side-no-reversed",
@@ -344,7 +383,9 @@ class TestCertifyAndDecide:
              "seed-edge-float", "seed-color-true", "p-float", "edge-id-float",
              "type-float", "face-id-bool", "side-edge-float",
              "solution-count-text", "colors-entry-short", "colors-entry-long",
-             "colors-text", "seed-entry-short", "seed-text"],
+             "colors-text", "seed-entry-short", "seed-text", "edge-id-twice",
+             "side-edge-99", "face-short-side", "type-0", "chirality-up",
+             "face-id-sparse", "p-2"],
     )
     def test_certify_rejects_a_document_of_the_wrong_shape(
         self, tmp_path, block_p6_g2, capsys, target, edit

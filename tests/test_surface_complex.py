@@ -442,6 +442,46 @@ class TestSerialization:
         with pytest.raises(ValueError):
             complex_from_dict({"format": "fq-complex/99"})
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["edges"][1].update(id=0),
+            lambda doc: doc["faces"][0]["sides"][0].update(edge=99),
+            lambda doc: doc["faces"][0]["sides"].pop(),
+            lambda doc: doc["edges"][0].update(type=0),
+            lambda doc: doc["faces"][0].update(chirality="up"),
+            lambda doc: doc["faces"][0].update(id=7),
+            lambda doc: doc.update(p=2),
+        ],
+        ids=["edge-id-twice", "side-edge-99", "face-short-side", "type-0",
+             "chirality-up", "face-id-sparse", "p-2"],
+    )
+    def test_structural_faults_name_the_format(self, block_p6_g2, edit):
+        doc = complex_to_dict(block_p6_g2)
+        edit(doc)
+        with pytest.raises(ValueError) as info:
+            complex_from_dict(doc)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith("malformed fq-complex/1 document: ")
+
+
+class TestOpenComplex:
+    """A complex with dangling edges has no vertex structure to derive."""
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda cx: cx.vertices(),
+            lambda cx: cx.tail_vertex((0, True)),
+            lambda cx: cx.continue_through((0, True), 2),
+            boundary_matrices,
+        ],
+        ids=["vertices", "tail_vertex", "continue_through", "boundary_matrices"],
+    )
+    def test_vertex_structure_is_refused(self, use):
+        with pytest.raises(ValueError, match="^vertex structure requires a closed complex$"):
+            use(make_open_square())
+
 
 # ---------------------------------------------------------------- properties
 
