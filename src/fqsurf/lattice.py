@@ -25,6 +25,7 @@ the constructions into a verdict, optionally backed by a full certificate.
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import gcd
+from operator import itemgetter
 
 from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
 from .surface_complex import _require_int_parameter, _require_int_sequence
@@ -208,11 +209,12 @@ def assign_groups(cx, coloring, q):
     intersection of the two edge groups at its first corner, which a good
     coloring makes independent of the corner.
 
-    A coloring that does not cover exactly the complex's edges raises
-    NotGoodColoring.  Any other failure is recorded, not raised: a broken
-    coloring condition in ``coloring_ok`` and faces whose corners disagree
-    in ``face_conflicts``, so broken instances can still be inspected by
-    the link checkers; ``certified`` is true only when nothing failed.
+    A coloring that does not cover exactly the complex's edges, or whose
+    base vertex is not a vertex of the complex, raises NotGoodColoring.
+    Any other failure is recorded, not raised: a broken coloring condition
+    in ``coloring_ok`` and faces whose corners disagree in
+    ``face_conflicts``, so broken instances can still be inspected by the
+    link checkers; ``certified`` is true only when nothing failed.
 
     ``signatures[v]`` is everything the link checkers read at vertex v:
     the type pair and, in rotation order, the factor sets and types of the
@@ -236,6 +238,10 @@ def assign_groups(cx, coloring, q):
     unknown = sorted(set(coloring.colors) - set(range(cx.num_edges)))
     if unknown:
         raise NotGoodColoring(f"edge {unknown[0]} is colored but not in the complex")
+    if coloring.base_vertex not in range(cx.num_vertices):
+        raise NotGoodColoring(
+            f"base_vertex {coloring.base_vertex!r} is not a vertex of the complex"
+        )
     coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
@@ -354,6 +360,14 @@ class LinkGraph:
         return {t: len(vs) for t, vs in self.side_vertices.items()}
 
 
+def _picker(positions):
+    """``values -> tuple(values[p] for p in positions)``, without the loop."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda values: (values[p],)
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
 def build_link_graph(assignment, vertex):
     """Enumerate the link of a vertex coset by coset.
 
@@ -363,41 +377,65 @@ def build_link_graph(assignment, vertex):
     cosets it refines.  The verdict asks for a simple complete bipartite
     graph whose type-i side has exactly q_j vertices (and vice versa) —
     the same conditions as verify_link_conditions, derived independently.
+
+    A coset is the tuple of its values on the factors absent from its
+    group, in sorted factor order.  Each ray's cosets are enumerated once;
+    a sector coset's two endpoints are its values projected onto each
+    ray's absent factors, a factor the sector group contains reading 0.
+    The link is complete when every endpoint is an enumerated ray coset,
+    every edge joins the type-i side to the type-j side, and the distinct
+    edges number |side i|·|side j|: then they are all the pairs.
     """
     q = assignment.q
     (i, j), ray_factors, ray_types, sector_factors = assignment.signatures[vertex]
     universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
     orders = assignment.orders
 
-    def cosets(factors):
-        absent = sorted(universe - factors)
-        spaces = [range(orders[t]) for t in absent]
-        return [
-            tuple(zip(absent, values)) for values in iter_product(*spaces)
-        ]
-
     ray_absent = [sorted(universe - factors) for factors in ray_factors]
+    nodes = []
     side_vertices = {i: [], j: []}
     for k in range(4):
-        for coset in cosets(ray_factors[k]):
-            side_vertices[ray_types[k]].append((k, coset))
+        absent = ray_absent[k]
+        spaces = [range(orders[t]) for t in absent]
+        nodes.append({
+            values: (k, tuple(zip(absent, values)))
+            for values in iter_product(*spaces)
+        })
+        side_vertices[ray_types[k]].extend(nodes[k].values())
 
     edges = []
+    enumerated = bipartite = True
     for k in range(4):
         k2 = (k + 1) % 4
-        for coset in cosets(sector_factors[k]):
-            values = dict(coset)
-            a = (k, tuple((t, values.get(t, 0)) for t in ray_absent[k]))
-            b = (k2, tuple((t, values.get(t, 0)) for t in ray_absent[k2]))
-            edges.append((a, b) if ray_types[k] == i else (b, a))
+        first, second = (k, k2) if ray_types[k] == i else (k2, k)
+        absent = sorted(universe - sector_factors[k])
+        # each values tuple ends in a 0 for the factors the sector contains
+        spaces = [range(orders[t]) for t in absent] + [(0,)]
+        position = {t: n for n, t in enumerate(absent)}
+        pick_a, pick_b = (
+            _picker([position.get(t, len(absent)) for t in ray_absent[r]])
+            for r in (first, second)
+        )
+        nodes_a, nodes_b = nodes[first], nodes[second]
+        start = len(edges)
+        for values in iter_product(*spaces):
+            key_a, key_b = pick_a(values), pick_b(values)
+            a, b = nodes_a.get(key_a), nodes_b.get(key_b)
+            if a is None or b is None:
+                enumerated = False
+                a = a or (first, tuple(zip(ray_absent[first], key_a)))
+                b = b or (second, tuple(zip(ray_absent[second], key_b)))
+            edges.append((a, b))
+        if len(edges) > start and (ray_types[first], ray_types[second]) != (i, j):
+            bipartite = False
 
-    simple = len(edges) == len(set(edges))
-    wanted = {
-        (a, b)
-        for a in side_vertices[i]
-        for b in side_vertices[j]
-    }
-    complete = set(edges) == wanted
+    distinct = set(edges)
+    simple = len(edges) == len(distinct)
+    complete = (
+        enumerated
+        and bipartite
+        and len(distinct) == len(side_vertices[i]) * len(side_vertices[j])
+    )
     sizes_ok = (
         len(side_vertices[i]) == q[j - 1] and len(side_vertices[j]) == q[i - 1]
     )

@@ -514,3 +514,15 @@ def test_criterion_16_certified_sweep_has_no_internal_error():
             ("Unknown", None),
         }
         assert {(12, 10), (12, 16), (12, 28)} <= subdiv4_genera
+
+
+def test_criterion_17_thicker_links():
+    with _Timed(17, "thicker block certificate, every coset link K_{120,168}", 1.5):
+        verdict = decide(6, (120, 168) * 3, 5, certify=True)
+        assert (verdict.outcome, verdict.method) == ("Exists", "Block")
+        cert = verdict.certificate
+        assert cert["ok"] is True
+        assert cert["vertices"]
+        for vertex in cert["vertices"]:
+            assert vertex["link_ok"]
+            assert sorted(vertex["link_sides"]) == [120, 168]

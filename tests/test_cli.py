@@ -335,6 +335,24 @@ class TestCertifyAndDecide:
         assert message in capsys.readouterr().err
         assert not cert.exists()
 
+    def test_certify_rejects_a_base_vertex_outside_the_complex(
+        self, tmp_path, block_p6_g2, capsys
+    ):
+        path = write_complex(tmp_path / "block.json", block_p6_g2)
+        coloring = tmp_path / "coloring.json"
+        cert = tmp_path / "cert.json"
+        main(["color", "-i", path, "-o", str(coloring)])
+        doc = json.loads(coloring.read_text())
+        doc["base_vertex"] = 1000000
+        coloring.write_text(canonical_json(doc))
+        capsys.readouterr()
+        rc = main(["certify", "-i", path, "--coloring", str(coloring),
+                   "--q", "2,3,2,3,2,3", "-o", str(cert)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: base_vertex 1000000 is not a vertex of the complex\n"
+        assert not cert.exists()
+
     @pytest.mark.parametrize(
         "target, edit",
         [

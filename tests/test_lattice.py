@@ -1,16 +1,22 @@
 """Thickness decompositions, local groups, link checks, the decision map."""
 
+import dataclasses
 import functools
 import random
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqsurf import lattice
 from fqsurf.coloring import EdgeColoring, solve_good_coloring
 from fqsurf.lattice import (
     CERT_FORMAT,
+    D_FACTOR,
+    E_FACTOR,
     IndexMap,
+    LinkGraph,
     NotAlternatingNonCoprime,
     NotGoodColoring,
     OddPUnsupported,
@@ -18,6 +24,7 @@ from fqsurf.lattice import (
     assign_groups,
     build_certificate,
     build_link_graph,
+    _type_factor,
     decide,
     loop_obstructions,
     symmetric_axes,
@@ -174,6 +181,14 @@ class TestAssignGroups:
         )
         with pytest.raises(NotGoodColoring, match="edge 40"):
             assign_groups(block_p6_g2, extra, Q6)
+
+    @pytest.mark.parametrize("base", [6, 1000000, -1])
+    def test_base_vertex_outside_the_complex_rejected(self, block_p6_g2, base):
+        coloring = dataclasses.replace(solve_good_coloring(block_p6_g2), base_vertex=base)
+        with pytest.raises(NotGoodColoring, match=f"base_vertex {base} is not a vertex"):
+            assign_groups(block_p6_g2, coloring, Q6)
+        with pytest.raises(NotGoodColoring, match=f"base_vertex {base} is not a vertex"):
+            build_certificate(block_p6_g2, coloring, Q6)
 
     def test_bad_coloring_is_recorded_not_raised(self, block_p6_g2):
         # all corners of the flat coloring agree; one flip makes two faces disagree
@@ -371,6 +386,179 @@ class TestCertificateAgainstPerVertexLinks:
                                 seed=())
         pair = data.draw(st.sampled_from(THIN_AND_THICK))
         _assert_matches_per_vertex(cx, coloring, pair * (p // 2))
+
+
+def _reference_link_graph(assignment, vertex):
+    """The former coset-by-coset link enumeration, kept as the oracle.
+
+    It builds every (side i, side j) pair and compares edge sets, where
+    ``build_link_graph`` counts; both must return the same LinkGraph.
+    """
+    q = assignment.q
+    (i, j), ray_factors, ray_types, sector_factors = assignment.signatures[vertex]
+    universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+    orders = assignment.orders
+
+    def cosets(factors):
+        absent = sorted(universe - factors)
+        spaces = [range(orders[t]) for t in absent]
+        return [
+            tuple(zip(absent, values)) for values in iter_product(*spaces)
+        ]
+
+    ray_absent = [sorted(universe - factors) for factors in ray_factors]
+    side_vertices = {i: [], j: []}
+    for k in range(4):
+        for coset in cosets(ray_factors[k]):
+            side_vertices[ray_types[k]].append((k, coset))
+
+    edges = []
+    for k in range(4):
+        k2 = (k + 1) % 4
+        for coset in cosets(sector_factors[k]):
+            values = dict(coset)
+            a = (k, tuple((t, values.get(t, 0)) for t in ray_absent[k]))
+            b = (k2, tuple((t, values.get(t, 0)) for t in ray_absent[k2]))
+            edges.append((a, b) if ray_types[k] == i else (b, a))
+
+    simple = len(edges) == len(set(edges))
+    wanted = {
+        (a, b)
+        for a in side_vertices[i]
+        for b in side_vertices[j]
+    }
+    complete = set(edges) == wanted
+    sizes_ok = (
+        len(side_vertices[i]) == q[j - 1] and len(side_vertices[j]) == q[i - 1]
+    )
+    return LinkGraph(
+        vertex=vertex,
+        types=(i, j),
+        side_vertices={
+            i: tuple(side_vertices[i]),
+            j: tuple(side_vertices[j]),
+        },
+        edges=tuple(edges),
+        simple=simple,
+        complete=complete,
+        sizes_ok=sizes_ok,
+    )
+
+
+def _assert_same_link(assignment, vertex):
+    link = build_link_graph(assignment, vertex)
+    reference = _reference_link_graph(assignment, vertex)
+    for f in dataclasses.fields(LinkGraph):
+        assert getattr(link, f.name) == getattr(reference, f.name), (vertex, f.name)
+    assert list(link.side_vertices) == list(reference.side_vertices)
+    return link
+
+
+def _with_signature(assignment, vertex, signature, **changes):
+    signatures = list(assignment.signatures)
+    signatures[vertex] = signature
+    return dataclasses.replace(assignment, signatures=tuple(signatures), **changes)
+
+
+def _certified_links(monkeypatch, p, q, g):
+    """Every (assignment, vertex) whose link ``decide(certify=True)`` enumerates."""
+    seen = []
+
+    def recording(assignment, vertex):
+        seen.append((assignment, vertex))
+        return build_link_graph(assignment, vertex)
+
+    monkeypatch.setattr(lattice, "build_link_graph", recording)
+    verdict = decide(p, q, g, certify=True)
+    monkeypatch.undo()
+    assert verdict.outcome == "Exists" and verdict.certificate["ok"] is True
+    assert seen
+    return seen
+
+
+# (p, thickness sequences, smallest genus) of the benchmark's families
+THICK_FAMILIES = [
+    (6, [(30, 42) * 3, (42, 30) * 3], 5),
+    (8, [(15, 14, 45, 14) * 2, (14, 15, 14, 45) * 2], 2),
+    (12, [(6, 10) * 6], 10),
+]
+LADDER_BASES = [
+    (6, [Q6, (3, 2) * 3], 5),
+    (8, [Q8, (2, 3, 2, 9) * 2], 8),
+    (12, [Q12], 10),
+]
+
+
+class TestLinkGraphAgainstReference:
+    """build_link_graph counts completeness from one index per ray; the
+    pair-set enumeration it replaced must give the same LinkGraph."""
+
+    @pytest.mark.parametrize("p, variants, g", THICK_FAMILIES + LADDER_BASES)
+    def test_certified_families(self, monkeypatch, p, variants, g):
+        for q in variants:
+            for assignment, v in _certified_links(monkeypatch, p, q, g):
+                assert _assert_same_link(assignment, v).ok
+
+    @pytest.mark.parametrize("p, g", [(6, 2), (6, 3), (8, 3), (10, 4), (12, 5)])
+    def test_one_color_flipped(self, p, g):
+        cx = build_block_tessellation(p, g)
+        damaged = assign_groups(cx, _flipped(solve_good_coloring(cx), {0}),
+                                (2, 3) * (p // 2))
+        links = [_assert_same_link(damaged, v) for v in range(cx.num_vertices)]
+        assert not all(link.ok for link in links)
+
+    @given(
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.lists(st.integers(1, 3), min_size=6, max_size=6),
+        st.sets(st.integers(0, 11), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_alternating_q_on_block(self, block_p6_g2, d, e, scale, flips):
+        q = tuple((d, e)[k % 2] * m for k, m in enumerate(scale))
+        coloring = _flipped(solve_good_coloring(block_p6_g2), flips)
+        assignment = assign_groups(block_p6_g2, coloring, q)
+        for v in range(block_p6_g2.num_vertices):
+            _assert_same_link(assignment, v)
+
+    def test_rays_that_do_not_alternate(self, block_assignment):
+        (i, j), rays, _types, sectors = block_assignment.signatures[0]
+        corrupted = _with_signature(
+            block_assignment, 0, ((i, j), rays, (i, i, j, j), sectors)
+        )
+        link = _assert_same_link(corrupted, 0)
+        # the distinct edges have the right count, so only the check that
+        # each edge joins side i to side j can fail
+        assert link.simple
+        assert len(set(link.edges)) == len(link.side_vertices[i]) * len(
+            link.side_vertices[j]
+        )
+        assert link.complete is False
+
+    def test_an_endpoint_that_is_no_ray_coset(self, block_assignment):
+        (i, j), _rays, _types, _sectors = block_assignment.signatures[0]
+        a_i, a_j = _type_factor(i), _type_factor(j)
+        # A_i has order 0, so rays without A_i have no cosets, yet sector 0
+        # contains A_i and projects onto ray 1 with A_i = 0
+        rays = tuple(map(frozenset, (
+            {a_i, D_FACTOR}, {D_FACTOR}, {a_j, a_i}, {a_j, a_i, D_FACTOR}
+        )))
+        sectors = tuple(map(frozenset, (
+            {a_i, D_FACTOR, E_FACTOR}, set(), {a_i, D_FACTOR}, {a_j, E_FACTOR}
+        )))
+        corrupted = _with_signature(
+            block_assignment, 0, ((i, j), rays, (j, i, j, i), sectors),
+            orders={D_FACTOR: 1, E_FACTOR: 1, a_i: 0, a_j: 1},
+        )
+        link = _assert_same_link(corrupted, 0)
+        sides = set(link.side_vertices[i] + link.side_vertices[j])
+        assert any(a not in sides or b not in sides for a, b in link.edges)
+        # every edge joins the two sides by ray type, and the distinct edges
+        # have the right count, so only the enumerated-endpoint check fails
+        assert len(set(link.edges)) == len(link.side_vertices[i]) * len(
+            link.side_vertices[j]
+        )
+        assert link.complete is False
 
 
 class TestIndexMaps:
