@@ -161,7 +161,8 @@ def _cmd_decide(args):
     text = canonical_json(verdict_to_dict(verdict))
     if args.output:
         _write_text(args.output, text)
-    sys.stdout.write(text)
+    else:
+        sys.stdout.write(text)
     if verdict.outcome in ("RuledOut", "InternalError"):
         return 1
     return 0

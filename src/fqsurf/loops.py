@@ -8,19 +8,25 @@ cycles come in reversal pairs, and each pair is one undirected loop.  A cycle
 equal to its own reversal traverses some edge in both senses; such loops are
 flagged degenerate and disqualify the complex from the coloring hypotheses.
 
-Also here: pairwise loop intersection counts, the Smith-normal-form check
-that the loops (together with face boundaries) generate all of H1, and the
-decomposition of a difference of homologous cycles into face boundaries.
+Also here: pairwise loop intersection counts, the check that the loops
+(together with face boundaries) generate all of H1, and the decomposition
+of a difference of homologous cycles into face boundaries.  The H1 check
+reduces the chain complex by tree-cotree decomposition
+(:func:`fqsurf.surface_complex.tree_cotree`, after Eppstein, "Dynamic
+generators of topologically embedded graphs", SODA 2003, and Erickson and
+Whittlesey, "Greedy optimal homotopy and homology generators", SODA 2005),
+so Smith normal form runs only on the loops' coordinates over the 2g
+leftover edges, beside the core.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .surface_complex import (
-    IntegerMatrix,
     boundary_matrices,
     integer_solve,
     smith_normal_form,
+    tree_cotree,
 )
 
 
@@ -142,28 +148,35 @@ def pairwise_intersections(cx, loops):
 
 
 def loops_generate_h1(cx, loops):
-    """Do the loops plus face boundaries span the full cycle lattice?
+    """Do the loops plus face boundaries generate H1 of the surface?
 
-    True iff the integer column lattice of [loop cycles | d2] equals ker(d1):
-    the columns must be cycles, the rank must match the cycle lattice, and
-    every invariant factor must be 1 (a saturated full-rank sublattice of a
-    saturated lattice is the whole thing).
+    The loops must be cycles (zero boundary).  The chain complex is then
+    reduced by tree-cotree decomposition (:func:`tree_cotree`, after
+    Eppstein, SODA 2003, and Erickson and Whittlesey, SODA 2005): each loop
+    maps to Z^X over the leftover edges X, and H1 is Z^X modulo the core
+    columns.  True iff :func:`smith_normal_form` of [loop coordinates |
+    core], which has only |X| = 2g rows per closed oriented component, has
+    rank |X| and every invariant factor 1.
     """
-    d2, d1 = boundary_matrices(cx)
-    rows = [{} for _ in range(cx.num_edges)]
-    for k, lp in enumerate(loops):
+    red = tree_cotree(cx)
+    for lp in loops:
+        boundary = {}
+        for d in lp.directed_edges:
+            head, tail = cx.head_vertex(d), cx.tail_vertex(d)
+            boundary[head] = boundary.get(head, 0) + 1
+            boundary[tail] = boundary.get(tail, 0) - 1
+        if any(boundary.values()):
+            return False
+    coords = []
+    for lp in loops:
+        col = {}
         for e, fwd in lp.directed_edges:
-            rows[e][k] = rows[e].get(k, 0) + (1 if fwd else -1)
-    for row, face_row in zip(rows, d2.entries):
-        row.update((len(loops) + j, x) for j, x in face_row.items())
-    m = IntegerMatrix.from_rows(rows, len(loops) + cx.num_faces)
-    if not d1.mul(m).is_zero():
-        return False
-    _, r1 = smith_normal_form(d1)
-    diag, rank = smith_normal_form(m)
-    if rank != cx.num_edges - r1:
-        return False
-    return all(d in (0, 1) for d in diag)
+            sign = 1 if fwd else -1
+            for x, c in red.images[e].items():
+                col[x] = col.get(x, 0) + sign * c
+        coords.append(col)
+    diag, rank = smith_normal_form(red.matrix(coords + red.core))
+    return rank == len(red.x_edges) and all(d in (0, 1) for d in diag)
 
 
 def difference_is_face_sum(cx, cycle1, cycle2):

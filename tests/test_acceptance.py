@@ -526,3 +526,12 @@ def test_criterion_17_thicker_links():
         for vertex in cert["vertices"]:
             assert vertex["link_ok"]
             assert sorted(vertex["link_sides"]) == [120, 168]
+
+
+def test_criterion_18_homology_at_4096_faces():
+    cx = build_block_tessellation(6, 1025)
+    loops = trace_geodesic_loops(cx).loops
+    assert cx.num_faces == 4096
+    with _Timed(18, "loops generate H1 and Betti numbers at F=4096", 1.0):
+        assert loops_generate_h1(cx, loops)
+        assert betti_numbers(cx) == (1, 2050, 1)

@@ -6,7 +6,7 @@ import pytest
 
 from fqsurf.cli import main
 from fqsurf.coloring import solve_good_coloring
-from fqsurf.lattice import build_certificate
+from fqsurf.lattice import build_certificate, decide, verdict_to_dict
 from fqsurf.surface_complex import canonical_json, complex_to_dict
 from fqsurf.tessellation import build_rect_tessellation, subdivide_two
 
@@ -438,7 +438,9 @@ class TestCertifyAndDecide:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["certificate"]["ok"] is True
-        assert out.read_text() == capsys.readouterr().out
+        assert out.read_text() == canonical_json(verdict_to_dict(
+            decide(6, (2, 3) * 3, 2, certify=True)))
+        assert capsys.readouterr().out == ""
 
     def test_decide_ruled_out_exits_one(self, capsys):
         rc = main(["decide", "--p", "8", "--genus", "2", "--q", "2,3,4,2,2,2,2,2"])

@@ -1,7 +1,9 @@
 """Geodesic loop tracing, intersections, homology generation, orientations."""
 
+import dataclasses
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from fqsurf.loops import (
     pairwise_intersections,
     trace_geodesic_loops,
 )
-from fqsurf.surface_complex import boundary_matrices, canonical_json, dual_graph
+from fqsurf.surface_complex import (
+    IntegerMatrix,
+    betti_numbers,
+    boundary_matrices,
+    canonical_json,
+    dual_graph,
+    smith_normal_form,
+)
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -26,7 +35,17 @@ from fqsurf.tessellation import (
     subdivide_two,
 )
 
-from conftest import make_disconnected, make_pillowcase, make_torus
+from conftest import (
+    make_crossing,
+    make_disconnected,
+    make_octagon,
+    make_open_square,
+    make_pillowcase,
+    make_same_sense,
+    make_torus,
+    make_twelve_gon,
+)
+from test_surface_complex import matchings_complexes
 
 
 class TestTorusLoops:
@@ -196,6 +215,137 @@ class TestCycleSpace:
             difference_is_face_sum(block_p6_g2, chain, [0] * len(chain))
 
 
+# ------------------------------- tree-cotree reduction against full-matrix SNF
+
+
+def _reference_betti_numbers(cx):
+    """The former ``betti_numbers``: ranks from SNF of the whole d1 and d2."""
+    d2, d1 = boundary_matrices(cx)
+    _, r1 = smith_normal_form(d1)
+    _, r2 = smith_normal_form(d2)
+    return (
+        cx.num_vertices - r1,
+        cx.num_edges - r1 - r2,
+        cx.num_faces - r2,
+    )
+
+
+def _reference_loops_generate_h1(cx, loops):
+    """The former ``loops_generate_h1``: SNF of [loop cycles | d2] over all edges."""
+    d2, d1 = boundary_matrices(cx)
+    rows = [{} for _ in range(cx.num_edges)]
+    for k, lp in enumerate(loops):
+        for e, fwd in lp.directed_edges:
+            rows[e][k] = rows[e].get(k, 0) + (1 if fwd else -1)
+    for row, face_row in zip(rows, d2.entries):
+        row.update((len(loops) + j, x) for j, x in face_row.items())
+    m = IntegerMatrix.from_rows(rows, len(loops) + cx.num_faces)
+    if not d1.mul(m).is_zero():
+        return False
+    _, r1 = smith_normal_form(d1)
+    diag, rank = smith_normal_form(m)
+    if rank != cx.num_edges - r1:
+        return False
+    return all(d in (0, 1) for d in diag)
+
+
+def _loop_lists(cx, loops, seed):
+    """Loop lists to compare on: all, none, seeded subsets (some with face
+    boundaries added), duplicates, reversals, a doubled loop and a
+    single-edge chain."""
+    rng = random.Random(seed)
+    edge = GeodesicLoop(0, 1, ((0, True),), 1, "odd", False)
+    faces = [GeodesicLoop(f.id, None, tuple(cx.directed_boundary(f.id)), cx.p, "even", False)
+             for f in cx.faces]
+    reverse = [
+        dataclasses.replace(
+            lp, directed_edges=tuple((e, not fwd) for e, fwd in lp.directed_edges[::-1])
+        )
+        for lp in loops
+    ]
+    lists = [loops, [], [edge], loops + [edge], loops + loops, reverse, reverse[::-1]]
+    if loops:
+        doubled = dataclasses.replace(loops[0], directed_edges=loops[0].directed_edges * 2)
+        lists.append([doubled] + loops[1:])
+    for _ in range(8):
+        lists.append(rng.sample(loops, rng.randint(0, len(loops))))
+    for _ in range(4):
+        lists.append(rng.sample(loops, rng.randint(0, len(loops))) + faces)
+    return lists
+
+
+def _assert_homology_matches_reference(cx, seed=0):
+    """Both homology checks agree with the former bodies; returns the
+    ``loops_generate_h1`` verdicts seen."""
+    assert betti_numbers(cx) == _reference_betti_numbers(cx)
+    verdicts = []
+    for loops in _loop_lists(cx, list(trace_geodesic_loops(cx).loops), seed):
+        got = loops_generate_h1(cx, loops)
+        assert got == _reference_loops_generate_h1(cx, loops), [
+            lp.directed_edges for lp in loops
+        ]
+        verdicts.append(got)
+    return verdicts
+
+
+class TestHomologyAgainstReference:
+    @pytest.mark.parametrize(
+        "make",
+        [make_torus, make_pillowcase, make_crossing, make_twelve_gon,
+         make_octagon, make_disconnected],
+    )
+    def test_hand_built(self, make):
+        _assert_homology_matches_reference(make())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_block_tessellation(6, 9),
+            lambda: build_block_tessellation(6, 33),
+            lambda: subdivide_two(build_rect_tessellation(8, 15, 2), axis=1)[0],
+            lambda: subdivide_four(build_rect_tessellation(12, 3, 5), axis=1)[0],
+        ],
+        ids=["block-6-9", "block-6-33", "subdiv2-60", "subdiv4-60"],
+    )
+    def test_workload_shapes(self, build):
+        _assert_homology_matches_reference(build(), seed=1)
+
+    def test_builder_fixtures_both_verdicts(self, request):
+        verdicts = []
+        for seed, name in enumerate(
+            ["block_p6_g2", "block_p6_g3", "block_p8_g3", "block_p10_g4", "rect_p8_1x2",
+             "rect_p8_3x2", "rect_p12_3x3", "hex4", "hex36"]
+        ):
+            verdicts += _assert_homology_matches_reference(request.getfixturevalue(name), seed)
+        # the seeded subsets include non-generating loop lists, not only the full one
+        assert verdicts.count(False) > 20 and verdicts.count(True) > 20
+
+    def test_doubled_loop_has_index_two(self, block_p6_g2):
+        # a basis of H1 with one loop doubled: full rank, invariant factor 2
+        loops = trace_geodesic_loops(block_p6_g2).loops
+        basis = next(list(c) for c in itertools.combinations(loops, 4)
+                     if _reference_loops_generate_h1(block_p6_g2, c))
+        doubled = dataclasses.replace(basis[0], directed_edges=basis[0].directed_edges * 2)
+        assert loops_generate_h1(block_p6_g2, basis)
+        assert not loops_generate_h1(block_p6_g2, [doubled] + basis[1:])
+        assert not _reference_loops_generate_h1(block_p6_g2, [doubled] + basis[1:])
+
+    @pytest.mark.parametrize("make", [make_open_square, make_same_sense])
+    def test_open_complex_raises_the_same_error(self, make):
+        cx = make()
+        errors = []
+        for fn, args in [
+            (betti_numbers, ()),
+            (_reference_betti_numbers, ()),
+            (loops_generate_h1, ([],)),
+            (_reference_loops_generate_h1, ([],)),
+        ]:
+            with pytest.raises(ValueError) as info:
+                fn(cx, *args)
+            errors.append((type(info.value), str(info.value)))
+        assert errors == [(ValueError, "vertex structure requires a closed complex")] * 4
+
+
 class TestFaceOrientations:
     def test_block_dual_two_colors(self, block_p6_g2):
         orient = assign_face_orientations(block_p6_g2)
@@ -346,3 +496,21 @@ def test_pairwise_matches_dense_on_closed_complexes(cx):
 @settings(max_examples=50, deadline=None)
 def test_pairwise_matches_dense_on_right_angled_complexes(cx):
     _assert_matches_dense(cx)
+
+
+@given(closed_complexes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_homology_matches_reference_on_closed_complexes(cx, seed):
+    _assert_homology_matches_reference(cx, seed)
+
+
+@given(right_angled_complexes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_homology_matches_reference_on_right_angled_complexes(cx, seed):
+    _assert_homology_matches_reference(cx, seed)
+
+
+@given(matchings_complexes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_homology_matches_reference_on_matchings_complexes(cx, seed):
+    _assert_homology_matches_reference(cx, seed)

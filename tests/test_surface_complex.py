@@ -24,6 +24,7 @@ from fqsurf.surface_complex import (
     smith_normal_form,
     snf_with_transforms,
     succ_type,
+    tree_cotree,
     validate,
 )
 from fqsurf.loops import trace_geodesic_loops
@@ -424,6 +425,52 @@ class TestHomology:
         assert betti_numbers(make_disconnected())[0] == 2
 
 
+def assert_tree_cotree_is_a_chain_map(cx):
+    """The reduction's edge images carry every face boundary to its core column.
+
+    Closed complexes are oriented, so each component's faces sum to a cycle
+    and the core is zero: every face boundary must map to zero in Z^X.
+    """
+    red = tree_cotree(cx)
+    components = cx.num_vertices - red.tree
+    assert red.cotree == cx.num_faces - components
+    assert red.core == [{}] * components
+    assert len(red.x_edges) == cx.num_edges - cx.num_vertices - cx.num_faces + 2 * components
+    x = set(red.x_edges)
+    for e, image in enumerate(red.images):
+        assert set(image) <= x
+        if e in x:
+            assert image == {e: 1}
+    for f in cx.faces:
+        total = {}
+        for e, fwd in cx.directed_boundary(f.id):
+            for k, c in red.images[e].items():
+                total[k] = total.get(k, 0) + (c if fwd else -c)
+        assert not any(total.values()), f.id
+
+
+class TestTreeCotree:
+    @pytest.mark.parametrize(
+        "make",
+        [make_torus, make_pillowcase, make_crossing, make_twelve_gon,
+         make_octagon, make_disconnected],
+    )
+    def test_hand_built(self, make):
+        assert_tree_cotree_is_a_chain_map(make())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["block_p6_g2", "block_p6_g3", "block_p8_g3", "rect_p8_1x2",
+         "rect_p8_3x2", "hex4", "block_p10_g4", "rect_p12_3x3", "hex36"],
+    )
+    def test_builder_outputs(self, request, name):
+        assert_tree_cotree_is_a_chain_map(request.getfixturevalue(name))
+
+    def test_two_tori_leave_two_generators_each(self):
+        red = tree_cotree(make_disconnected())
+        assert (red.tree, red.cotree, len(red.x_edges)) == (0, 0, 4)
+
+
 class TestSerialization:
     def test_canonical_json_is_stable(self, block_p6_g2):
         doc = complex_to_dict(block_p6_g2)
@@ -701,6 +748,12 @@ class TestSmithNormalFormOracles:
 def test_snf_matches_oracles_on_matchings(cx):
     for m in homology_matrices(cx):
         assert_snf_matches_oracles(m)
+
+
+@given(matchings_complexes())
+@settings(max_examples=50, deadline=None)
+def test_tree_cotree_is_a_chain_map_on_matchings(cx):
+    assert_tree_cotree_is_a_chain_map(cx)
 
 
 # ------------------------------------- sparse matrix against dense references
