@@ -688,10 +688,21 @@ def decide(p, q, g, certify=False):
     block construction directly; F = 2 mod 4 requires 2-symmetry (ruled
     out otherwise) and subdivides in two; odd F requires 4-symmetry and a
     composite F and subdivides in four.  Gaps between the necessary and
-    sufficient conditions come back as Unknown.  With certify=True every
-    Exists verdict carries a full checked certificate; a construction or
-    check failure downgrades the verdict to InternalError, never to a
-    silent success.
+    sufficient conditions come back as Unknown.
+
+    The composite-F condition serves the hypothesis that the quartering
+    construction starts from a genuine a×b rectangular grid of p-gons, with
+    a, b >= 2 (``a`` is the smallest prime factor of F): a grid in which no
+    edge is glued to its own face and no face meets a vertex twice.  A 1×F
+    grid breaks that.  This reading rests on the code's own checks, not on
+    the paper's text, since the repository holds only its abstract.  Those
+    checks also show that the 1×F base of a prime F quarters into a
+    non-degenerate complex whose certificate holds, so for odd prime F the
+    condition may be stronger than the construction needs.
+
+    With certify=True every Exists verdict carries a full checked
+    certificate; a construction or check failure downgrades the verdict to
+    InternalError, never to a silent success.
     """
     _require_int_parameter("p", p)
     _require_int_parameter("genus", g)

@@ -39,8 +39,8 @@ Python integers that grow during elimination and are never truncated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 CCW = "ccw"
@@ -845,8 +845,82 @@ COMPLEX_FORMAT = "fq-complex/1"
 
 
 def canonical_json(obj):
-    """Deterministic, diffable JSON: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic, diffable JSON text of ``obj``, ending in a newline.
+
+    Objects have sorted keys, containers are indented by two spaces per
+    level (empty ones are written ``{}`` and ``[]``), and strings use ASCII
+    escapes: the same bytes as the standard library's encoder with a
+    two-space indent and sorted keys, plus the newline.  Only dict (with str
+    keys), list, tuple (written as an array), str, int, bool and None are
+    accepted; anything else, floats included, raises ``TypeError`` naming
+    its type.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, out, indent):
+    """Append the JSON text of ``obj`` to ``out``.
+
+    ``indent`` is a newline plus the indentation of the line ``obj`` starts
+    on.  Ints and strs inside a container are written inline, the common
+    case, without a recursive call.
+    """
+    append = out.append
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            append(sep)
+            sep = comma
+            append(_json_str(key))
+            append(": ")
+            value = obj[key]
+            value_kind = type(value)
+            if value_kind is int:
+                append(int.__repr__(value))
+            elif value_kind is str:
+                append(_json_str(value))
+            else:
+                _write_json(value, out, inner)
+        append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            append(sep)
+            sep = comma
+            value_kind = type(value)
+            if value_kind is int:
+                append(int.__repr__(value))
+            elif value_kind is str:
+                append(_json_str(value))
+            else:
+                _write_json(value, out, inner)
+        append(indent + "]")
+    elif kind is str:
+        append(_json_str(obj))
+    elif kind is int:
+        append(int.__repr__(obj))
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif obj is None:
+        append("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not JSON-serializable in a canonical document")
 
 
 def complex_to_dict(cx):

@@ -37,6 +37,7 @@ from fqsurf.surface_complex import canonical_json
 from fqsurf.tessellation import (
     NonIntegralFaceCount,
     build_block_tessellation,
+    build_rect_tessellation,
     complex_from_matchings,
 )
 
@@ -740,3 +741,84 @@ class TestDecide:
             found += 1
             v = decide(8, q, 2)
             assert (v.outcome, v.method) == ("RuledOut", "TwoSymmetry")
+
+
+def _four_symmetric_sequence(p, seed):
+    """A seeded q, 4-symmetric about axis 1, alternating with even d and e."""
+    rng = random.Random(seed)
+    half = p // 2
+    d, e = rng.choice((2, 4, 6)), rng.choice((2, 4, 6))
+    multipliers = [rng.randrange(1, 4) for _ in range(half)]
+    return tuple(
+        (d if k % 2 == 0 else e) * multipliers[min(k % half, -k % half)] for k in range(p)
+    )
+
+
+def _degeneracies(cx):
+    """(edges whose two sides lie in one face, faces with a repeated vertex)."""
+    self_glued = sum(1 for sides in cx.occurrences().values() if sides[0][0] == sides[1][0])
+    repeated = sum(
+        1
+        for f in cx.faces
+        if len({cx.tail_vertex(d) for d in cx.directed_boundary(f.id)}) < cx.p
+    )
+    return self_glued, repeated
+
+
+def _certified_complexes(monkeypatch, certify):
+    """Every complex ``build_certificate`` sees while ``certify()`` runs."""
+    seen = []
+
+    def recording(cx, *args):
+        seen.append(cx)
+        return build_certificate(cx, *args)
+
+    monkeypatch.setattr(lattice, "build_certificate", recording)
+    result = certify()
+    monkeypatch.undo()
+    assert seen
+    return result, seen
+
+
+PRIME_SWEEP = [(p, F, k) for p in (12, 20) for F in (3, 5, 7, 11, 13) for k in range(2)]
+
+
+class TestPrimeFaceCounts:
+    """Odd prime F stays Unknown, although quartering a 1×F grid certifies.
+
+    The 1×F base grid is degenerate (edges glued to their own face, faces
+    meeting a vertex twice); the complex the certificate is built on, the
+    subdivided one, is not.
+    """
+
+    @pytest.mark.parametrize("p,F,k", PRIME_SWEEP)
+    def test_prime_face_count_is_unknown_but_quarters_cleanly(self, monkeypatch, p, F, k):
+        q = _four_symmetric_sequence(p, 100 * p + 10 * F + k)
+        g = 1 + F * (p - 4) // 8
+        axes = sorted(symmetric_axes(q, "four"))
+        assert axes
+        v = decide(p, q, g)
+        assert (v.outcome, v.method, v.reason) == ("Unknown", None, f"F={F} is not composite")
+        for grid in ((1, F), (F, 1)):
+            cert, seen = _certified_complexes(
+                monkeypatch, lambda: lattice._certify_subdiv(p, q, g, 4, grid, axes[0])
+            )
+            assert cert["ok"] is True, grid
+            assert [_degeneracies(cx) for cx in seen] == [(0, 0)], grid
+
+    def test_unsubdivided_base_is_degenerate(self):
+        assert _degeneracies(build_rect_tessellation(12, 1, 3)) == (9, 3)
+
+    @pytest.mark.parametrize(
+        "p,q,genera",
+        [
+            (8, Q8, (8, 16, 32, 64, 128, 256)),
+            (12, Q12, (10, 16, 28, 46, 82, 136)),
+        ],
+        ids=["Subdiv2", "Subdiv4"],
+    )
+    def test_ladder_certifies_only_nondegenerate_complexes(self, monkeypatch, p, q, genera):
+        for g in genera:
+            v, seen = _certified_complexes(monkeypatch, lambda: decide(p, q, g, certify=True))
+            assert v.outcome == "Exists" and v.certificate["ok"] is True, g
+            assert [_degeneracies(cx) for cx in seen] == [(0, 0)], g

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqsurf.surface_complex import (
@@ -27,8 +27,17 @@ from fqsurf.surface_complex import (
     tree_cotree,
     validate,
 )
-from fqsurf.loops import trace_geodesic_loops
-from fqsurf.tessellation import complex_from_matchings
+from fqsurf import cli
+from fqsurf.coloring import solve_good_coloring, witness_to_dict
+from fqsurf.lattice import decide, verdict_to_dict
+from fqsurf.loops import loop_report_to_dict, trace_geodesic_loops
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    complex_from_matchings,
+    subdivide_four,
+    subdivision_map_to_dict,
+)
 
 from conftest import (
     make_crossing,
@@ -471,7 +480,94 @@ class TestTreeCotree:
         assert (red.tree, red.cotree, len(red.x_edges)) == (0, 0, 4)
 
 
+def _stdlib_json(obj):
+    """The reference bytes for canonical_json: the standard library's encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _golden_documents(monkeypatch):
+    """Every object tests/test_golden.py hands to canonical_json, in order."""
+    import test_golden
+
+    docs = []
+
+    def record(obj):
+        docs.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(test_golden, "canonical_json", record)
+    monkeypatch.setattr(cli, "canonical_json", record)
+    for name in sorted(test_golden.CASES):
+        test_golden.CASES[name]()
+    for name in sorted(test_golden.SWEEP):
+        test_golden._sweep_outcome(*test_golden.SWEEP[name])
+    return docs
+
+
+# JSON strings: any code point, lone surrogates included, plus the escapes
+_JSON_STRINGS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\ud800", "x\udfffy", "é€😀", "\u2028", "a/b\tc\n"]
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_STRINGS
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.booleans()
+    | st.none(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner),
+    max_leaves=40,
+)
+
+
 class TestSerialization:
+    def test_matches_stdlib_on_every_golden_document(self, monkeypatch):
+        docs = _golden_documents(monkeypatch)
+        assert len(docs) > 100
+        mismatched = [i for i, doc in enumerate(docs) if canonical_json(doc) != _stdlib_json(doc)]
+        assert mismatched == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: verdict_to_dict(decide(6, (2, 3) * 3, 257, certify=True)),
+            lambda: subdivision_map_to_dict(
+                subdivide_four(build_rect_tessellation(12, 3, 5), axis=1)[1]
+            ),
+            lambda: loop_report_to_dict(trace_geodesic_loops(build_block_tessellation(6, 9))),
+            lambda: witness_to_dict(solve_good_coloring(build_rect_tessellation(8, 3, 2))),
+        ],
+        ids=["verdict-F1024", "subdivision-map", "loop-report", "witness"],
+    )
+    def test_matches_stdlib_on_library_documents(self, make):
+        doc = make()
+        assert canonical_json(doc) == _stdlib_json(doc)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_JSON_DOCUMENTS)
+    @example({"b": (), "a": {}, "c": [(), {}, (1, "x", None, False)]})
+    @example([])
+    @example(-(10**300))
+    @example("\ud800")
+    def test_matches_stdlib_on_generated_documents(self, doc):
+        assert canonical_json(doc) == _stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "obj, kind",
+        [
+            (1.5, "float"),
+            ({"faces": [1, 2.0]}, "float"),
+            ({1: "x"}, "int"),
+            ({"seen": {1, 2}}, "set"),
+            ([b"abc"], "bytes"),
+        ],
+        ids=["float", "nested-float", "int-key", "set", "bytes"],
+    )
+    def test_rejects_types_outside_the_contract(self, obj, kind):
+        with pytest.raises(TypeError, match=rf"\b{kind}\b"):
+            canonical_json(obj)
+
     def test_canonical_json_is_stable(self, block_p6_g2):
         doc = complex_to_dict(block_p6_g2)
         text = canonical_json(doc)
