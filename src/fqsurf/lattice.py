@@ -1,12 +1,12 @@
 """Thickness sequences, local group data, and the existence decision.
 
-A thickness sequence q = (q_1, ..., q_p) is *alternating non-coprime* when
-the entries split into two alternating classes with a common divisor d >= 2
-on one and e >= 2 on the other (for odd p, after discarding one entry at
-some offset).  Given such a decomposition and a good edge coloring, every
-edge, vertex and face of a tessellation receives a subgroup of a product of
-cyclic factors; the assignment certifies a quotient lattice when the local
-data at each vertex reproduces a complete bipartite link of the right size.
+A thickness sequence q = (q_1, ..., q_p) of even length is *alternating
+non-coprime* when the entries split into two alternating classes with a
+common divisor d >= 2 on one and e >= 2 on the other.  Given such a
+decomposition and a good edge coloring, every edge, vertex and face of a
+tessellation receives a subgroup of a product of cyclic factors; the
+assignment certifies a quotient lattice when the local data at each vertex
+reproduces a complete bipartite link of the right size.
 
 Two independent routes check the vertex condition: direct arithmetic on
 factor subsets (products, intersections and index sums), and an explicit
@@ -14,6 +14,11 @@ enumeration of cosets that builds the link graph and inspects it.  Both
 read the vertex's local signature (type pair, ray factor sets and types,
 sector factor sets), which the group assignment computes once per vertex;
 each reaches its verdict on its own.
+
+Local data repeats heavily across a tessellation, so each fact is computed
+once per distinct key and shared by every cell with that key: one factor
+set per (edge type, color), one corner group per pair of factor sets, and,
+in each vertex oracle separately, one verdict per distinct signature.
 
 Odd-length geodesic loops obstruct existence: each one forces a reflection
 symmetry on the sequence indices, and the closure of those reflections
@@ -57,53 +62,30 @@ class OddPUnsupported(ValueError):
 class AlternatingDecomposition:
     """Common divisors of the two alternating classes of a sequence.
 
-    ``offset`` is None for even length; for odd length it is the 1-based
-    index left out of both classes.  ``reduced`` holds q_i divided by the
-    divisor of its class (the offset entry is carried unchanged).
+    ``reduced`` holds q_i divided by the divisor of its class.
     """
 
     d: int
     e: int
-    offset: object
     reduced: tuple
 
 
 def alternating_noncoprime(q):
     """The alternating decomposition of a sequence, or None.
 
-    Even length: odd positions share a divisor d >= 2 and even positions a
-    divisor e >= 2.  Odd length: the same after removing one entry at some
-    offset i, scanned in increasing order.
+    Odd positions must share a divisor d >= 2 and even positions a divisor
+    e >= 2.  An empty or odd-length sequence has no decomposition and gives
+    None: every construction needs even p.
     """
     q = _require_int_sequence(q)
-    p = len(q)
-    if p == 0:
+    if not q or len(q) % 2:
         return None
-    if p % 2 == 0:
-        d = gcd(*q[0::2])
-        e = gcd(*q[1::2])
-        if d >= 2 and e >= 2:
-            reduced = tuple(
-                q[k] // (d if k % 2 == 0 else e) for k in range(p)
-            )
-            return AlternatingDecomposition(d=d, e=e, offset=None, reduced=reduced)
+    d = gcd(*q[0::2])
+    e = gcd(*q[1::2])
+    if d < 2 or e < 2:
         return None
-
-    half = (p - 1) // 2
-    for i in range(1, p + 1):
-        first = [q_at(q, i + 1 + 2 * t) for t in range(half)]
-        second = [q_at(q, i + 2 + 2 * t) for t in range(half)]
-        d = gcd(*first)
-        e = gcd(*second)
-        if d >= 2 and e >= 2:
-            reduced = list(q)
-            for t in range(half):
-                reduced[(i + 2 * t) % p] //= d
-                reduced[(i + 1 + 2 * t) % p] //= e
-            return AlternatingDecomposition(
-                d=d, e=e, offset=i, reduced=tuple(reduced)
-            )
-    return None
+    reduced = tuple(x // (d if k % 2 == 0 else e) for k, x in enumerate(q))
+    return AlternatingDecomposition(d=d, e=e, reduced=reduced)
 
 
 def symmetric_axes(q, kind):
@@ -187,7 +169,7 @@ class GroupAssignment:
     certified: bool = False
 
 
-def _edge_factor_set(edge_type, color, deco):
+def _edge_factor_set(edge_type, color):
     a = _type_factor(edge_type)
     if edge_type % 2 == 1:
         base = {D_FACTOR, a}
@@ -220,6 +202,11 @@ def assign_groups(cx, coloring, q):
     the type pair and, in rotation order, the factor sets and types of the
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
+
+    Edges of one (type, color) share one frozenset, so a corner group is
+    one ``&`` per distinct pair of factor sets, and a type pair is derived
+    once per distinct tuple of ray types.  Everything here is read-only
+    and shared between cells.
     """
     q = _require_int_sequence(q)
     if cx.p % 2 != 0:
@@ -245,35 +232,50 @@ def assign_groups(cx, coloring, q):
     coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
-    edge_factors = {
-        e.id: _edge_factor_set(e.type, coloring.color_of(e.id), deco)
-        for e in cx.edges
-    }
+    factor_sets = {}
+    edge_factors = {}
+    for e in cx.edges:
+        key = (e.type, coloring.colors[e.id])
+        factors = factor_sets.get(key)
+        if factors is None:
+            factors = factor_sets[key] = _edge_factor_set(*key)
+        edge_factors[e.id] = factors
 
+    meets = {}
     face_factors = {}
     face_conflicts = {}
     for f in cx.faces:
-        n = len(f.sides)
+        side_sets = [edge_factors[s.edge] for s in f.sides]
         per_corner = []
-        for k in range(n):
-            ea = f.sides[(k - 1) % n].edge
-            eb = f.sides[k].edge
-            per_corner.append(edge_factors[ea] & edge_factors[eb])
+        # corner k lies between sides k-1 and k
+        for pair in zip(side_sets[-1:] + side_sets[:-1], side_sets):
+            meet = meets.get(pair)
+            if meet is None:
+                meet = meets[pair] = pair[0] & pair[1]
+            per_corner.append(meet)
         face_factors[f.id] = per_corner[0]
-        if any(c != per_corner[0] for c in per_corner):
+        if per_corner.count(per_corner[0]) != len(per_corner):
             face_conflicts[f.id] = tuple(per_corner)
 
+    edge_types = [e.type for e in cx.edges]
+    type_pairs = {}
     signatures = []
     for v, orbit in enumerate(cx.vertices()):
-        pair = cx.vertex_type_pair(v)
-        if pair is None:
-            raise ValueError(f"vertex {v} has no alternating type pair")
         rays = cx.rotation(v)
+        ray_types = tuple([edge_types[e] for e, _ in rays])
+        pair = type_pairs.get(ray_types)
+        if pair is None:
+            pair = type_pairs[ray_types] = cx.vertex_type_pair(v)
+            if pair is None:
+                raise ValueError(f"vertex {v} has no alternating type pair")
+        # a type pair needs four rays; sector k is the face of corner k+1
+        (e0, _), (e1, _), (e2, _), (e3, _) = rays
+        (f0, _), (f1, _), (f2, _), (f3, _) = orbit
         signatures.append((
             pair,
-            tuple(edge_factors[e] for e, _ in rays),
-            tuple(cx.edge_type(e) for e, _ in rays),
-            tuple(face_factors[orbit[(k + 1) % 4][0]] for k in range(4)),
+            (edge_factors[e0], edge_factors[e1], edge_factors[e2], edge_factors[e3]),
+            ray_types,
+            (face_factors[f1], face_factors[f2], face_factors[f3], face_factors[f0]),
         ))
 
     assignment = GroupAssignment(
@@ -296,6 +298,29 @@ def assign_groups(cx, coloring, q):
     return assignment
 
 
+def _link_arithmetic(signature, q, orders):
+    """The three local conditions of one signature, as VertexCheck fields
+    without the vertex; callers copy the two dicts."""
+    (i, j), ray_factors, ray_types, sector_factors = signature
+    universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+
+    product_ok = all(
+        (ray_factors[k] | ray_factors[(k + 1) % 4]) == universe
+        for k in range(4)
+    )
+    intersection_ok = all(
+        (ray_factors[k] & ray_factors[(k + 1) % 4]) == sector_factors[k]
+        for k in range(4)
+    )
+
+    vertex_order = group_order(universe, orders)
+    sums = {i: 0, j: 0}
+    for k in range(4):
+        sums[ray_types[k]] += vertex_order // group_order(ray_factors[k], orders)
+    expected = {i: q[j - 1], j: q[i - 1]}
+    return (i, j), product_ok, intersection_ok, sums == expected, sums, expected
+
+
 def verify_link_conditions(assignment):
     """Arithmetic check of the local conditions at every vertex.
 
@@ -304,38 +329,28 @@ def verify_link_conditions(assignment):
     between them; and the subgroup indices must sum so that each
     lifted type-i edge gets link degree q_i — the two type-i edges sum
     to q_j and the two type-j edges sum to q_i.
+
+    The conditions read nothing but the vertex's signature, so they are
+    evaluated once per distinct signature; each vertex still gets its own
+    VertexCheck with its own ``index_sums`` and ``expected_sums`` dicts.
     """
     q = assignment.q
+    orders = assignment.orders
+    by_signature = {}
     checks = {}
     for v, signature in enumerate(assignment.signatures):
-        (i, j), ray_factors, ray_types, sector_factors = signature
-        universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
-
-        product_ok = all(
-            (ray_factors[k] | ray_factors[(k + 1) % 4]) == universe
-            for k in range(4)
-        )
-        intersection_ok = all(
-            (ray_factors[k] & ray_factors[(k + 1) % 4]) == sector_factors[k]
-            for k in range(4)
-        )
-
-        vertex_order = group_order(universe, assignment.orders)
-        sums = {i: 0, j: 0}
-        for k in range(4):
-            idx = vertex_order // group_order(ray_factors[k], assignment.orders)
-            sums[ray_types[k]] += idx
-        expected = {i: q[j - 1], j: q[i - 1]}
-        index_ok = sums == expected
-
+        fields = by_signature.get(signature)
+        if fields is None:
+            fields = by_signature[signature] = _link_arithmetic(signature, q, orders)
+        types, product_ok, intersection_ok, index_ok, sums, expected = fields
         checks[v] = VertexCheck(
             vertex=v,
-            types=(i, j),
+            types=types,
             product_ok=product_ok,
             intersection_ok=intersection_ok,
             index_ok=index_ok,
-            index_sums=sums,
-            expected_sums=expected,
+            index_sums=dict(sums),
+            expected_sums=dict(expected),
         )
     return LinkConditionReport(checks=checks)
 
@@ -591,57 +606,69 @@ def build_certificate(cx, coloring, q):
     ``assignment.signatures``.  It is enumerated once per distinct
     signature, by ``build_link_graph`` at the lowest vertex that has it,
     and every vertex with that signature takes its side sizes and verdict.
+    The VertexCheck fields are fixed by the signature too, so each vertex
+    entry is copied from one record per signature, and each edge's sorted
+    ``factors`` from one list per factor set.  Every entry gets fresh
+    containers: no mutable object is shared between entries.
 
     A coloring that fails verification still yields a certificate; the
     failures end up in the per-vertex entries and the overall flag.
     """
     assignment = assign_groups(cx, coloring, q)
     checks = assignment.vertex_checks
-    by_signature = {}
-    links = []
+    records = {}
+    vertices = []
     for v, signature in enumerate(assignment.signatures):
-        if signature not in by_signature:
+        record = records.get(signature)
+        if record is None:
+            check = checks[v]
             link = build_link_graph(assignment, v)
-            by_signature[signature] = (
-                tuple(len(link.side_vertices[t]) for t in link.types), link.ok
+            record = records[signature] = (
+                check.types,
+                check.product_ok,
+                check.intersection_ok,
+                check.index_ok,
+                sorted(check.index_sums.items()),
+                [len(link.side_vertices[t]) for t in link.types],
+                link.ok,
             )
-        links.append(by_signature[signature])
-    ok = assignment.certified and all(link_ok for _, link_ok in links)
+        types, product_ok, intersection_ok, index_ok, sums, sides, link_ok = record
+        vertices.append({
+            "id": v,
+            "types": list(types),
+            "product_ok": product_ok,
+            "intersection_ok": intersection_ok,
+            "index_ok": index_ok,
+            "index_sums": {str(t): s for t, s in sums},
+            "link_sides": list(sides),
+            "link_ok": link_ok,
+        })
+    ok = assignment.certified and all(record[-1] for record in records.values())
+    sorted_factors = {}
+    edges = []
+    for e in cx.edges:
+        factors = assignment.edge_factors[e.id]
+        names = sorted_factors.get(factors)
+        if names is None:
+            names = sorted_factors[factors] = sorted(factors)
+        edges.append({
+            "id": e.id,
+            "type": e.type,
+            "color": coloring.colors[e.id],
+            "factors": list(names),
+        })
     deco = assignment.decomposition
-    doc = {
+    return {
         "format": CERT_FORMAT,
         "p": cx.p,
         "q": list(assignment.q),
         "d": deco.d,
         "e": deco.e,
         "reduced": list(deco.reduced),
-        "edges": [
-            {
-                "id": e.id,
-                "type": e.type,
-                "color": coloring.color_of(e.id),
-                "factors": sorted(assignment.edge_factors[e.id]),
-            }
-            for e in cx.edges
-        ],
-        "vertices": [
-            {
-                "id": v,
-                "types": list(checks[v].types),
-                "product_ok": checks[v].product_ok,
-                "intersection_ok": checks[v].intersection_ok,
-                "index_ok": checks[v].index_ok,
-                "index_sums": {
-                    str(t): s for t, s in sorted(checks[v].index_sums.items())
-                },
-                "link_sides": list(links[v][0]),
-                "link_ok": links[v][1],
-            }
-            for v in range(cx.num_vertices)
-        ],
+        "edges": edges,
+        "vertices": vertices,
         "ok": ok,
     }
-    return doc
 
 
 def _transverse_gcd(q, m):

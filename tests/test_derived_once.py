@@ -70,6 +70,22 @@ def test_certificate_checks_vertex_arithmetic_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("genus", [2, 5])
+def test_lattice_facts_are_computed_once_per_key(monkeypatch, genus):
+    cx = build_block_tessellation(6, genus)
+    coloring = solve_good_coloring(cx)
+    factor_sets = _count_calls(monkeypatch, fqsurf.lattice, "_edge_factor_set")
+    arithmetic = _count_calls(monkeypatch, fqsurf.lattice, "_link_arithmetic")
+    a = assign_groups(cx, coloring, (2, 3) * 3)
+    keys = {(e.type, coloring.color_of(e.id)) for e in cx.edges}
+    assert sorted(factor_sets) == sorted(keys)
+    # in order of first appearance, each signature once
+    assert [args[0] for args in arithmetic] == list(dict.fromkeys(a.signatures))
+    if genus > 2:
+        assert len(keys) < cx.num_edges
+        assert len(arithmetic) < cx.num_vertices
+
+
 def _lowest_vertex_per_signature(cx, coloring, q):
     """Each distinct local signature (everything build_link_graph reads at
     a vertex, in rotation order) with the lowest vertex that has it.

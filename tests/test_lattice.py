@@ -1,5 +1,6 @@
 """Thickness decompositions, local groups, link checks, the decision map."""
 
+import copy
 import dataclasses
 import functools
 import random
@@ -16,16 +17,20 @@ from fqsurf.lattice import (
     D_FACTOR,
     E_FACTOR,
     IndexMap,
+    LinkConditionReport,
     LinkGraph,
     NotAlternatingNonCoprime,
     NotGoodColoring,
     OddPUnsupported,
+    VertexCheck,
+    _edge_factor_set,
     alternating_noncoprime,
     assign_groups,
     build_certificate,
     build_link_graph,
     _type_factor,
     decide,
+    group_order,
     loop_obstructions,
     symmetric_axes,
     symmetry_closure,
@@ -58,7 +63,7 @@ def block_assignment(block_p6_g2):
 class TestAlternatingDecomposition:
     def test_even_p_classes(self):
         deco = alternating_noncoprime(Q6)
-        assert (deco.d, deco.e, deco.offset) == (2, 3, None)
+        assert (deco.d, deco.e) == (2, 3)
         assert deco.reduced == (1, 1, 1, 1, 1, 1)
 
     def test_reduction_divides_out_the_gcds(self):
@@ -69,10 +74,9 @@ class TestAlternatingDecomposition:
     def test_coprime_class_fails(self):
         assert alternating_noncoprime((2, 3, 3, 2, 5, 7)) is None
 
-    def test_odd_p_skips_one_entry(self):
-        deco = alternating_noncoprime((3, 2, 4, 2, 4))
-        assert (deco.d, deco.e, deco.offset) == (2, 4, 1)
-        assert deco.reduced == (3, 1, 1, 1, 1)
+    @pytest.mark.parametrize("q", [(), (2,), (3, 2, 4, 2, 4), (2,) * 7])
+    def test_empty_or_odd_length_has_none(self, q):
+        assert alternating_noncoprime(q) is None
 
     @pytest.mark.parametrize("q", [(2.9, 3, 2, 3, 2, 3), (2, 3, True, 3, 2, 3)])
     def test_non_integer_entry_rejected(self, q):
@@ -387,6 +391,7 @@ class TestCertificateAgainstPerVertexLinks:
                                 seed=())
         pair = data.draw(st.sampled_from(THIN_AND_THICK))
         _assert_matches_per_vertex(cx, coloring, pair * (p // 2))
+        _assert_matches_reference(cx, coloring, pair * (p // 2))
 
 
 def _reference_link_graph(assignment, vertex):
@@ -560,6 +565,289 @@ class TestLinkGraphAgainstReference:
             link.side_vertices[j]
         )
         assert link.complete is False
+
+
+def _reference_verify_link_conditions(assignment):
+    """The former per-vertex arithmetic check, kept as the oracle.
+
+    It evaluates the products, intersections and index sums at every
+    vertex, where ``verify_link_conditions`` evaluates them once per
+    distinct signature; both must give the same VertexCheck at every vertex.
+    """
+    q = assignment.q
+    checks = {}
+    for v, signature in enumerate(assignment.signatures):
+        (i, j), ray_factors, ray_types, sector_factors = signature
+        universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+
+        product_ok = all(
+            (ray_factors[k] | ray_factors[(k + 1) % 4]) == universe
+            for k in range(4)
+        )
+        intersection_ok = all(
+            (ray_factors[k] & ray_factors[(k + 1) % 4]) == sector_factors[k]
+            for k in range(4)
+        )
+
+        vertex_order = group_order(universe, assignment.orders)
+        sums = {i: 0, j: 0}
+        for k in range(4):
+            idx = vertex_order // group_order(ray_factors[k], assignment.orders)
+            sums[ray_types[k]] += idx
+        expected = {i: q[j - 1], j: q[i - 1]}
+        index_ok = sums == expected
+
+        checks[v] = VertexCheck(
+            vertex=v,
+            types=(i, j),
+            product_ok=product_ok,
+            intersection_ok=intersection_ok,
+            index_ok=index_ok,
+            index_sums=sums,
+            expected_sums=expected,
+        )
+    return LinkConditionReport(checks=checks)
+
+
+def _reference_assign_groups(cx, coloring, q):
+    """The former cell-by-cell assignment, kept as the oracle.
+
+    Every edge builds its own factor set, every face corner intersects its
+    two edge groups, and every signature re-reads the rotation and the edge
+    types; input validation, the decomposition, the orders and
+    ``coloring_ok`` are taken from ``assign_groups``.
+    """
+    fast = assign_groups(cx, coloring, q)
+    edge_factors = {
+        e.id: _edge_factor_set(e.type, coloring.color_of(e.id)) for e in cx.edges
+    }
+
+    face_factors = {}
+    face_conflicts = {}
+    for f in cx.faces:
+        n = len(f.sides)
+        per_corner = []
+        for k in range(n):
+            ea = f.sides[(k - 1) % n].edge
+            eb = f.sides[k].edge
+            per_corner.append(edge_factors[ea] & edge_factors[eb])
+        face_factors[f.id] = per_corner[0]
+        if any(c != per_corner[0] for c in per_corner):
+            face_conflicts[f.id] = tuple(per_corner)
+
+    signatures = []
+    for v, orbit in enumerate(cx.vertices()):
+        pair = cx.vertex_type_pair(v)
+        assert pair is not None
+        rays = cx.rotation(v)
+        signatures.append((
+            pair,
+            tuple(edge_factors[e] for e, _ in rays),
+            tuple(cx.edge_type(e) for e, _ in rays),
+            tuple(face_factors[orbit[(k + 1) % 4][0]] for k in range(4)),
+        ))
+
+    assignment = dataclasses.replace(
+        fast,
+        edge_factors=edge_factors,
+        face_factors=face_factors,
+        face_conflicts=face_conflicts,
+        signatures=tuple(signatures),
+    )
+    report = _reference_verify_link_conditions(assignment)
+    assignment.vertex_checks = report.checks
+    assignment.certified = (
+        assignment.coloring_ok and not face_conflicts and report.ok
+    )
+    return assignment
+
+
+def _reference_build_certificate(cx, coloring, q):
+    """The former certificate body, kept as the oracle.
+
+    It runs on the reference assignment: each vertex entry is built from
+    that vertex's own VertexCheck and each edge sorts its own factors.
+    """
+    assignment = _reference_assign_groups(cx, coloring, q)
+    checks = assignment.vertex_checks
+    by_signature = {}
+    links = []
+    for v, signature in enumerate(assignment.signatures):
+        if signature not in by_signature:
+            link = build_link_graph(assignment, v)
+            by_signature[signature] = (
+                tuple(len(link.side_vertices[t]) for t in link.types), link.ok
+            )
+        links.append(by_signature[signature])
+    ok = assignment.certified and all(link_ok for _, link_ok in links)
+    deco = assignment.decomposition
+    return {
+        "format": CERT_FORMAT,
+        "p": cx.p,
+        "q": list(assignment.q),
+        "d": deco.d,
+        "e": deco.e,
+        "reduced": list(deco.reduced),
+        "edges": [
+            {
+                "id": e.id,
+                "type": e.type,
+                "color": coloring.color_of(e.id),
+                "factors": sorted(assignment.edge_factors[e.id]),
+            }
+            for e in cx.edges
+        ],
+        "vertices": [
+            {
+                "id": v,
+                "types": list(checks[v].types),
+                "product_ok": checks[v].product_ok,
+                "intersection_ok": checks[v].intersection_ok,
+                "index_ok": checks[v].index_ok,
+                "index_sums": {
+                    str(t): s for t, s in sorted(checks[v].index_sums.items())
+                },
+                "link_sides": list(links[v][0]),
+                "link_ok": links[v][1],
+            }
+            for v in range(cx.num_vertices)
+        ],
+        "ok": ok,
+    }
+
+
+ASSIGNMENT_TABLES = (
+    "edge_factors", "face_factors", "face_conflicts", "signatures",
+    "coloring_ok", "certified",
+)
+
+
+def _assert_matches_reference(cx, coloring, q):
+    """Assignment tables, every VertexCheck field at every vertex and the
+    certificate bytes all equal the former cell-by-cell computation."""
+    fast = assign_groups(cx, coloring, q)
+    ref = _reference_assign_groups(cx, coloring, q)
+    for name in ASSIGNMENT_TABLES:
+        assert getattr(fast, name) == getattr(ref, name), name
+    assert list(fast.vertex_checks) == list(ref.vertex_checks)
+    for v, check in fast.vertex_checks.items():
+        expected = ref.vertex_checks[v]
+        for f in dataclasses.fields(VertexCheck):
+            assert getattr(check, f.name) == getattr(expected, f.name), (v, f.name)
+        assert list(check.index_sums) == list(expected.index_sums)
+        assert list(check.expected_sums) == list(expected.expected_sums)
+    cert = build_certificate(cx, coloring, q)
+    assert canonical_json(cert) == canonical_json(
+        _reference_build_certificate(cx, coloring, q)
+    )
+    return fast, ref, cert
+
+
+def _certificate_inputs(monkeypatch, p, q, g):
+    """The (complex, coloring, sequence) of each certificate that
+    ``decide(certify=True)`` builds."""
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return build_certificate(*args)
+
+    monkeypatch.setattr(lattice, "build_certificate", recording)
+    verdict = decide(p, q, g, certify=True)
+    monkeypatch.undo()
+    assert verdict.outcome == "Exists" and verdict.certificate["ok"] is True
+    assert seen
+    return seen
+
+
+CRITERION_9_BLOCKS = [(6, 2), (6, 3), (8, 3), (10, 4), (12, 5)]
+
+
+class TestLatticeAgainstReference:
+    """assign_groups, verify_link_conditions and build_certificate compute
+    each fact once per distinct key; the cell-by-cell bodies they replaced
+    must give the same tables, the same VertexChecks and the same bytes."""
+
+    @pytest.mark.parametrize("p, variants, g", LADDER_BASES + THICK_FAMILIES)
+    def test_certified_families(self, monkeypatch, p, variants, g):
+        for q in variants:
+            for cx, coloring, q_cx in _certificate_inputs(monkeypatch, p, q, g):
+                fast, _ref, cert = _assert_matches_reference(cx, coloring, q_cx)
+                assert fast.certified and cert["ok"] is True
+
+    @pytest.mark.parametrize("p, g", CRITERION_9_BLOCKS)
+    def test_one_color_flipped(self, p, g):
+        cx = build_block_tessellation(p, g)
+        q = (2, 3) * (p // 2)
+        damaged = _flipped(solve_good_coloring(cx), {0})
+        fast, ref, cert = _assert_matches_reference(cx, damaged, q)
+        failing = verify_link_conditions(fast).failing_vertices()
+        assert failing
+        assert failing == _reference_verify_link_conditions(ref).failing_vertices()
+        assert failing == [e["id"] for e in cert["vertices"] if not (
+            e["product_ok"] and e["intersection_ok"] and e["index_ok"])]
+        assert cert["ok"] is False
+
+
+def _containers(doc):
+    """The ids of every list and dict inside a document, repeats kept."""
+    out = []
+    stack = [doc]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, dict)):
+            out.append(id(x))
+            stack.extend(x.values() if isinstance(x, dict) else x)
+    return out
+
+
+class TestNoSharedContainers:
+    """Entries built from one record per signature or factor set must not
+    share a mutable object with each other or with another call's."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        cx = build_block_tessellation(6, 5)
+        return cx, solve_good_coloring(cx), Q6
+
+    def test_mutating_one_entry_leaves_the_others(self, block):
+        cx, coloring, q = block
+        cert = build_certificate(cx, coloring, q)
+        pristine = copy.deepcopy(cert)
+        # mutate a vertex and an edge whose record other entries share
+        signatures = assign_groups(cx, coloring, q).signatures
+        v = next(v for v, sig in enumerate(signatures) if signatures.count(sig) > 1)
+        factors = [entry["factors"] for entry in cert["edges"]]
+        e = next(e for e, names in enumerate(factors) if factors.count(names) > 1)
+
+        vertex, edge = cert["vertices"][v], cert["edges"][e]
+        vertex["types"].append(0)
+        vertex["index_sums"]["0"] = 0
+        vertex["link_sides"].append(0)
+        edge["factors"].append("Z")
+        for key, k in (("vertices", v), ("edges", e)):
+            assert cert[key][:k] + cert[key][k + 1:] == (
+                pristine[key][:k] + pristine[key][k + 1:]
+            )
+
+        again = build_certificate(cx, coloring, q)
+        assert again == pristine
+        assert not set(_containers(again)) & set(_containers(cert))
+
+    def test_every_container_appears_once(self, block):
+        ids = _containers(build_certificate(*block))
+        assert len(ids) == len(set(ids))
+
+    def test_mutating_one_vertex_check(self, block):
+        assignment = assign_groups(*block)
+        checks = assignment.vertex_checks
+        signatures = assignment.signatures
+        v = next(v for v, sig in enumerate(signatures) if signatures.count(sig) > 1)
+        pristine = copy.deepcopy(checks)
+        i, _j = checks[v].types
+        checks[v].index_sums[i] += 1
+        checks[v].expected_sums[i] += 1
+        assert all(checks[u] == pristine[u] for u in checks if u != v)
 
 
 class TestIndexMaps:
