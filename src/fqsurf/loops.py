@@ -8,9 +8,8 @@ cycles come in reversal pairs, and each pair is one undirected loop.  A cycle
 equal to its own reversal traverses some edge in both senses; such loops are
 flagged degenerate and disqualify the complex from the coloring hypotheses.
 
-Also here: pairwise loop intersection counts, the check that the loops
-(together with face boundaries) generate all of H1, and the decomposition
-of a difference of homologous cycles into face boundaries.  The H1 check
+Also here: pairwise loop intersection counts and the check that the loops
+(together with face boundaries) generate all of H1.  The H1 check
 reduces the chain complex by tree-cotree decomposition
 (:func:`fqsurf.surface_complex.tree_cotree`, after Eppstein, "Dynamic
 generators of topologically embedded graphs", SODA 2003, and Erickson and
@@ -22,16 +21,7 @@ leftover edges, beside the core.
 import itertools
 from dataclasses import dataclass
 
-from .surface_complex import (
-    boundary_matrices,
-    integer_solve,
-    smith_normal_form,
-    tree_cotree,
-)
-
-
-class NotACycle(ValueError):
-    """An alleged 1-cycle has nonzero boundary."""
+from .surface_complex import smith_normal_form, tree_cotree
 
 
 @dataclass
@@ -177,16 +167,6 @@ def loops_generate_h1(cx, loops):
         coords.append(col)
     diag, rank = smith_normal_form(red.matrix(coords + red.core))
     return rank == len(red.x_edges) and all(d in (0, 1) for d in diag)
-
-
-def difference_is_face_sum(cx, cycle1, cycle2):
-    """Integer face coefficients x with cycle1 - cycle2 = d2·x, or None."""
-    d2, d1 = boundary_matrices(cx)
-    for c in (cycle1, cycle2):
-        if any(d1.mul_vec(c)):
-            raise NotACycle("input chain has nonzero boundary")
-    diff = [x - y for x, y in zip(cycle1, cycle2)]
-    return integer_solve(d2, diff)
 
 
 LOOPS_FORMAT = "fq-loops/1"

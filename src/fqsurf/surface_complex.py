@@ -26,15 +26,15 @@ right) reduces to index arithmetic in that rotation; see
 :meth:`SurfaceComplex.continue_through`.
 
 The second half of the module is an exact integer linear algebra kit: an
-arbitrary-precision matrix stored as sparse rows, Smith normal form, integer
-linear solving, the boundary matrices of the cellular chain complex, and
-its tree-cotree reduction to a core of 2g edges per closed component, on
-which homology runs Smith normal form.  The
-plain Smith normal form eliminates unit pivots on the sparse rows, then runs
-dense SNF on the core left over; the form with unimodular transforms runs
-dense SNF on the matrix bordered by identities, which turn into the
-transforms.  Dense lists exist only inside those two.  Entries are exact
-Python integers that grow during elimination and are never truncated.
+arbitrary-precision matrix stored as sparse rows, Smith normal form, the
+boundary matrices of the cellular chain complex, and its tree-cotree
+reduction to a core of 2g edges per closed component, on which homology
+runs Smith normal form.  The plain Smith normal form eliminates unit
+pivots on the sparse rows, then runs dense SNF on the core left over; the
+form with unimodular transforms runs dense SNF on the matrix bordered by
+identities, which turn into the transforms.  Dense lists exist only inside
+those two.  Entries are exact Python integers that grow during elimination
+and are never truncated.
 """
 
 from __future__ import annotations
@@ -432,10 +432,6 @@ def _axiom_findings(cx):
     return tuple(failures), tuple(face_findings), euler, genus
 
 
-def euler_characteristic(cx):
-    return cx.num_vertices - cx.num_edges + cx.num_faces
-
-
 @dataclass
 class DualGraph:
     """One node per face, one edge per primal edge (loops allowed)."""
@@ -481,7 +477,7 @@ class IntegerMatrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("ragged or mis-sized matrix data")
-        bad = [x for row in data for x in row if not isinstance(x, int)]
+        bad = [x for row in data for x in row if type(x) is not int]
         if bad:
             raise TypeError(f"non-integer entry {bad[0]!r}")
         self.rows, self.cols = rows, cols
@@ -664,28 +660,6 @@ def snf_with_transforms(m):
         IntegerMatrix([row[m.cols:] for row in a[:m.rows]], m.rows, m.rows),
         IntegerMatrix(a[m.rows:], m.cols, m.cols),
     )
-
-
-def integer_solve(a, b):
-    """One integer solution x of a·x = b, or None when none exists."""
-    if len(b) != a.rows:
-        raise ValueError("dimension mismatch")
-    d, u, v = snf_with_transforms(a)
-    c = u.mul_vec(b)
-    y = [0] * a.cols
-    n = min(a.rows, a.cols)
-    for j in range(n):
-        dj = d.entries[j].get(j, 0)
-        if dj:
-            if c[j] % dj:
-                return None
-            y[j] = c[j] // dj
-        elif c[j]:
-            return None
-    for j in range(n, a.rows):
-        if c[j]:
-            return None
-    return v.mul_vec(y)
 
 
 def boundary_matrices(cx):

@@ -35,7 +35,6 @@ from .surface_complex import (
     _require_int_parameter,
     _require_int_sequence,
     build_complex,
-    euler_characteristic,
     validate,
 )
 
@@ -281,7 +280,7 @@ class SubdivisionMap:
     center_vertices: dict
 
 
-def _subdivide(cx, pieces, axis):
+def _subdivide(cx, pieces, axis, genus):
     p = cx.p
     step = p // pieces
     new_p = step + (2 if pieces == 2 else 3)
@@ -388,9 +387,8 @@ def _subdivide(cx, pieces, axis):
         (idx, CCW if sense[idx] == 1 else CW, walk)
         for idx, walk in enumerate(sub_faces)
     ]
-    old_genus = (2 - euler_characteristic(cx)) // 2
     out = build_complex(new_p, final_edges, final_faces)
-    frep = validate(out, expected_genus=old_genus)
+    frep = validate(out, expected_genus=genus)
     if not frep.passed:
         raise ConstructionFailure(
             f"axis {axis}: subdivided complex fails validation: {frep.tags()}"
@@ -422,14 +420,15 @@ def _subdivision_entry(cx, pieces, axis):
         _require_int_parameter("axis", axis)
         if not 1 <= axis <= cx.p:
             raise ValueError(f"axis {axis} is outside 1..{cx.p}")
-    if not validate(cx).structurally_ok:
+    report = validate(cx)
+    if not report.structurally_ok:
         raise ValueError("subdivision requires a structurally valid complex")
     if axis is not None:
-        return _subdivide(cx, pieces, axis)
+        return _subdivide(cx, pieces, axis, report.genus)
     failures = []
     for m in range(1, cx.p // pieces + 1):
         try:
-            return _subdivide(cx, pieces, m)
+            return _subdivide(cx, pieces, m, report.genus)
         except (CutSystemFailure, ConstructionFailure) as exc:
             failures.append(str(exc))
     raise CutSystemFailure("no cut axis works; " + "; ".join(failures))

@@ -12,11 +12,13 @@ axis that works, the exception class for each that does not.  It was
 recorded before subdivision became a single orient-and-retype pass.
 
 The contradiction witnesses, the rect colorings and the Smith transforms
-(D, U, V with ``integer_solve`` answers on a fixed list of small matrices)
-were recorded before ``_smith`` bordered its matrix with identities and
-before propagation shared the constraint system's adjacency.  The face
-orientation colors of every bipartite complex in acceptance criterion 7's
-suite were recorded before the dual 2-coloring became a parity system.
+(D, U, V on a fixed list of small matrices) were recorded before ``_smith``
+bordered its matrix with identities and before propagation shared the
+constraint system's adjacency.  The Smith transform documents were re-pinned
+once, when they lost the integer solutions they used to carry; their D, U
+and V are unchanged.  The face orientation colors of every bipartite complex
+in acceptance criterion 7's suite were recorded before the dual 2-coloring
+became a parity system.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -47,7 +49,6 @@ from fqsurf.surface_complex import (
     canonical_json,
     complex_to_dict,
     dual_graph,
-    integer_solve,
     snf_with_transforms,
 )
 from fqsurf.tessellation import (
@@ -200,13 +201,7 @@ MATRICES = {
 
 def _transforms(m):
     d, u, v = snf_with_transforms(m)
-    rhs = [m.mul_vec([k + 1 for k in range(m.cols)]), [1] * m.rows, [2] * m.rows]
-    return canonical_json({
-        "d": d.data,
-        "u": u.data,
-        "v": v.data,
-        "solve": [integer_solve(m, b) for b in rhs],
-    })
+    return canonical_json({"d": d.data, "u": u.data, "v": v.data})
 
 
 for _name, _m in MATRICES.items():
@@ -236,18 +231,18 @@ DIGESTS = {
     "orientation/crossing": "6867a3e4960a3cb6639b1e5fc59580d5a0e984747a6621300343deed5aead537",
     "orientation/rect-p12-3x3-quartered": "ada1458caa632453fcf2e3842ee8d61d16ae88cb3b77111a58fa0e14dc96044c",
     "orientation/rect-p8-1x2-halved": "6867a3e4960a3cb6639b1e5fc59580d5a0e984747a6621300343deed5aead537",
-    "snf/dense-4x5": "91cd99defb9fe9c95512cf19326651ed2f56ec9e2e2182278c0a16dd34219aec",
-    "snf/diag-2-3": "292db18c0d7b6352ea5534b4b68ab5139c12fe30df2021a2d94b85750b93668c",
-    "snf/diag-4-6-zero": "50ddef8ad46b8d070581ac9eab384353740f55a0aa0cdfdb3f5be11f726c9f51",
-    "snf/empty-0x3": "d00233acb303735a6d40ffa3a6e05f4c8bdf4fc6667dc18a4ec9c0e1378e60e8",
-    "snf/empty-3x0": "01b231d526567da54e1859a2fb8ca622835d7962c061c3f9786f9807251af845",
-    "snf/negative-2x2": "30600c40ed76c09a9aa869163403a0d875242c2a3726d492f6db3dbc3e8c573f",
-    "snf/nonunit-3x3": "c1e32eb3a868b048a1bcc2b5f135fb1d6ddf0b3ee9afa64fbe90f448a51f27b0",
-    "snf/tall-4x2": "c27a2ef674619c66e0be817f7da6ad8cf196c62210eecf82d37ce0f5ffd66526",
-    "snf/unimodular-3x3": "3eb996c699543ee036c3d48c9d204db37172a3c19cb47b76343c3cb4bd14ba6a",
-    "snf/wide-2x4": "8dd09d3d6622cfc30d8b070c52831af41e4cb4a29169210bb68020f073db634e",
-    "snf/zero-2x3": "e4f4a333865c3b794dadaace8c9b6f59e5a78c1c765710476ea06b906c7c5cec",
-    "snf/zero-row-col": "26a2550801ef7d25c32c7ba045c23141765b94ea504a89cef2165cdfc006c589",
+    "snf/dense-4x5": "8f1f4a71306ff58c530811447f2575c2476d6d104ad38811c32ea088759424ef",
+    "snf/diag-2-3": "1a7b5846c41e3c7fa16c2a079b540e2a23bed9c323a00e1bca7c73408437b1e1",
+    "snf/diag-4-6-zero": "db14ac426c169f186b701053584071f76b694747c44ba4b9f66c8e3fa2f09904",
+    "snf/empty-0x3": "eb99f3e5ced045a04b27fb955b574d9c4fa988da166abe2346406c1e7bc3a100",
+    "snf/empty-3x0": "0046d40a6a26049e2bf84744ebd38b3456bb18d54ac123133fb4741b7258e5f4",
+    "snf/negative-2x2": "e4cd76ce6459cdef91777ab6e0498323ef0c412790a871d28641c22c829da080",
+    "snf/nonunit-3x3": "ea776b3b630ca74d3fbb959214a231874556a6e8b13303ffc3ccdfa4dbc5cf56",
+    "snf/tall-4x2": "0ca4ee736b24e4e4bd3ee752ca2110d638ea845774928a733870a49efc1ddb70",
+    "snf/unimodular-3x3": "25a0aeef4e78414e95234596f29b1c30c77b4f3e3da8282ebe89f1bff8f7063a",
+    "snf/wide-2x4": "ebbedfb1a8b5d363dcdae55d7bd71d369b4703f8750dd3dac6c645f7c01b00c3",
+    "snf/zero-2x3": "b54076d301c118841f7cb8645384df94a6d622633ee355cd27b0930054331aac",
+    "snf/zero-row-col": "fad838e2eaa33e4e09ffaab12a6aaf6be509d4c4f24d26691c65b373379aecda",
     "subdiv/rect-p12-3x3-quartered": "06d24d5a3c769aea0f2c96fbc4e53af719799b92dfa1e11b00706caed1312b25",
     "subdiv/rect-p8-1x2-halved": "1530c25c4226892f364384ca264316e4d5022de54244ba9c004f447799fda392",
     "verdict/block-p6-g17": "d5e7723abf84629a6ad95c5588c8f2c43e20d627e93e82c3b9851b62edd3ffeb",

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from fqsurf.coloring import assign_face_orientations
 from fqsurf.loops import (
     GeodesicLoop,
-    NotACycle,
-    difference_is_face_sum,
     loop_report_to_dict,
     loops_generate_h1,
     pairwise_intersections,
@@ -199,20 +197,6 @@ class TestCycleSpace:
         _, d1 = boundary_matrices(hex4)
         for lp in rep.loops:
             assert not any(d1.mul_vec(lp.as_one_cycle(hex4.num_edges)))
-
-    def test_identical_cycles_differ_by_zero_faces(self, block_p6_g2):
-        rep = trace_geodesic_loops(block_p6_g2)
-        vec = rep.loops[0].as_one_cycle(block_p6_g2.num_edges)
-        x = difference_is_face_sum(block_p6_g2, vec, vec)
-        assert x is not None
-        d2, _ = boundary_matrices(block_p6_g2)
-        assert d2.mul_vec(x) == [0] * block_p6_g2.num_edges
-
-    def test_non_cycle_rejected(self, block_p6_g2):
-        chain = [0] * block_p6_g2.num_edges
-        chain[0] = 1  # edge 0 runs between two distinct vertices
-        with pytest.raises(NotACycle):
-            difference_is_face_sum(block_p6_g2, chain, [0] * len(chain))
 
 
 # ------------------------------- tree-cotree reduction against full-matrix SNF
