@@ -40,8 +40,16 @@ from .lattice import build_certificate, decide, verdict_to_dict
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON file; text that is not UTF-8 or nests deeper than the
+    recursion limit is malformed JSON too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        good = exc.object[:exc.start].decode("utf-8", "replace")
+        raise json.JSONDecodeError(f"invalid UTF-8 ({exc.reason})", good, len(good)) from None
+    except RecursionError:
+        raise json.JSONDecodeError("nesting deeper than the recursion limit", "", 0) from None
 
 
 def _write_text(path, text):

@@ -406,7 +406,10 @@ def coloring_from_dict(doc):
     try:
         if doc.get("format") != COLORING_FORMAT:
             raise ValueError(f"not a {COLORING_FORMAT} document")
-        if not doc.get("satisfiable", True):
+        satisfiable = doc.get("satisfiable", True)
+        if type(satisfiable) is not bool:
+            raise malformed(f"satisfiable {satisfiable!r} is not a bool")
+        if not satisfiable:
             raise ValueError(f"{COLORING_FORMAT} document records a contradiction, "
                              "not a coloring")
         colors = {}

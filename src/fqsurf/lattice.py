@@ -191,8 +191,9 @@ def assign_groups(cx, coloring, q):
     intersection of the two edge groups at its first corner, which a good
     coloring makes independent of the corner.
 
-    A coloring that does not cover exactly the complex's edges, or whose
-    base vertex is not a vertex of the complex, raises NotGoodColoring.
+    A coloring that does not cover exactly the complex's edges, gives an
+    edge a color other than the int 0 or 1, or whose base vertex is not a
+    vertex of the complex, raises NotGoodColoring.
     Any other failure is recorded, not raised: a broken coloring condition
     in ``coloring_ok`` and faces whose corners disagree in
     ``face_conflicts``, so broken instances can still be inspected by the
@@ -222,6 +223,9 @@ def assign_groups(cx, coloring, q):
     for e in cx.edges:
         if e.id not in coloring.colors:
             raise NotGoodColoring(f"edge {e.id} is not colored")
+        c = coloring.colors[e.id]
+        if type(c) is not int or c not in (0, 1):
+            raise NotGoodColoring(f"edge {e.id} has color {c!r}, not 0 or 1")
     unknown = sorted(set(coloring.colors) - set(range(cx.num_edges)))
     if unknown:
         raise NotGoodColoring(f"edge {unknown[0]} is colored but not in the complex")

@@ -15,7 +15,7 @@ reduces the chain complex by tree-cotree decomposition
 generators of topologically embedded graphs", SODA 2003, and Erickson and
 Whittlesey, "Greedy optimal homotopy and homology generators", SODA 2005),
 so Smith normal form runs only on the loops' coordinates over the 2g
-leftover edges, beside the core.
+leftover edges.
 """
 
 import itertools
@@ -143,10 +143,10 @@ def loops_generate_h1(cx, loops):
     The loops must be cycles (zero boundary).  The chain complex is then
     reduced by tree-cotree decomposition (:func:`tree_cotree`, after
     Eppstein, SODA 2003, and Erickson and Whittlesey, SODA 2005): each loop
-    maps to Z^X over the leftover edges X, and H1 is Z^X modulo the core
-    columns.  True iff :func:`smith_normal_form` of [loop coordinates |
-    core], which has only |X| = 2g rows per closed oriented component, has
-    rank |X| and every invariant factor 1.
+    maps to Z^X over the leftover edges X, and H1 of a closed (so oriented)
+    complex is Z^X itself.  True iff :func:`smith_normal_form` of the loop
+    coordinates, |X| = 2g rows per closed component, has rank |X| and every
+    invariant factor 1.
     """
     red = tree_cotree(cx)
     for lp in loops:
@@ -165,7 +165,7 @@ def loops_generate_h1(cx, loops):
             for x, c in red.images[e].items():
                 col[x] = col.get(x, 0) + sign * c
         coords.append(col)
-    diag, rank = smith_normal_form(red.matrix(coords + red.core))
+    diag, rank = smith_normal_form(red.matrix(coords))
     return rank == len(red.x_edges) and all(d in (0, 1) for d in diag)
 
 

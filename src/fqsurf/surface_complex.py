@@ -28,13 +28,13 @@ right) reduces to index arithmetic in that rotation; see
 The second half of the module is an exact integer linear algebra kit: an
 arbitrary-precision matrix stored as sparse rows, Smith normal form, the
 boundary matrices of the cellular chain complex, and its tree-cotree
-reduction to a core of 2g edges per closed component, on which homology
-runs Smith normal form.  The plain Smith normal form eliminates unit
-pivots on the sparse rows, then runs dense SNF on the core left over; the
-form with unimodular transforms runs dense SNF on the matrix bordered by
-identities, which turn into the transforms.  Dense lists exist only inside
-those two.  Entries are exact Python integers that grow during elimination
-and are never truncated.
+reduction to 2g edges per closed component, which leaves no face relation
+because a closed complex is oriented.  The plain Smith normal form
+eliminates unit pivots on the sparse rows, then runs dense SNF on what is
+left; the form with unimodular transforms runs dense SNF on the matrix
+bordered by identities, which turn into the transforms.  Dense lists exist
+only inside those two.  Entries are exact Python integers that grow during
+elimination and are never truncated.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ CCW = "ccw"
 CW = "cw"
 
 STRUCTURAL_TAGS = frozenset(
-    {"Closedness", "Disconnected", "RightAngledVertex", "EulerCharacteristic",
-     "GenusMismatch"}
+    {"Closedness", "Disconnected", "RightAngledVertex", "GenusMismatch"}
 )
 
 
@@ -335,10 +334,10 @@ def validate(cx, expected_genus=None):
     """Check the surface axioms and report every violation found.
 
     Structural axioms (closedness with coherent senses, connectedness,
-    degree-4 vertices, Euler characteristic bookkeeping) are reported
-    separately from the labeling axioms (faces reading a consecutive cyclic
-    type sequence, vertex types alternating i, i+1); the report's
-    ``structurally_ok`` distinguishes the tiers.
+    degree-4 vertices) are reported separately from the labeling axioms
+    (faces reading a consecutive cyclic type sequence, vertex types
+    alternating i, i+1); the report's ``structurally_ok`` distinguishes the
+    tiers.  Closed means oriented, so the Euler characteristic is even.
 
     Everything but the genus comparison is computed once per complex and
     cached; ``expected_genus`` is checked on each call.
@@ -363,61 +362,6 @@ def validate(cx, expected_genus=None):
 def _axiom_findings(cx):
     """The findings of :func:`validate` that precede and follow its genus
     comparison, with the Euler characteristic and genus."""
-    failures = []
-    bad_edges = cx.closedness_defects()
-    if bad_edges:
-        failures.append(
-            Finding("Closedness", f"edges used wrongly: {bad_edges[:8]}")
-        )
-
-    euler = None
-    genus = None
-    if not bad_edges:
-        orbits = cx.vertices()
-        n_v, n_e, n_f = len(orbits), cx.num_edges, cx.num_faces
-        euler = n_v - n_e + n_f
-
-        # connectivity over the face-adjacency (dual) graph
-        if n_f:
-            reached = {0}
-            stack = [0]
-            while stack:
-                f = stack.pop()
-                for s in cx.faces[f].sides:
-                    for (g, _k) in cx.occurrences()[s.edge]:
-                        if g not in reached:
-                            reached.add(g)
-                            stack.append(g)
-            if len(reached) != n_f:
-                failures.append(
-                    Finding("Disconnected",
-                            f"only {len(reached)} of {n_f} faces reachable from face 0")
-                )
-
-        wrong_degree = [vid for vid, orb in enumerate(orbits) if len(orb) != 4]
-        if wrong_degree:
-            failures.append(
-                Finding("RightAngledVertex",
-                        f"vertices without exactly 4 corners: {wrong_degree[:8]}")
-            )
-
-        if euler % 2:
-            failures.append(
-                Finding("EulerCharacteristic", f"odd Euler characteristic {euler}")
-            )
-        else:
-            genus = (2 - euler) // 2
-
-        if not wrong_degree:
-            bad_alt = [
-                vid for vid in range(n_v) if cx.vertex_type_pair(vid) is None
-            ]
-            if bad_alt:
-                failures.append(
-                    Finding("VertexTypeAlternation",
-                            f"vertices whose edge types do not alternate i, i+1: {bad_alt[:8]}")
-                )
-
     face_findings = []
     for f in cx.faces:
         seq = [cx.edge_type(s.edge) for s in f.sides]
@@ -429,7 +373,50 @@ def _axiom_findings(cx):
                 Finding("FaceLabeling",
                         f"face {f.id} does not read a consecutive type cycle: {seq}")
             )
-    return tuple(failures), tuple(face_findings), euler, genus
+    bad_edges = cx.closedness_defects()
+    if bad_edges:
+        closedness = Finding("Closedness", f"edges used wrongly: {bad_edges[:8]}")
+        return (closedness,), tuple(face_findings), None, None
+
+    failures = []
+    orbits = cx.vertices()
+    n_v, n_e, n_f = len(orbits), cx.num_edges, cx.num_faces
+    euler = n_v - n_e + n_f
+
+    # connectivity over the face-adjacency (dual) graph
+    if n_f:
+        reached = {0}
+        stack = [0]
+        while stack:
+            f = stack.pop()
+            for s in cx.faces[f].sides:
+                for (g, _k) in cx.occurrences()[s.edge]:
+                    if g not in reached:
+                        reached.add(g)
+                        stack.append(g)
+        if len(reached) != n_f:
+            failures.append(
+                Finding("Disconnected",
+                        f"only {len(reached)} of {n_f} faces reachable from face 0")
+            )
+
+    wrong_degree = [vid for vid, orb in enumerate(orbits) if len(orb) != 4]
+    if wrong_degree:
+        failures.append(
+            Finding("RightAngledVertex",
+                    f"vertices without exactly 4 corners: {wrong_degree[:8]}")
+        )
+    else:
+        bad_alt = [
+            vid for vid in range(n_v) if cx.vertex_type_pair(vid) is None
+        ]
+        if bad_alt:
+            failures.append(
+                Finding("VertexTypeAlternation",
+                        f"vertices whose edge types do not alternate i, i+1: {bad_alt[:8]}")
+            )
+    # each closed component is oriented, so euler = sum of (2 - 2g) is even
+    return tuple(failures), tuple(face_findings), euler, (2 - euler) // 2
 
 
 @dataclass
@@ -682,21 +669,19 @@ def boundary_matrices(cx):
 
 
 class TreeCotree(NamedTuple):
-    """The chain complex of a closed surface reduced to its core.
+    """The chain complex of a closed surface reduced along a tree and a cotree.
 
     ``tree`` counts the edges of the spanning forest T and ``cotree`` those
     of the dual spanning forest C; ``x_edges`` lists the edges left over, X,
     in id order.  ``images[e]`` is edge e's image in Z^X as ``{X edge:
     coefficient}``: empty for a tree edge, ``{e: 1}`` for an X edge and the
-    push of a cotree edge.  ``core`` holds one ``{X edge: coefficient}``
-    column per root of C, the reduced d2.
+    push of a cotree edge.
     """
 
     tree: int
     cotree: int
     x_edges: tuple
     images: list
-    core: list
 
     def matrix(self, columns):
         """``{X edge: coefficient}`` columns as an |X|-row IntegerMatrix."""
@@ -724,12 +709,12 @@ def tree_cotree(cx):
        d(e, f) = ±1; f's column, with its subtree already folded in, meets
        no other cotree edge, so e's image is its push
        -d(e, f)·(col_f - d(e, f)·e) and col_f folds into the parent's.
-    3. The X edges left over (2g per closed oriented component) and the
-       surviving root columns restricted to X form the core.
+    3. The X edges are left over, 2g per closed component.  Each root of C
+       collects its component's face boundaries, which sum to zero.
 
     Every step is a unit elimination, a chain homotopy equivalence over Z,
-    so H1 is Z^X modulo the core columns, and a cycle's class there is the
-    sum of its edges' images.  Nothing is cached; each call reduces afresh.
+    so rank d2 = |C|, H1 is free on X, and a cycle's class there is the sum
+    of its edges' images.  Nothing is cached; each call reduces afresh.
     Raises ValueError for a complex that is not closed.
     """
     parent = list(range(cx.num_vertices))
@@ -761,13 +746,11 @@ def tree_cotree(cx):
             adjacent[fa].append((e, fb))
             adjacent[fb].append((e, fa))
     seen = [False] * cx.num_faces
-    roots = []
     order = []  # (face, edge to its parent, parent face) in BFS order
     for root in range(cx.num_faces):
         if seen[root]:
             continue
         seen[root] = True
-        roots.append(root)
         queue = [root]
         for f in queue:  # the queue grows while it is walked
             for e, g in adjacent[f]:
@@ -790,25 +773,22 @@ def tree_cotree(cx):
         images[e] = {x: -s * c for x, c in col.items()}
     cotree = {e for _, e, _ in order}
     x_edges = tuple(e for e, t in enumerate(in_tree) if not t and e not in cotree)
-    return TreeCotree(sum(in_tree), len(order), x_edges, images,
-                      [cols[r] for r in roots])
+    return TreeCotree(sum(in_tree), len(order), x_edges, images)
 
 
 def betti_numbers(cx):
     """(b0, b1, b2) of the surface.
 
-    Ranks come from :func:`tree_cotree`: rank d1 is the size of the
-    spanning forest, and rank d2 is the size of the dual spanning forest
-    plus the rank of the core, from :func:`smith_normal_form` on the core
-    columns alone (2g rows per closed oriented component).
+    Ranks come from :func:`tree_cotree` with no Smith normal form: rank d1
+    is the size of the spanning forest and rank d2 the size of the dual
+    spanning forest, so b0 counts the components, b2 counts them again
+    (each closed component is oriented) and b1 the leftover edges.
     """
     red = tree_cotree(cx)
-    _, core_rank = smith_normal_form(red.matrix(red.core))
-    r1, r2 = red.tree, red.cotree + core_rank
     return (
-        cx.num_vertices - r1,
-        cx.num_edges - r1 - r2,
-        cx.num_faces - r2,
+        cx.num_vertices - red.tree,
+        cx.num_edges - red.tree - red.cotree,
+        cx.num_faces - red.cotree,
     )
 
 

@@ -141,6 +141,34 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", "-i", str(bad)]) == 2
 
+    def test_non_utf8_json_is_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{\n  "format": "caf\u00e9"\n}\n'.encode("latin-1"))
+        assert main(["validate", "-i", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed JSON: invalid UTF-8 (invalid "
+                                "continuation byte): line 2 column 17 (char 18)\n")
+
+    def test_overdeep_json_is_malformed(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", "-i", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed JSON: nesting deeper than the "
+                                "recursion limit: line 1 column 1 (char 0)\n")
+
+    def test_non_utf8_coloring_is_malformed(self, tmp_path, capsys, block_p6_g2):
+        path = write_complex(tmp_path / "block.json", block_p6_g2)
+        bad = tmp_path / "coloring.json"
+        bad.write_bytes(b"\xff")
+        argv = ["certify", "-i", path, "--coloring", str(bad), "--q", "2,3,2,3,2,3",
+                "-o", str(tmp_path / "cert.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON: invalid UTF-8")
+        assert not (tmp_path / "cert.json").exists()
+
 
 class TestOpenComplex:
     @pytest.mark.parametrize(

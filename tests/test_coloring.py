@@ -303,6 +303,9 @@ class TestColoringSerialization:
             (lambda doc: doc.update(solution_count=2.0), "solution_count 2.0"),
             (lambda doc: doc["colors"].append(doc["colors"][0]), "edge 0 is colored twice"),
             (lambda doc: doc.update(satisfiable=False), "records a contradiction"),
+            (lambda doc: doc.update(satisfiable="no"), "satisfiable 'no' is not a bool"),
+            (lambda doc: doc.update(satisfiable=1), "satisfiable 1 is not a bool"),
+            (lambda doc: doc.update(satisfiable=None), "satisfiable None is not a bool"),
             (lambda doc: doc["colors"].__setitem__(2, [3]), r"colors entry \[3\]"),
             (lambda doc: doc["colors"].__setitem__(2, [0, 1, 2]), r"colors entry \[0, 1, 2\]"),
             (lambda doc: doc["colors"].__setitem__(2, "01"), "colors entry '01'"),

@@ -44,6 +44,8 @@ from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
     complex_from_matchings,
+    face_count,
+    is_symmetric,
 )
 
 from conftest import make_torus
@@ -186,6 +188,23 @@ class TestAssignGroups:
         )
         with pytest.raises(NotGoodColoring, match="edge 40"):
             assign_groups(block_p6_g2, extra, Q6)
+
+    @pytest.mark.parametrize(
+        "recolor, shown",
+        [({0: 2, 1: 1}, "2"), ({0: False, 1: True}, "False"), ({0: 0.0, 1: 1}, "0.0")],
+        ids=["two-for-zero", "bools", "float-zero"],
+    )
+    def test_colors_other_than_int_zero_or_one_rejected(self, block_p6_g2, recolor, shown):
+        coloring = solve_good_coloring(block_p6_g2)
+        assert coloring.colors[0] == 0  # so edge 0 is the first bad one
+        bad = dataclasses.replace(
+            coloring, colors={e: recolor[c] for e, c in coloring.colors.items()}
+        )
+        message = f"^edge 0 has color {shown}, not 0 or 1$"
+        with pytest.raises(NotGoodColoring, match=message):
+            assign_groups(block_p6_g2, bad, Q6)
+        with pytest.raises(NotGoodColoring, match=message):
+            build_certificate(block_p6_g2, bad, Q6)
 
     @pytest.mark.parametrize("base", [6, 1000000, -1])
     def test_base_vertex_outside_the_complex_rejected(self, block_p6_g2, base):
@@ -899,6 +918,40 @@ class TestLoopObstructions:
     def test_no_odd_loops_no_obstructions(self, block_p6_g2):
         report = trace_geodesic_loops(block_p6_g2)
         assert loop_obstructions(block_p6_g2, report) == []
+
+
+# (p, pieces, genus) of every Subdiv2 and Subdiv4 rung of the certify_ladder
+# benchmark workload
+LADDER_SUBDIV_BASES = [(8, 2, g) for g in (8, 16, 32, 64, 128, 256)] + [
+    (12, 4, g) for g in (10, 16, 28, 46, 82, 136)
+]
+
+
+@pytest.mark.parametrize(
+    "p, pieces, genus", LADDER_SUBDIV_BASES,
+    ids=[f"Subdiv{pieces}-g{g}" for _, pieces, g in LADDER_SUBDIV_BASES],
+)
+def test_forced_orbits_are_the_cut_symmetry(p, pieces, genus):
+    """Two independent statements of the symmetry a subdivided base needs.
+
+    The reflections that the base grid's odd loops force, closed under
+    composition, are constant on exactly the q that ``is_symmetric`` accepts
+    at the cut axis 1, on every q in {2, 3}^p.
+    """
+    F = face_count(p, genus)
+    if pieces == 2:
+        grid = (F // 2, 2)
+    else:
+        a = lattice._smallest_prime_factor(F)  # as decide picks it
+        grid = (a, F // a)
+    base = build_rect_tessellation(p, *grid)
+    sym = symmetry_closure(p, loop_obstructions(base, trace_geodesic_loops(base)))
+    seen = set()
+    for q in iter_product((2, 3), repeat=p):
+        symmetric = is_symmetric(q, 1, pieces)
+        assert sym.constant_on_orbits(q) == symmetric, q
+        seen.add(symmetric)
+    assert seen == {True, False}
 
 
 class TestSymmetryClosure:

@@ -43,7 +43,7 @@ from conftest import (
     make_torus,
     make_twelve_gon,
 )
-from test_surface_complex import matchings_complexes
+from test_surface_complex import matchings_complexes, side_pairing_complexes
 
 
 class TestTorusLoops:
@@ -328,6 +328,27 @@ class TestHomologyAgainstReference:
                 fn(cx, *args)
             errors.append((type(info.value), str(info.value)))
         assert errors == [(ValueError, "vertex structure requires a closed complex")] * 4
+
+
+@given(side_pairing_complexes(), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_homology_matches_reference_on_side_pairings(cx, seed):
+    _assert_homology_matches_reference(cx, seed)
+
+
+def test_h1_runs_smith_normal_form_on_loop_coordinates_alone(monkeypatch, block_p6_g2):
+    import fqsurf.loops
+
+    shapes = []
+
+    def counting(m):
+        shapes.append((m.rows, m.cols))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(fqsurf.loops, "smith_normal_form", counting)
+    loops = trace_geodesic_loops(block_p6_g2).loops
+    assert loops_generate_h1(block_p6_g2, loops)
+    assert shapes == [(4, len(loops))]
 
 
 class TestFaceOrientations:

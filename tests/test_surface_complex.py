@@ -1,6 +1,7 @@
 """Complex construction, validation, exact linear algebra, serialization."""
 
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,8 @@ from fqsurf.surface_complex import (
     DanglingEdgeReference,
     DuplicateId,
     IntegerMatrix,
+    STRUCTURAL_TAGS,
+    TreeCotree,
     WrongSideCount,
     betti_numbers,
     boundary_matrices,
@@ -233,6 +236,13 @@ class TestValidate:
         assert rep.passed
         assert rep.tags() == []
 
+    def test_structural_tags(self):
+        # closedness makes a complex oriented, so no parity of the Euler
+        # characteristic is checked
+        assert STRUCTURAL_TAGS == {
+            "Closedness", "Disconnected", "RightAngledVertex", "GenusMismatch"
+        }
+
 
 def test_succ_type_wraps():
     assert succ_type(1, 6) == 2
@@ -396,17 +406,27 @@ class TestHomology:
     def test_disconnected_betti_zero(self):
         assert betti_numbers(make_disconnected())[0] == 2
 
+    @pytest.mark.parametrize("make", [make_torus, make_disconnected, make_octagon])
+    def test_betti_numbers_run_no_smith_normal_form(self, monkeypatch, make):
+        import fqsurf.surface_complex as sc
+
+        calls = []
+        monkeypatch.setattr(sc, "smith_normal_form", lambda m: calls.append(m))
+        b0, b1, b2 = betti_numbers(make())
+        assert calls == []
+        assert b0 == b2
+
 
 def assert_tree_cotree_is_a_chain_map(cx):
-    """The reduction's edge images carry every face boundary to its core column.
+    """The reduction's edge images carry every face boundary to zero.
 
-    Closed complexes are oriented, so each component's faces sum to a cycle
-    and the core is zero: every face boundary must map to zero in Z^X.
+    Closed complexes are oriented, so each component's faces sum to zero
+    and no face relation is left: every face boundary must map to zero in
+    Z^X, and the dual forest spans each component's faces.
     """
     red = tree_cotree(cx)
     components = cx.num_vertices - red.tree
     assert red.cotree == cx.num_faces - components
-    assert red.core == [{}] * components
     assert len(red.x_edges) == cx.num_edges - cx.num_vertices - cx.num_faces + 2 * components
     x = set(red.x_edges)
     for e, image in enumerate(red.images):
@@ -437,6 +457,9 @@ class TestTreeCotree:
     )
     def test_builder_outputs(self, request, name):
         assert_tree_cotree_is_a_chain_map(request.getfixturevalue(name))
+
+    def test_no_face_relation_is_kept(self):
+        assert TreeCotree._fields == ("tree", "cotree", "x_edges", "images")
 
     def test_two_tori_leave_two_generators_each(self):
         red = tree_cotree(make_disconnected())
@@ -617,6 +640,83 @@ def test_matchings_complexes_are_closed_orientable(cx):
     assert chi % 2 == 0
     if rep.structurally_ok:
         assert rep.genus == (2 - chi) // 2
+
+
+def complex_from_side_pairing(p, num_faces, order, flips, types):
+    """Glue ``num_faces`` p-gons by pairing the sides in ``order`` two by two.
+
+    Pair k joins sides ``order[2k]`` and ``order[2k + 1]`` (``(face,
+    position)``) as edge k of type ``types[k]``, the first traversed
+    reversed iff ``flips[k]``, the second in the opposite sense.  Every
+    such gluing is closed.
+    """
+    sides = [[None] * p for _ in range(num_faces)]
+    for k, flip in enumerate(flips):
+        (fa, ka), (fb, kb) = order[2 * k], order[2 * k + 1]
+        sides[fa][ka] = (k, flip)
+        sides[fb][kb] = (k, not flip)
+    return build_complex(
+        p, list(enumerate(types)), [(f, CCW, s) for f, s in enumerate(sides)]
+    )
+
+
+@st.composite
+def side_pairing_complexes(draw):
+    """Closed complexes from a random opposite-sense pairing of all sides.
+
+    p is 3-8 and F is 1-6 (raised or lowered by one when p·F is odd).
+    Unlike :func:`matchings_complexes` these include edges glued to their
+    own face, vertices of any degree and disconnected complexes.
+    """
+    p = draw(st.integers(3, 8))
+    num_faces = draw(st.integers(1, 6))
+    if p * num_faces % 2:
+        num_faces += 1 if num_faces < 6 else -1
+    order = draw(st.permutations([(f, k) for f in range(num_faces) for k in range(p)]))
+    n = p * num_faces // 2
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    types = draw(st.lists(st.integers(1, p), min_size=n, max_size=n))
+    return complex_from_side_pairing(p, num_faces, order, flips, types)
+
+
+def test_side_pairings_reach_every_shape():
+    """Seeded draws of the same gluings reach the shapes the strategy is for."""
+    rng = random.Random(20)
+    shapes = set()
+    for _ in range(300):
+        p, num_faces = rng.randint(3, 8), rng.choice([2, 4, 6])
+        order = [(f, k) for f in range(num_faces) for k in range(p)]
+        rng.shuffle(order)
+        n = len(order) // 2
+        cx = complex_from_side_pairing(
+            p, num_faces, order, [rng.random() < 0.5 for _ in range(n)], [1] * n
+        )
+        occ = cx.occurrences()
+        if any(fa == fb for (fa, _), (fb, _) in occ.values()):
+            shapes.add("self-glued edge")
+        shapes.update(f"degree {len(orbit)}" for orbit in cx.vertices() if len(orbit) <= 8)
+        if "Disconnected" in validate(cx).tags():
+            shapes.add("disconnected")
+    assert {"self-glued edge", "disconnected"} <= shapes
+    assert {f"degree {d}" for d in range(1, 9)} <= shapes
+
+
+@given(side_pairing_complexes())
+@settings(max_examples=100, deadline=None)
+def test_side_pairing_complexes_are_oriented(cx):
+    assert cx.is_closed()
+    rep = validate(cx)
+    chi = cx.num_vertices - cx.num_edges + cx.num_faces
+    assert rep.euler_characteristic == chi
+    assert chi % 2 == 0
+    assert type(rep.genus) is int
+    assert rep.genus == (2 - chi) // 2
+
+
+@given(side_pairing_complexes())
+@settings(max_examples=100, deadline=None)
+def test_tree_cotree_is_a_chain_map_on_side_pairings(cx):
+    assert_tree_cotree_is_a_chain_map(cx)
 
 
 @given(matchings_complexes())
