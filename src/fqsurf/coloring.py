@@ -157,17 +157,6 @@ class ContradictionWitness:
     def __init__(self, cycle):
         self.cycle = tuple(cycle)
 
-    @property
-    def total_parity(self):
-        return sum(c.parity for c in self.cycle) % 2
-
-    def edge_ids(self):
-        out = []
-        for c in self.cycle:
-            out.append(c.edge_a)
-            out.append(c.edge_b)
-        return sorted(set(out))
-
     def __repr__(self):
         return f"ContradictionWitness({len(self.cycle)} constraints)"
 

@@ -147,9 +147,6 @@ class LinkConditionReport:
     def ok(self):
         return all(c.ok for c in self.checks.values())
 
-    def failing_vertices(self):
-        return sorted(v for v, c in self.checks.items() if not c.ok)
-
 
 @dataclass
 class GroupAssignment:
@@ -374,9 +371,6 @@ class LinkGraph:
     @property
     def ok(self):
         return self.simple and self.complete and self.sizes_ok
-
-    def side_sizes(self):
-        return {t: len(vs) for t, vs in self.side_vertices.items()}
 
 
 def _picker(positions):

@@ -33,18 +33,8 @@ class GeodesicLoop:
     parity: str
     degenerate: bool
 
-    def edge_ids(self):
-        return {e for e, _ in self.directed_edges}
-
     def vertex_ids(self, cx):
         return {cx.tail_vertex(d) for d in self.directed_edges}
-
-    def as_one_cycle(self, num_edges):
-        """The loop as an integer vector of edge coefficients."""
-        vec = [0] * num_edges
-        for e, fwd in self.directed_edges:
-            vec[e] += 1 if fwd else -1
-        return vec
 
 
 @dataclass
@@ -56,9 +46,6 @@ class LoopReport:
     # keyed by position in `loops`
     pairwise_intersections: dict
     hypotheses_ok: bool
-
-    def loop(self, loop_id):
-        return self.loops[loop_id]
 
 
 def trace_geodesic_loops(cx):

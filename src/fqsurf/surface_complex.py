@@ -26,10 +26,10 @@ right) reduces to index arithmetic in that rotation; see
 :meth:`SurfaceComplex.continue_through`.
 
 The second half of the module is an exact integer linear algebra kit: an
-arbitrary-precision matrix stored as sparse rows, Smith normal form, the
-boundary matrices of the cellular chain complex, and its tree-cotree
-reduction to 2g edges per closed component, which leaves no face relation
-because a closed complex is oriented.  The plain Smith normal form
+arbitrary-precision matrix stored as sparse rows, Smith normal form, and the
+tree-cotree reduction of the cellular chain complex to 2g edges per closed
+component, which leaves no face relation because a closed complex is
+oriented.  The plain Smith normal form
 eliminates unit pivots on the sparse rows, then runs dense SNF on what is
 left; the form with unimodular transforms runs dense SNF on the matrix
 bordered by identities, which turn into the transforms.  Dense lists exist
@@ -235,11 +235,6 @@ class SurfaceComplex:
         if succ_type(t[1], self.p) == t[0]:
             return (t[1], t[0])
         return None
-
-    def directed_boundary(self, face_id):
-        """The face boundary walk as a list of directed edges."""
-        f = self.faces[face_id]
-        return [(s.edge, not s.reversed) for s in f.sides]
 
     def __eq__(self, other):
         return (
@@ -478,36 +473,10 @@ class IntegerMatrix:
         m.entries = [{j: x for j, x in row.items() if x} for row in entries]
         return m
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls.from_rows([{}] * rows, cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_rows([{i: 1} for i in range(n)], n)
-
     @property
     def data(self):
         """A fresh dense copy, one list per row."""
         return [[row.get(j, 0) for j in range(self.cols)] for row in self.entries]
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = [{} for _ in self.entries]
-        for acc, row in zip(out, self.entries):
-            for k, x in row.items():
-                for j, y in other.entries[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-        return IntegerMatrix.from_rows(out, other.cols)
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(x * vec[j] for j, x in row.items()) for row in self.entries]
-
-    def is_zero(self):
-        return not any(self.entries)
 
     def __eq__(self, other):
         return (
@@ -647,25 +616,6 @@ def snf_with_transforms(m):
         IntegerMatrix([row[m.cols:] for row in a[:m.rows]], m.rows, m.rows),
         IntegerMatrix(a[m.rows:], m.cols, m.cols),
     )
-
-
-def boundary_matrices(cx):
-    """The cellular boundary maps (d2: faces→edges, d1: edges→vertices).
-
-    Forward traversal contributes +1 in d2; an edge is oriented from the tail
-    to the head of its forward side, giving head-minus-tail columns in d1.
-    """
-    d2 = [{} for _ in range(cx.num_edges)]
-    for f in cx.faces:
-        for s in f.sides:
-            d2[s.edge][f.id] = d2[s.edge].get(f.id, 0) + (-1 if s.reversed else 1)
-    d1 = [{} for _ in range(cx.num_vertices)]
-    for e in cx.edges:
-        head, tail = cx.head_vertex((e.id, True)), cx.tail_vertex((e.id, True))
-        d1[head][e.id] = d1[head].get(e.id, 0) + 1
-        d1[tail][e.id] = d1[tail].get(e.id, 0) - 1
-    return (IntegerMatrix.from_rows(d2, cx.num_faces),
-            IntegerMatrix.from_rows(d1, cx.num_edges))
 
 
 class TreeCotree(NamedTuple):

@@ -1,8 +1,9 @@
-"""Shared fixtures: builder outputs and small hand-glued complexes."""
+"""Shared fixtures: builder outputs, small hand-glued complexes and the
+sparse linear algebra the homology oracles are built on."""
 
 import pytest
 
-from fqsurf.surface_complex import build_complex
+from fqsurf.surface_complex import IntegerMatrix, build_complex, snf_with_transforms
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -96,6 +97,66 @@ def make_disconnected():
             (1, "ccw", [(2, False), (3, False), (2, True), (3, True)]),
         ],
     )
+
+
+# ------------------------------------------------------- sparse linear algebra
+
+
+def boundary_matrices(cx):
+    """The cellular boundary maps (d2: faces→edges, d1: edges→vertices).
+
+    Forward traversal contributes +1 in d2; an edge is oriented from the tail
+    to the head of its forward side, giving head-minus-tail columns in d1.
+    """
+    d2 = [{} for _ in range(cx.num_edges)]
+    for f in cx.faces:
+        for s in f.sides:
+            d2[s.edge][f.id] = d2[s.edge].get(f.id, 0) + (-1 if s.reversed else 1)
+    d1 = [{} for _ in range(cx.num_vertices)]
+    for e in cx.edges:
+        head, tail = cx.head_vertex((e.id, True)), cx.tail_vertex((e.id, True))
+        d1[head][e.id] = d1[head].get(e.id, 0) + 1
+        d1[tail][e.id] = d1[tail].get(e.id, 0) - 1
+    return (IntegerMatrix.from_rows(d2, cx.num_faces),
+            IntegerMatrix.from_rows(d1, cx.num_edges))
+
+
+def matrix_product(a, b):
+    """The IntegerMatrix a·b, multiplied on the sparse rows."""
+    assert a.cols == b.rows, "dimension mismatch"
+    out = [{} for _ in a.entries]
+    for acc, row in zip(out, a.entries):
+        for k, x in row.items():
+            for j, y in b.entries[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+    return IntegerMatrix.from_rows(out, b.cols)
+
+
+def loops_then_faces(loops, d2):
+    """``[loop cycles | d2]``: each loop, then each face boundary, as a
+    column over the edges."""
+    rows = [{} for _ in range(d2.rows)]
+    for k, lp in enumerate(loops):
+        for e, fwd in lp.directed_edges:
+            rows[e][k] = rows[e].get(k, 0) + (1 if fwd else -1)
+    for row, face_row in zip(rows, d2.entries):
+        row.update((len(loops) + j, x) for j, x in face_row.items())
+    return IntegerMatrix.from_rows(rows, len(loops) + d2.cols)
+
+
+def assert_smith_transforms(m):
+    """``snf_with_transforms(m)`` gives U·M·V = D with |det U| = |det V| = 1.
+
+    The determinants are sympy's, exact over the integers; U = 0 would pass
+    the product check on a zero matrix but not this one.
+    """
+    from sympy import Matrix
+
+    d, u, v = snf_with_transforms(m)
+    assert matrix_product(matrix_product(u, m), v) == d
+    for t in (u, v):
+        assert abs(Matrix(t.data).det()) == 1
+    return d
 
 
 # ------------------------------------------------------------------- builders

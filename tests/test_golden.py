@@ -32,7 +32,7 @@ from functools import cache
 
 import pytest
 
-from conftest import make_crossing, make_torus, make_twelve_gon
+from conftest import assert_smith_transforms, make_crossing, make_torus, make_twelve_gon
 from fqsurf.cli import main
 from fqsurf.coloring import (
     assign_face_orientations,
@@ -191,11 +191,11 @@ MATRICES = {
     "wide-2x4": IntegerMatrix([[3, 5, 7, 0], [6, -2, 4, 8]]),
     "tall-4x2": IntegerMatrix([[6, 4], [9, 6], [0, 12], [15, -10]]),
     "unimodular-3x3": IntegerMatrix([[2, 3, 1], [1, 2, 1], [1, 1, 1]]),
-    "zero-2x3": IntegerMatrix.zeros(2, 3),
+    "zero-2x3": IntegerMatrix([[0, 0, 0], [0, 0, 0]]),
     "dense-4x5": IntegerMatrix([[12, -18, 30, 6, 0], [8, 4, -16, 20, 2],
                                 [-9, 27, 15, 3, 6], [14, 7, 21, -28, 35]]),
-    "empty-0x3": IntegerMatrix.zeros(0, 3),
-    "empty-3x0": IntegerMatrix.zeros(3, 0),
+    "empty-0x3": IntegerMatrix([], 0, 3),
+    "empty-3x0": IntegerMatrix([[], [], []], 3, 0),
 }
 
 
@@ -376,6 +376,11 @@ def _digest(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
     assert _digest(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_snf_transforms_are_unimodular(name):
+    assert_smith_transforms(MATRICES[name])
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))

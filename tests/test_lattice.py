@@ -144,7 +144,7 @@ class TestAssignGroups:
     def test_every_vertex_passes_every_check(self, block_assignment):
         report = verify_link_conditions(block_assignment)
         assert report.ok
-        assert report.failing_vertices() == []
+        assert all(c.ok for c in report.checks.values())
         assert len(report.checks) == 6
         for check in report.checks.values():
             assert check.product_ok
@@ -161,7 +161,7 @@ class TestAssignGroups:
             link = build_link_graph(block_assignment, v)
             assert link.ok
             assert link.simple and link.complete and link.sizes_ok
-            assert sorted(link.side_sizes().values()) == [2, 3]
+            assert sorted(len(vs) for vs in link.side_vertices.values()) == [2, 3]
             assert len(link.edges) == 6
 
     def test_non_alternating_q_rejected(self, block_p6_g2):
@@ -263,7 +263,7 @@ class TestMutationAgreement:
         assignment = assign_groups(block_p6_g2, mutated, Q6)
         report = verify_link_conditions(assignment)
         assert not report.ok
-        eq_fail = set(report.failing_vertices())
+        eq_fail = {v for v, c in report.checks.items() if not c.ok}
         link_fail = {
             v
             for v in range(block_p6_g2.num_vertices)
@@ -800,9 +800,10 @@ class TestLatticeAgainstReference:
         q = (2, 3) * (p // 2)
         damaged = _flipped(solve_good_coloring(cx), {0})
         fast, ref, cert = _assert_matches_reference(cx, damaged, q)
-        failing = verify_link_conditions(fast).failing_vertices()
+        failing = [v for v, c in verify_link_conditions(fast).checks.items() if not c.ok]
         assert failing
-        assert failing == _reference_verify_link_conditions(ref).failing_vertices()
+        reference = _reference_verify_link_conditions(ref)
+        assert failing == [v for v, c in reference.checks.items() if not c.ok]
         assert failing == [e["id"] for e in cert["vertices"] if not (
             e["product_ok"] and e["intersection_ok"] and e["index_ok"])]
         assert cert["ok"] is False
@@ -1101,7 +1102,7 @@ def _degeneracies(cx):
     repeated = sum(
         1
         for f in cx.faces
-        if len({cx.tail_vertex(d) for d in cx.directed_boundary(f.id)}) < cx.p
+        if len({cx.tail_vertex((s.edge, not s.reversed)) for s in f.sides}) < cx.p
     )
     return self_glued, repeated
 

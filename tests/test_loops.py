@@ -18,9 +18,7 @@ from fqsurf.loops import (
     trace_geodesic_loops,
 )
 from fqsurf.surface_complex import (
-    IntegerMatrix,
     betti_numbers,
-    boundary_matrices,
     canonical_json,
     dual_graph,
     smith_normal_form,
@@ -34,6 +32,8 @@ from fqsurf.tessellation import (
 )
 
 from conftest import (
+    boundary_matrices,
+    loops_then_faces,
     make_crossing,
     make_disconnected,
     make_octagon,
@@ -42,6 +42,7 @@ from conftest import (
     make_same_sense,
     make_torus,
     make_twelve_gon,
+    matrix_product,
 )
 from test_surface_complex import matchings_complexes, side_pairing_complexes
 
@@ -159,7 +160,7 @@ class TestDegenerateLoops:
     def test_degenerate_cycle_repeats_an_edge(self, pillowcase):
         rep = trace_geodesic_loops(pillowcase)
         lp = rep.loops[0]
-        assert len(lp.edge_ids()) < len(lp.directed_edges)
+        assert len({e for e, _ in lp.directed_edges}) < len(lp.directed_edges)
 
 
 class TestBlockLoops:
@@ -170,9 +171,9 @@ class TestBlockLoops:
         assert rep.odd_loops == []
         assert rep.hypotheses_ok
 
-    def test_loop_accessor(self, block_p6_g2):
+    def test_loops_are_listed_by_id(self, block_p6_g2):
         rep = trace_geodesic_loops(block_p6_g2)
-        assert rep.loop(3).loop_id == 3
+        assert [lp.loop_id for lp in rep.loops] == list(range(len(rep.loops)))
 
 
 class TestCycleSpace:
@@ -194,9 +195,8 @@ class TestCycleSpace:
 
     def test_loop_vectors_are_cycles(self, hex4):
         rep = trace_geodesic_loops(hex4)
-        _, d1 = boundary_matrices(hex4)
-        for lp in rep.loops:
-            assert not any(d1.mul_vec(lp.as_one_cycle(hex4.num_edges)))
+        d2, d1 = boundary_matrices(hex4)
+        assert not any(matrix_product(d1, loops_then_faces(rep.loops, d2)).entries)
 
 
 # ------------------------------- tree-cotree reduction against full-matrix SNF
@@ -217,14 +217,8 @@ def _reference_betti_numbers(cx):
 def _reference_loops_generate_h1(cx, loops):
     """The former ``loops_generate_h1``: SNF of [loop cycles | d2] over all edges."""
     d2, d1 = boundary_matrices(cx)
-    rows = [{} for _ in range(cx.num_edges)]
-    for k, lp in enumerate(loops):
-        for e, fwd in lp.directed_edges:
-            rows[e][k] = rows[e].get(k, 0) + (1 if fwd else -1)
-    for row, face_row in zip(rows, d2.entries):
-        row.update((len(loops) + j, x) for j, x in face_row.items())
-    m = IntegerMatrix.from_rows(rows, len(loops) + cx.num_faces)
-    if not d1.mul(m).is_zero():
+    m = loops_then_faces(loops, d2)
+    if any(matrix_product(d1, m).entries):
         return False
     _, r1 = smith_normal_form(d1)
     diag, rank = smith_normal_form(m)
@@ -239,7 +233,8 @@ def _loop_lists(cx, loops, seed):
     single-edge chain."""
     rng = random.Random(seed)
     edge = GeodesicLoop(0, 1, ((0, True),), 1, "odd", False)
-    faces = [GeodesicLoop(f.id, None, tuple(cx.directed_boundary(f.id)), cx.p, "even", False)
+    faces = [GeodesicLoop(f.id, None, tuple((s.edge, not s.reversed) for s in f.sides),
+                          cx.p, "even", False)
              for f in cx.faces]
     reverse = [
         dataclasses.replace(
@@ -442,7 +437,7 @@ def test_loops_partition_edges(cx):
     rep = trace_geodesic_loops(cx)
     covered = []
     for lp in rep.loops:
-        covered.extend(lp.edge_ids())
+        covered.extend({e for e, _ in lp.directed_edges})
     assert sorted(covered) == list(range(cx.num_edges))
     if not any(lp.degenerate for lp in rep.loops):
         assert sum(lp.undirected_length for lp in rep.loops) == cx.num_edges
