@@ -17,8 +17,8 @@ each reaches its verdict on its own.
 
 Local data repeats heavily across a tessellation, so each fact is computed
 once per distinct key and shared by every cell with that key: one factor
-set per (edge type, color), one corner group per pair of factor sets, and,
-in each vertex oracle separately, one verdict per distinct signature.
+set per (edge type, color) and, in each vertex oracle separately, one
+verdict per distinct signature.
 
 Odd-length geodesic loops obstruct existence: each one forces a reflection
 symmetry on the sequence indices, and the closure of those reflections
@@ -188,9 +188,9 @@ def assign_groups(cx, coloring, q):
     intersection of the two edge groups at its first corner, which a good
     coloring makes independent of the corner.
 
-    A coloring that does not cover exactly the complex's edges, gives an
-    edge a color other than the int 0 or 1, or whose base vertex is not a
-    vertex of the complex, raises NotGoodColoring.
+    A coloring raises NotGoodColoring when its keys are not exactly the
+    complex's int edge ids, when it gives an edge a color other than the
+    int 0 or 1, or when its base vertex is not an int naming a vertex.
     Any other failure is recorded, not raised: a broken coloring condition
     in ``coloring_ok`` and faces whose corners disagree in
     ``face_conflicts``, so broken instances can still be inspected by the
@@ -201,10 +201,9 @@ def assign_groups(cx, coloring, q):
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
 
-    Edges of one (type, color) share one frozenset, so a corner group is
-    one ``&`` per distinct pair of factor sets, and a type pair is derived
-    once per distinct tuple of ray types.  Everything here is read-only
-    and shared between cells.
+    Edges of one (type, color) share one frozenset, and a type pair is
+    derived once per distinct tuple of ray types.  Everything here is
+    read-only and shared between cells.
     """
     q = _require_int_sequence(q)
     if cx.p % 2 != 0:
@@ -223,13 +222,16 @@ def assign_groups(cx, coloring, q):
         c = coloring.colors[e.id]
         if type(c) is not int or c not in (0, 1):
             raise NotGoodColoring(f"edge {e.id} has color {c!r}, not 0 or 1")
-    unknown = sorted(set(coloring.colors) - set(range(cx.num_edges)))
+    unknown = {
+        e for e in coloring.colors if type(e) is not int or not 0 <= e < cx.num_edges
+    }
     if unknown:
-        raise NotGoodColoring(f"edge {unknown[0]} is colored but not in the complex")
-    if coloring.base_vertex not in range(cx.num_vertices):
-        raise NotGoodColoring(
-            f"base_vertex {coloring.base_vertex!r} is not a vertex of the complex"
-        )
+        # the smallest int id first, then other keys (even 3.0 or True) by repr
+        ids = sorted(e for e in unknown if type(e) is int) or sorted(map(repr, unknown))
+        raise NotGoodColoring(f"edge {ids[0]} is colored but not in the complex")
+    base = coloring.base_vertex
+    if type(base) is not int or not 0 <= base < cx.num_vertices:
+        raise NotGoodColoring(f"base_vertex {base!r} is not a vertex of the complex")
     coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
@@ -242,18 +244,12 @@ def assign_groups(cx, coloring, q):
             factors = factor_sets[key] = _edge_factor_set(*key)
         edge_factors[e.id] = factors
 
-    meets = {}
     face_factors = {}
     face_conflicts = {}
     for f in cx.faces:
         side_sets = [edge_factors[s.edge] for s in f.sides]
-        per_corner = []
         # corner k lies between sides k-1 and k
-        for pair in zip(side_sets[-1:] + side_sets[:-1], side_sets):
-            meet = meets.get(pair)
-            if meet is None:
-                meet = meets[pair] = pair[0] & pair[1]
-            per_corner.append(meet)
+        per_corner = [a & b for a, b in zip(side_sets[-1:] + side_sets[:-1], side_sets)]
         face_factors[f.id] = per_corner[0]
         if per_corner.count(per_corner[0]) != len(per_corner):
             face_conflicts[f.id] = tuple(per_corner)
@@ -604,57 +600,44 @@ def build_certificate(cx, coloring, q):
     ``assignment.signatures``.  It is enumerated once per distinct
     signature, by ``build_link_graph`` at the lowest vertex that has it,
     and every vertex with that signature takes its side sizes and verdict.
-    The VertexCheck fields are fixed by the signature too, so each vertex
-    entry is copied from one record per signature, and each edge's sorted
-    ``factors`` from one list per factor set.  Every entry gets fresh
+    The arithmetic fields of each vertex entry come from that vertex's own
+    check in ``assignment.vertex_checks``.  Every entry gets fresh
     containers: no mutable object is shared between entries.
 
     A coloring that fails verification still yields a certificate; the
     failures end up in the per-vertex entries and the overall flag.
     """
     assignment = assign_groups(cx, coloring, q)
-    checks = assignment.vertex_checks
-    records = {}
+    links = {}
     vertices = []
     for v, signature in enumerate(assignment.signatures):
-        record = records.get(signature)
-        if record is None:
-            check = checks[v]
+        entry = links.get(signature)
+        if entry is None:
             link = build_link_graph(assignment, v)
-            record = records[signature] = (
-                check.types,
-                check.product_ok,
-                check.intersection_ok,
-                check.index_ok,
-                sorted(check.index_sums.items()),
-                [len(link.side_vertices[t]) for t in link.types],
-                link.ok,
-            )
-        types, product_ok, intersection_ok, index_ok, sums, sides, link_ok = record
+            sides = [len(link.side_vertices[t]) for t in link.types]
+            entry = links[signature] = (sides, link.ok)
+        sides, link_ok = entry
+        check = assignment.vertex_checks[v]
         vertices.append({
             "id": v,
-            "types": list(types),
-            "product_ok": product_ok,
-            "intersection_ok": intersection_ok,
-            "index_ok": index_ok,
-            "index_sums": {str(t): s for t, s in sums},
+            "types": list(check.types),
+            "product_ok": check.product_ok,
+            "intersection_ok": check.intersection_ok,
+            "index_ok": check.index_ok,
+            "index_sums": {str(t): s for t, s in sorted(check.index_sums.items())},
             "link_sides": list(sides),
             "link_ok": link_ok,
         })
-    ok = assignment.certified and all(record[-1] for record in records.values())
-    sorted_factors = {}
-    edges = []
-    for e in cx.edges:
-        factors = assignment.edge_factors[e.id]
-        names = sorted_factors.get(factors)
-        if names is None:
-            names = sorted_factors[factors] = sorted(factors)
-        edges.append({
+    ok = assignment.certified and all(link_ok for _, link_ok in links.values())
+    edges = [
+        {
             "id": e.id,
             "type": e.type,
             "color": coloring.colors[e.id],
-            "factors": list(names),
-        })
+            "factors": sorted(assignment.edge_factors[e.id]),
+        }
+        for e in cx.edges
+    ]
     deco = assignment.decomposition
     return {
         "format": CERT_FORMAT,

@@ -335,13 +335,14 @@ def validate(cx, expected_genus=None):
     tiers.  Closed means oriented, so the Euler characteristic is even.
 
     Everything but the genus comparison is computed once per complex and
-    cached; ``expected_genus`` is checked on each call.
+    cached; ``expected_genus`` is checked on each call, unless the complex
+    is open and so has no genus to compare.
     """
     if cx._validation is None:
         cx._validation = _axiom_findings(cx)
     findings, face_findings, euler, genus = cx._validation
     failures = list(findings)
-    if expected_genus is not None and genus != expected_genus:
+    if expected_genus is not None and genus is not None and genus != expected_genus:
         failures.append(
             Finding("GenusMismatch", f"computed genus {genus}, expected {expected_genus}")
         )

@@ -1,6 +1,8 @@
 """End-to-end command coverage: files in, files out, exit codes."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,15 @@ def _replace(*path, value):
         node[path[-1]] = value
         return doc
     return edit
+
+
+def test_console_script_entry_point_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, attr = scripts["fqsurf"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target) and target is main
 
 
 class TestFaces:
@@ -132,6 +143,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "Closedness" in out
         assert "invalid" in out
+
+    def test_open_complex_with_a_genus_has_one_finding(self, tmp_path, capsys):
+        path = write_complex(tmp_path / "open.json", make_open_square())
+        assert main(["validate", "-i", path, "--genus", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("Closedness: ")
+        assert lines[1] == "invalid (1 findings)"
 
     def test_missing_file_is_a_usage_error(self):
         assert main(["validate", "-i", "/nonexistent/complex.json"]) == 2

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import random
+import re
 from itertools import product as iter_product
 
 import pytest
@@ -190,6 +191,32 @@ class TestAssignGroups:
             assign_groups(block_p6_g2, extra, Q6)
 
     @pytest.mark.parametrize(
+        "keys, shown",
+        [(("x", (1, 2)), "'x'"), ((100, "x", 40), "40"), (((1, 2), 0.5), "(1, 2)")],
+        ids=["str-and-tuple", "ints-first", "tuple-and-float"],
+    )
+    def test_extra_keys_of_mixed_types_rejected(self, block_p6_g2, keys, shown):
+        coloring = solve_good_coloring(block_p6_g2)
+        extra = dataclasses.replace(
+            coloring, colors={**coloring.colors, **dict.fromkeys(keys, 0)}
+        )
+        message = f"^edge {re.escape(shown)} is colored but not in the complex$"
+        with pytest.raises(NotGoodColoring, match=message):
+            assign_groups(block_p6_g2, extra, Q6)
+        with pytest.raises(NotGoodColoring, match=message):
+            build_certificate(block_p6_g2, extra, Q6)
+
+    @pytest.mark.parametrize("key, edge", [(3.0, 3), (True, 1)])
+    def test_keys_equal_to_an_edge_id_rejected(self, block_p6_g2, key, edge):
+        coloring = solve_good_coloring(block_p6_g2)
+        colors = {e: c for e, c in coloring.colors.items() if e != edge}
+        colors[key] = coloring.colors[edge]
+        bad = dataclasses.replace(coloring, colors=colors)
+        message = f"^edge {key!r} is colored but not in the complex$"
+        with pytest.raises(NotGoodColoring, match=message):
+            build_certificate(block_p6_g2, bad, Q6)
+
+    @pytest.mark.parametrize(
         "recolor, shown",
         [({0: 2, 1: 1}, "2"), ({0: False, 1: True}, "False"), ({0: 0.0, 1: 1}, "0.0")],
         ids=["two-for-zero", "bools", "float-zero"],
@@ -206,7 +233,8 @@ class TestAssignGroups:
         with pytest.raises(NotGoodColoring, match=message):
             build_certificate(block_p6_g2, bad, Q6)
 
-    @pytest.mark.parametrize("base", [6, 1000000, -1])
+    # a bool or float base is not a vertex id, even when it equals one
+    @pytest.mark.parametrize("base", [6, 1000000, -1, True, False, 0.0])
     def test_base_vertex_outside_the_complex_rejected(self, block_p6_g2, base):
         coloring = dataclasses.replace(solve_good_coloring(block_p6_g2), base_vertex=base)
         with pytest.raises(NotGoodColoring, match=f"base_vertex {base} is not a vertex"):

@@ -185,6 +185,11 @@ class TestValidate:
         assert "Closedness" in rep.tags()
         assert not rep.structurally_ok
 
+    def test_open_complex_has_no_genus_to_compare(self):
+        rep = validate(make_open_square(), expected_genus=2)
+        assert rep.genus is None
+        assert rep.tags() == ["Closedness"] and len(rep.failures) == 1
+
     def test_same_sense_gluing_flagged(self):
         rep = validate(make_same_sense())
         assert "Closedness" in rep.tags()
