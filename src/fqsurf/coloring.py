@@ -15,10 +15,8 @@ Turns are read off the rotation system by ``SurfaceComplex.continue_through``:
 a passage goes straight at turn 2, left at 1 and right at -1.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .loops import trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
@@ -38,11 +36,7 @@ ALTERNATING = "alternating"
 CONSISTENCY = "consistency"
 
 
-class ParityConstraint(NamedTuple):
-    edge_a: int
-    edge_b: int
-    parity: int
-    tag: str
+ParityConstraint = namedtuple("ParityConstraint", "edge_a edge_b parity tag")
 
 
 class ParityConstraintSystem:
@@ -138,14 +132,12 @@ def build_constraints(cx, loop_report):
     return ParityConstraintSystem(variables, relations.values())
 
 
-@dataclass
-class EdgeColoring:
+class EdgeColoring(namedtuple(
+    "EdgeColoring", "colors base_vertex seed solution_count", defaults=(None,)
+)):
     """A total 0/1 coloring plus how it was seeded."""
 
-    colors: dict
-    base_vertex: int
-    seed: tuple
-    solution_count: int = None
+    __slots__ = ()
 
     def color_of(self, edge_id):
         return self.colors[edge_id]
@@ -337,10 +329,8 @@ def verify_good_coloring(cx, coloring):
     return (not violations, violations)
 
 
-@dataclass
-class OrientationAssignment:
-    colors: object
-    odd_cycle: object
+class OrientationAssignment(namedtuple("OrientationAssignment", "colors odd_cycle")):
+    __slots__ = ()
 
     @property
     def bipartite(self):

@@ -27,7 +27,7 @@ procedure combines the face-count residue, the symmetry obstructions and
 the constructions into a verdict, optionally backed by a full certificate.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product as iter_product
 from math import gcd
 from operator import itemgetter
@@ -58,16 +58,13 @@ class OddPUnsupported(ValueError):
     """The decision procedure only covers even p."""
 
 
-@dataclass(frozen=True)
-class AlternatingDecomposition:
+class AlternatingDecomposition(namedtuple("AlternatingDecomposition", "d e reduced")):
     """Common divisors of the two alternating classes of a sequence.
 
     ``reduced`` holds q_i divided by the divisor of its class.
     """
 
-    d: int
-    e: int
-    reduced: tuple
+    __slots__ = ()
 
 
 def alternating_noncoprime(q):
@@ -122,48 +119,35 @@ def group_order(factors, orders):
     return out
 
 
-@dataclass
-class VertexCheck:
+class VertexCheck(namedtuple(
+    "VertexCheck",
+    "vertex types product_ok intersection_ok index_ok index_sums expected_sums",
+)):
     """Results of the three local conditions at one vertex."""
 
-    vertex: int
-    types: tuple
-    product_ok: bool
-    intersection_ok: bool
-    index_ok: bool
-    index_sums: dict
-    expected_sums: dict
+    __slots__ = ()
 
     @property
     def ok(self):
         return self.product_ok and self.intersection_ok and self.index_ok
 
 
-@dataclass
-class LinkConditionReport:
-    checks: dict
+class LinkConditionReport(namedtuple("LinkConditionReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):
         return all(c.ok for c in self.checks.values())
 
 
-@dataclass
-class GroupAssignment:
+class GroupAssignment(namedtuple(
+    "GroupAssignment",
+    "cx q decomposition orders coloring edge_factors face_factors face_conflicts"
+    " coloring_ok signatures vertex_checks certified",
+)):
     """Factor subgroups on every cell, with the certification verdict."""
 
-    cx: object
-    q: tuple
-    decomposition: AlternatingDecomposition
-    orders: dict
-    coloring: EdgeColoring
-    edge_factors: dict
-    face_factors: dict
-    face_conflicts: dict
-    coloring_ok: bool
-    signatures: tuple
-    vertex_checks: dict = field(default_factory=dict)
-    certified: bool = False
+    __slots__ = ()
 
 
 def _edge_factor_set(edge_type, color):
@@ -286,13 +270,14 @@ def assign_groups(cx, coloring, q):
         face_conflicts=face_conflicts,
         coloring_ok=coloring_ok,
         signatures=tuple(signatures),
+        vertex_checks={},
+        certified=False,
     )
     report = verify_link_conditions(assignment)
-    assignment.vertex_checks = report.checks
-    assignment.certified = (
-        coloring_ok and not face_conflicts and report.ok
+    return assignment._replace(
+        vertex_checks=report.checks,
+        certified=coloring_ok and not face_conflicts and report.ok,
     )
-    return assignment
 
 
 def _link_arithmetic(signature, q, orders):
@@ -352,17 +337,12 @@ def verify_link_conditions(assignment):
     return LinkConditionReport(checks=checks)
 
 
-@dataclass
-class LinkGraph:
+class LinkGraph(namedtuple(
+    "LinkGraph", "vertex types side_vertices edges simple complete sizes_ok"
+)):
     """The coset link at one vertex, with its completeness verdict."""
 
-    vertex: int
-    types: tuple
-    side_vertices: dict
-    edges: tuple
-    simple: bool
-    complete: bool
-    sizes_ok: bool
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -465,13 +445,10 @@ def build_link_graph(assignment, vertex):
 # ---------------------------------------------------------------------------
 # index symmetries
 
-@dataclass(frozen=True)
-class IndexMap:
+class IndexMap(namedtuple("IndexMap", "p sign shift")):
     """A rotation or reflection of the type indices 1..p."""
 
-    p: int
-    sign: int
-    shift: int
+    __slots__ = ()
 
     @classmethod
     def rotation(cls, p, t):
@@ -498,14 +475,10 @@ class IndexMap:
         return self.sign == -1
 
 
-@dataclass
-class IndexSymmetry:
+class IndexSymmetry(namedtuple("IndexSymmetry", "p generators elements orbits")):
     """A subgroup of index maps and its orbit partition of {1..p}."""
 
-    p: int
-    generators: tuple
-    elements: tuple
-    orbits: tuple
+    __slots__ = ()
 
     def orbit_of(self, k):
         for orbit in self.orbits:
@@ -573,12 +546,9 @@ UNKNOWN = "Unknown"
 INTERNAL_ERROR = "InternalError"
 
 
-@dataclass
-class Verdict:
-    outcome: str
-    method: object
-    reason: str
-    certificate: object = None
+Verdict = namedtuple(
+    "Verdict", "outcome method reason certificate", defaults=(None,)
+)
 
 
 def _smallest_prime_factor(n):

@@ -19,33 +19,26 @@ leftover edges.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .surface_complex import smith_normal_form, tree_cotree
 
 
-@dataclass
-class GeodesicLoop:
-    loop_id: int
-    type: object
-    directed_edges: tuple
-    undirected_length: int
-    parity: str
-    degenerate: bool
+class GeodesicLoop(namedtuple(
+    "GeodesicLoop", "loop_id type directed_edges undirected_length parity degenerate"
+)):
+    __slots__ = ()
 
     def vertex_ids(self, cx):
         return {cx.tail_vertex(d) for d in self.directed_edges}
 
 
-@dataclass
-class LoopReport:
-    loops: list
-    per_type_counts: dict
-    odd_loops: list
-    # shared-vertex counts for each unordered pair of loops that meet,
-    # keyed by position in `loops`
-    pairwise_intersections: dict
-    hypotheses_ok: bool
+# pairwise_intersections holds the shared-vertex counts for each unordered
+# pair of loops that meet, keyed by position in `loops`
+LoopReport = namedtuple(
+    "LoopReport",
+    "loops per_type_counts odd_loops pairwise_intersections hypotheses_ok",
+)
 
 
 def trace_geodesic_loops(cx):

@@ -37,11 +37,8 @@ only inside those two.  Entries are exact Python integers that grow during
 elimination and are never truncated.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
 
 CCW = "ccw"
 CW = "cw"
@@ -63,23 +60,9 @@ class WrongSideCount(ValueError):
     """A face does not have exactly p sides."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    type: int
-
-
-@dataclass(frozen=True)
-class Side:
-    edge: int
-    reversed: bool
-
-
-@dataclass(frozen=True)
-class Face:
-    id: int
-    chirality: str
-    sides: tuple
+Edge = namedtuple("Edge", "id type")
+Side = namedtuple("Side", "edge reversed")
+Face = namedtuple("Face", "id chirality sides")
 
 
 def succ_type(t, p):
@@ -303,18 +286,13 @@ def build_complex(p, edge_specs, face_specs):
     return SurfaceComplex(p, edges, faces)
 
 
-@dataclass(frozen=True)
-class Finding:
-    tag: str
-    detail: str
+Finding = namedtuple("Finding", "tag detail")
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    failures: list
-    euler_characteristic: object
-    genus: object
+class ValidationReport(
+    namedtuple("ValidationReport", "passed failures euler_characteristic genus")
+):
+    __slots__ = ()
 
     @property
     def structurally_ok(self):
@@ -336,7 +314,7 @@ def validate(cx, expected_genus=None):
 
     Everything but the genus comparison is computed once per complex and
     cached; ``expected_genus`` is checked on each call, unless the complex
-    is open and so has no genus to compare.
+    is open or has no faces and so has no genus to compare.
     """
     if cx._validation is None:
         cx._validation = _axiom_findings(cx)
@@ -373,6 +351,9 @@ def _axiom_findings(cx):
     if bad_edges:
         closedness = Finding("Closedness", f"edges used wrongly: {bad_edges[:8]}")
         return (closedness,), tuple(face_findings), None, None
+    if not cx.num_faces:
+        # a closed complex without faces has no edges or vertices either
+        return (Finding("Disconnected", "the complex has no faces"),), (), 0, None
 
     failures = []
     orbits = cx.vertices()
@@ -380,21 +361,20 @@ def _axiom_findings(cx):
     euler = n_v - n_e + n_f
 
     # connectivity over the face-adjacency (dual) graph
-    if n_f:
-        reached = {0}
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            for s in cx.faces[f].sides:
-                for (g, _k) in cx.occurrences()[s.edge]:
-                    if g not in reached:
-                        reached.add(g)
-                        stack.append(g)
-        if len(reached) != n_f:
-            failures.append(
-                Finding("Disconnected",
-                        f"only {len(reached)} of {n_f} faces reachable from face 0")
-            )
+    reached = {0}
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for s in cx.faces[f].sides:
+            for (g, _k) in cx.occurrences()[s.edge]:
+                if g not in reached:
+                    reached.add(g)
+                    stack.append(g)
+    if len(reached) != n_f:
+        failures.append(
+            Finding("Disconnected",
+                    f"only {len(reached)} of {n_f} faces reachable from face 0")
+        )
 
     wrong_degree = [vid for vid, orb in enumerate(orbits) if len(orb) != 4]
     if wrong_degree:
@@ -415,12 +395,13 @@ def _axiom_findings(cx):
     return tuple(failures), tuple(face_findings), euler, (2 - euler) // 2
 
 
-@dataclass
-class DualGraph:
-    """One node per face, one edge per primal edge (loops allowed)."""
+class DualGraph(namedtuple("DualGraph", "nodes edges")):
+    """One node per face, one edge per primal edge (loops allowed).
 
-    nodes: tuple
-    edges: tuple  # (face_a, face_b, primal_edge_id), ordered by primal edge id
+    ``edges`` holds (face_a, face_b, primal_edge_id), ordered by primal edge id.
+    """
+
+    __slots__ = ()
 
     def to_dot(self):
         lines = ["graph dual {"]
@@ -619,7 +600,7 @@ def snf_with_transforms(m):
     )
 
 
-class TreeCotree(NamedTuple):
+class TreeCotree(namedtuple("TreeCotree", "tree cotree x_edges images")):
     """The chain complex of a closed surface reduced along a tree and a cotree.
 
     ``tree`` counts the edges of the spanning forest T and ``cotree`` those
@@ -629,10 +610,7 @@ class TreeCotree(NamedTuple):
     push of a cotree edge.
     """
 
-    tree: int
-    cotree: int
-    x_edges: tuple
-    images: list
+    __slots__ = ()
 
     def matrix(self, columns):
         """``{X edge: coefficient}`` columns as an |X|-row IntegerMatrix."""

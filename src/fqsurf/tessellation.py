@@ -25,8 +25,7 @@ glues each face's type-t side to its partner's, which is how the block
 construction and several test fixtures are wired.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .loops import trace_geodesic_loops
 from .surface_complex import (
@@ -268,16 +267,13 @@ def build_rect_tessellation(p, a, b):
     return cx
 
 
-@dataclass
-class SubdivisionMap:
+class SubdivisionMap(namedtuple(
+    "SubdivisionMap",
+    "pieces axis edge_splits chords midpoint_vertices center_vertices",
+)):
     """Record of a chord subdivision: what was cut and what is new."""
 
-    pieces: int
-    axis: int
-    edge_splits: dict
-    chords: dict
-    midpoint_vertices: dict
-    center_vertices: dict
+    __slots__ = ()
 
 
 def _subdivide(cx, pieces, axis, genus):

@@ -152,6 +152,15 @@ class TestValidateCommand:
         assert lines[0].startswith("Closedness: ")
         assert lines[1] == "invalid (1 findings)"
 
+    def test_empty_complex_has_one_finding(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"format": "fq-complex/1", "p": 6, "edges": [], "faces": []}')
+        assert main(["validate", "-i", str(path), "--genus", "1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "Disconnected: the complex has no faces",
+            "invalid (1 findings)",
+        ]
+
     def test_missing_file_is_a_usage_error(self):
         assert main(["validate", "-i", "/nonexistent/complex.json"]) == 2
 

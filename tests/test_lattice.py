@@ -1,7 +1,6 @@
 """Thickness decompositions, local groups, link checks, the decision map."""
 
 import copy
-import dataclasses
 import functools
 import random
 import re
@@ -197,9 +196,7 @@ class TestAssignGroups:
     )
     def test_extra_keys_of_mixed_types_rejected(self, block_p6_g2, keys, shown):
         coloring = solve_good_coloring(block_p6_g2)
-        extra = dataclasses.replace(
-            coloring, colors={**coloring.colors, **dict.fromkeys(keys, 0)}
-        )
+        extra = coloring._replace(colors={**coloring.colors, **dict.fromkeys(keys, 0)})
         message = f"^edge {re.escape(shown)} is colored but not in the complex$"
         with pytest.raises(NotGoodColoring, match=message):
             assign_groups(block_p6_g2, extra, Q6)
@@ -211,7 +208,7 @@ class TestAssignGroups:
         coloring = solve_good_coloring(block_p6_g2)
         colors = {e: c for e, c in coloring.colors.items() if e != edge}
         colors[key] = coloring.colors[edge]
-        bad = dataclasses.replace(coloring, colors=colors)
+        bad = coloring._replace(colors=colors)
         message = f"^edge {key!r} is colored but not in the complex$"
         with pytest.raises(NotGoodColoring, match=message):
             build_certificate(block_p6_g2, bad, Q6)
@@ -224,8 +221,8 @@ class TestAssignGroups:
     def test_colors_other_than_int_zero_or_one_rejected(self, block_p6_g2, recolor, shown):
         coloring = solve_good_coloring(block_p6_g2)
         assert coloring.colors[0] == 0  # so edge 0 is the first bad one
-        bad = dataclasses.replace(
-            coloring, colors={e: recolor[c] for e, c in coloring.colors.items()}
+        bad = coloring._replace(
+            colors={e: recolor[c] for e, c in coloring.colors.items()}
         )
         message = f"^edge 0 has color {shown}, not 0 or 1$"
         with pytest.raises(NotGoodColoring, match=message):
@@ -236,7 +233,7 @@ class TestAssignGroups:
     # a bool or float base is not a vertex id, even when it equals one
     @pytest.mark.parametrize("base", [6, 1000000, -1, True, False, 0.0])
     def test_base_vertex_outside_the_complex_rejected(self, block_p6_g2, base):
-        coloring = dataclasses.replace(solve_good_coloring(block_p6_g2), base_vertex=base)
+        coloring = solve_good_coloring(block_p6_g2)._replace(base_vertex=base)
         with pytest.raises(NotGoodColoring, match=f"base_vertex {base} is not a vertex"):
             assign_groups(block_p6_g2, coloring, Q6)
         with pytest.raises(NotGoodColoring, match=f"base_vertex {base} is not a vertex"):
@@ -501,8 +498,8 @@ def _reference_link_graph(assignment, vertex):
 def _assert_same_link(assignment, vertex):
     link = build_link_graph(assignment, vertex)
     reference = _reference_link_graph(assignment, vertex)
-    for f in dataclasses.fields(LinkGraph):
-        assert getattr(link, f.name) == getattr(reference, f.name), (vertex, f.name)
+    for name in LinkGraph._fields:
+        assert getattr(link, name) == getattr(reference, name), (vertex, name)
     assert list(link.side_vertices) == list(reference.side_vertices)
     return link
 
@@ -510,7 +507,7 @@ def _assert_same_link(assignment, vertex):
 def _with_signature(assignment, vertex, signature, **changes):
     signatures = list(assignment.signatures)
     signatures[vertex] = signature
-    return dataclasses.replace(assignment, signatures=tuple(signatures), **changes)
+    return assignment._replace(signatures=tuple(signatures), **changes)
 
 
 def _certified_links(monkeypatch, p, q, g):
@@ -694,19 +691,17 @@ def _reference_assign_groups(cx, coloring, q):
             tuple(face_factors[orbit[(k + 1) % 4][0]] for k in range(4)),
         ))
 
-    assignment = dataclasses.replace(
-        fast,
+    assignment = fast._replace(
         edge_factors=edge_factors,
         face_factors=face_factors,
         face_conflicts=face_conflicts,
         signatures=tuple(signatures),
     )
     report = _reference_verify_link_conditions(assignment)
-    assignment.vertex_checks = report.checks
-    assignment.certified = (
-        assignment.coloring_ok and not face_conflicts and report.ok
+    return assignment._replace(
+        vertex_checks=report.checks,
+        certified=assignment.coloring_ok and not face_conflicts and report.ok,
     )
-    return assignment
 
 
 def _reference_build_certificate(cx, coloring, q):
@@ -779,8 +774,8 @@ def _assert_matches_reference(cx, coloring, q):
     assert list(fast.vertex_checks) == list(ref.vertex_checks)
     for v, check in fast.vertex_checks.items():
         expected = ref.vertex_checks[v]
-        for f in dataclasses.fields(VertexCheck):
-            assert getattr(check, f.name) == getattr(expected, f.name), (v, f.name)
+        for name in VertexCheck._fields:
+            assert getattr(check, name) == getattr(expected, name), (v, name)
         assert list(check.index_sums) == list(expected.index_sums)
         assert list(check.expected_sums) == list(expected.expected_sums)
     cert = build_certificate(cx, coloring, q)

@@ -1,6 +1,5 @@
 """Geodesic loop tracing, intersections, homology generation, orientations."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -237,14 +236,14 @@ def _loop_lists(cx, loops, seed):
                           cx.p, "even", False)
              for f in cx.faces]
     reverse = [
-        dataclasses.replace(
-            lp, directed_edges=tuple((e, not fwd) for e, fwd in lp.directed_edges[::-1])
+        lp._replace(
+            directed_edges=tuple((e, not fwd) for e, fwd in lp.directed_edges[::-1])
         )
         for lp in loops
     ]
     lists = [loops, [], [edge], loops + [edge], loops + loops, reverse, reverse[::-1]]
     if loops:
-        doubled = dataclasses.replace(loops[0], directed_edges=loops[0].directed_edges * 2)
+        doubled = loops[0]._replace(directed_edges=loops[0].directed_edges * 2)
         lists.append([doubled] + loops[1:])
     for _ in range(8):
         lists.append(rng.sample(loops, rng.randint(0, len(loops))))
@@ -304,7 +303,7 @@ class TestHomologyAgainstReference:
         loops = trace_geodesic_loops(block_p6_g2).loops
         basis = next(list(c) for c in itertools.combinations(loops, 4)
                      if _reference_loops_generate_h1(block_p6_g2, c))
-        doubled = dataclasses.replace(basis[0], directed_edges=basis[0].directed_edges * 2)
+        doubled = basis[0]._replace(directed_edges=basis[0].directed_edges * 2)
         assert loops_generate_h1(block_p6_g2, basis)
         assert not loops_generate_h1(block_p6_g2, [doubled] + basis[1:])
         assert not _reference_loops_generate_h1(block_p6_g2, [doubled] + basis[1:])

@@ -12,6 +12,7 @@ from fqsurf.surface_complex import (
     CW,
     DanglingEdgeReference,
     DuplicateId,
+    Finding,
     IntegerMatrix,
     STRUCTURAL_TAGS,
     TreeCotree,
@@ -199,6 +200,12 @@ class TestValidate:
     def test_disconnected_flagged(self):
         rep = validate(make_disconnected())
         assert "Disconnected" in rep.tags()
+
+    def test_empty_complex_is_disconnected_with_no_genus(self):
+        rep = validate(build_complex(6, [], []), expected_genus=1)
+        assert not rep.passed and not rep.structurally_ok
+        assert rep.failures == [Finding("Disconnected", "the complex has no faces")]
+        assert rep.genus is None
 
     def test_degree_two_vertices_flagged(self):
         rep = validate(make_pillowcase())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqsurf.surface_complex import canonical_json, complex_to_dict, validate
+from fqsurf.surface_complex import build_complex, canonical_json, complex_to_dict, validate
 from fqsurf.coloring import assign_face_orientations
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.tessellation import (
@@ -203,6 +203,10 @@ class TestSubdivideTwo:
 
         with pytest.raises(ValueError):
             subdivide_two(make_open_square(), axis=1)
+
+    def test_empty_complex_rejected(self):
+        with pytest.raises(ValueError, match="requires a structurally valid complex"):
+            subdivide_two(build_complex(8, [], []))
 
     @pytest.mark.parametrize("axis", [0, 9, -3])
     def test_axis_out_of_range_rejected(self, rect_p8_1x2, axis):
