@@ -155,10 +155,14 @@ class ContradictionWitness:
 
 def _seed_priorities(cx):
     """The paper's base-point seeding: four rays in counterclockwise order
-    get colors 0, 0, 1, 1.  Rotations are stored clockwise, so reverse."""
+    get colors 0, 0, 1, 1.  Rotations are stored clockwise, so reverse.
+
+    Raises ValueError for a complex with no vertices: a coloring records its
+    base vertex, and such a complex has none.
+    """
     base = 0
     if cx.num_vertices == 0:
-        return base, []
+        raise ValueError("the complex has no vertices, so no base vertex to seed from")
     rot = cx.rotation(base)
     if len(rot) != 4:
         return base, []
@@ -304,8 +308,12 @@ def verify_good_coloring(cx, coloring):
 
     Walks every geodesic loop and compares colors edge to edge — no
     constraint system involved, so this is an independent check of solver
-    output.  Returns (ok, violations).
+    output.  Returns (ok, violations).  Raises ValueError, naming the lowest
+    such id, when an edge of the complex has no color.
     """
+    missing = next((e.id for e in cx.edges if e.id not in coloring.colors), None)
+    if missing is not None:
+        raise ValueError(f"edge {missing} is not colored")
     report = trace_geodesic_loops(cx)
     violations = []
     for loop in report.loops:

@@ -85,11 +85,10 @@ def alternating_noncoprime(q):
     return AlternatingDecomposition(d=d, e=e, reduced=reduced)
 
 
-def symmetric_axes(q, kind):
-    """All axes m making the sequence 2- or 4-symmetric about m."""
-    pieces = {"two": 2, "four": 4}.get(kind)
-    if pieces is None:
-        raise ValueError(f"kind must be 'two' or 'four', got {kind!r}")
+def symmetric_axes(q, pieces):
+    """All axes m about which the sequence is ``pieces``-symmetric (2 or 4)."""
+    if type(pieces) is not int or pieces not in (2, 4):
+        raise ValueError(f"pieces must be 2 or 4, got {pieces!r}")
     q = _require_int_sequence(q)
     return {m for m in range(1, len(q) + 1) if is_symmetric(q, m, pieces)}
 
@@ -231,7 +230,7 @@ def assign_groups(cx, coloring, q):
     face_factors = {}
     face_conflicts = {}
     for f in cx.faces:
-        side_sets = [edge_factors[s.edge] for s in f.sides]
+        side_sets = [edge_factors[eid] for eid, _rev in f.sides]
         # corner k lies between sides k-1 and k
         per_corner = [a & b for a, b in zip(side_sets[-1:] + side_sets[:-1], side_sets)]
         face_factors[f.id] = per_corner[0]
@@ -443,98 +442,46 @@ def build_link_graph(assignment, vertex):
 
 
 # ---------------------------------------------------------------------------
-# index symmetries
+# forced symmetries
 
-class IndexMap(namedtuple("IndexMap", "p sign shift")):
-    """A rotation or reflection of the type indices 1..p."""
-
-    __slots__ = ()
-
-    @classmethod
-    def rotation(cls, p, t):
-        return cls(p=p, sign=1, shift=t % p)
-
-    @classmethod
-    def reflection(cls, p, m):
-        return cls(p=p, sign=-1, shift=(2 * m) % p)
-
-    def apply(self, k):
-        return (self.sign * k + self.shift - 1) % self.p + 1
-
-    def after(self, other):
-        if self.p != other.p:
-            raise ValueError("maps act on different index ranges")
-        return IndexMap(
-            p=self.p,
-            sign=self.sign * other.sign,
-            shift=(self.sign * other.shift + self.shift) % self.p,
-        )
-
-    @property
-    def is_reflection(self):
-        return self.sign == -1
-
-
-class IndexSymmetry(namedtuple("IndexSymmetry", "p generators elements orbits")):
-    """A subgroup of index maps and its orbit partition of {1..p}."""
-
-    __slots__ = ()
-
-    def orbit_of(self, k):
-        for orbit in self.orbits:
-            if k in orbit:
-                return orbit
-        raise ValueError(f"index {k} out of range")
-
-    def constant_on_orbits(self, q):
-        q = tuple(q)
-        return all(
-            len({q[k - 1] for k in orbit}) == 1 for orbit in self.orbits
-        )
-
-
-def loop_obstructions(cx, loop_report):
-    """Reflections forced by odd geodesic loops.
+def loop_obstructions(loop_report):
+    """Axes of the reflections forced by odd geodesic loops, sorted.
 
     An odd-length loop whose edges all have type t makes any quotient
-    identify type t+k with type t-k, i.e. the reflection k -> 2t - k.
-    Loops of mixed type contribute nothing.
+    identify type t+k with type t-k, i.e. the reflection k -> 2t - k about
+    axis t.  Loops of mixed type contribute nothing.
     """
-    out = set()
-    for lp in loop_report.loops:
-        if lp.parity == "odd" and lp.type is not None:
-            out.add(IndexMap.reflection(cx.p, lp.type))
-    return sorted(out, key=lambda m: (m.sign, m.shift))
+    return sorted({
+        lp.type for lp in loop_report.loops if lp.parity == "odd" and lp.type is not None
+    })
 
 
-def symmetry_closure(p, generators):
-    """The subgroup generated by index maps, with its orbits."""
-    generators = tuple(generators)
-    identity = IndexMap(p=p, sign=1, shift=0)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = g.after(cur)
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
+def symmetry_closure(p, axes):
+    """Orbits of {1..p} under the group the reflections about ``axes`` generate.
+
+    The reflection about m sends k to 2m - k, read mod p in 1..p.  An orbit
+    is everything single reflections reach from one index, so the orbits are
+    the connected components of k ~ 2m - k.  They come back as sorted
+    tuples, listed by least element.
+    """
+    axes = set(axes)
     orbits = []
     seen = set()
     for k in range(1, p + 1):
         if k in seen:
             continue
-        orbit = sorted({m.apply(k) for m in elements})
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    ordered = sorted(elements, key=lambda m: (m.sign, m.shift))
-    return IndexSymmetry(
-        p=p,
-        generators=generators,
-        elements=tuple(ordered),
-        orbits=tuple(orbits),
-    )
+        orbit = {k}
+        frontier = [k]
+        while frontier:
+            cur = frontier.pop()
+            for m in axes:
+                nxt = (2 * m - cur - 1) % p + 1
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +670,7 @@ def decide(p, q, g, certify=False):
         )
 
     if F % 2 == 0:
-        axes = sorted(symmetric_axes(q, "two"))
+        axes = sorted(symmetric_axes(q, 2))
         if not axes:
             return Verdict(
                 RULED_OUT, "TwoSymmetry", f"F={F} = 2 mod 4 but q is not 2-symmetric"
@@ -742,7 +689,7 @@ def decide(p, q, g, certify=False):
             lambda: _certify_subdiv(p, q, g, 2, (F // 2, 2), m0),
         )
 
-    axes = sorted(symmetric_axes(q, "four"))
+    axes = sorted(symmetric_axes(q, 4))
     if not axes:
         return Verdict(
             RULED_OUT, "FourSymmetry", f"F={F} odd but q is not 4-symmetric"

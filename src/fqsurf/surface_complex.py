@@ -4,13 +4,13 @@ Data model
 ----------
 A :class:`SurfaceComplex` stores ``p`` (sides per face), a dense list of typed
 edges, and a dense list of faces.  Each face records its boundary as a cyclic
-list of sides in the counterclockwise walk order of the surface.  A side names
-an edge together with the sense in which the walk traverses it, so an edge of
-a closed surface is mentioned by exactly two sides, once forward and once
-reversed; storing coherent counterclockwise walks is what makes the surface
-oriented.  ``chirality`` records whether the edge types ascend (``"ccw"``) or
-descend (``"cw"``) along the stored walk — the stored side order itself never
-flips.
+list of sides in the counterclockwise walk order of the surface.  A side is a
+plain ``(edge id, reversed)`` pair naming an edge and the sense in which the
+walk traverses it, so an edge of a closed surface is mentioned by exactly two
+sides, once forward and once reversed; storing coherent counterclockwise walks
+is what makes the surface oriented.  ``chirality`` records whether the edge
+types ascend (``"ccw"``) or descend (``"cw"``) along the stored walk — the
+stored side order itself never flips.
 
 Vertices are not stored.  Identifying the two sides that mention an edge glues
 corners by the rule "the corner following my opposite side touches the same
@@ -61,7 +61,6 @@ class WrongSideCount(ValueError):
 
 
 Edge = namedtuple("Edge", "id type")
-Side = namedtuple("Side", "edge reversed")
 Face = namedtuple("Face", "id chirality sides")
 
 
@@ -110,8 +109,8 @@ class SurfaceComplex:
         if self._occ is None:
             occ = {e.id: [] for e in self.edges}
             for f in self.faces:
-                for k, s in enumerate(f.sides):
-                    occ[s.edge].append((f.id, k))
+                for k, (eid, _rev) in enumerate(f.sides):
+                    occ[eid].append((f.id, k))
             self._occ = occ
         return self._occ
 
@@ -125,7 +124,7 @@ class SurfaceComplex:
                     defects.append((e.id, f"{len(locs)} sides"))
                     continue
                 (fa, ka), (fb, kb) = locs
-                if self.faces[fa].sides[ka].reversed == self.faces[fb].sides[kb].reversed:
+                if self.faces[fa].sides[ka][1] == self.faces[fb].sides[kb][1]:
                     defects.append((e.id, "same sense twice"))
             self._defects = defects
         return self._defects
@@ -156,15 +155,15 @@ class SurfaceComplex:
                     orbit = []
                     rays = []
                     while True:
-                        side = self.faces[corner[0]].sides[corner[1]]
-                        ray = (side.edge, not side.reversed)
+                        eid, rev = self.faces[corner[0]].sides[corner[1]]
+                        ray = (eid, not rev)
                         # a closed complex leaves each directed edge from one corner
                         if ray in ray_table:
                             break
                         ray_table[ray] = (len(orbits), len(rays))
                         orbit.append(corner)
                         rays.append(ray)
-                        a, b = occ[side.edge]
+                        a, b = occ[eid]
                         g, j = b if a == corner else a
                         corner = (g, (j + 1) % len(self.faces[g].sides))
                     if orbit:
@@ -277,7 +276,7 @@ def build_complex(p, edge_specs, face_specs):
                 raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
             if type(rev) is not bool:
                 raise ValueError(f"face {fid}, edge {eid}: reversed must be a bool, got {rev!r}")
-            packed.append(Side(eid, rev))
+            packed.append((eid, rev))
         faces.append(Face(fid, chirality, tuple(packed)))
     faces.sort(key=lambda f: f.id)
     if [f.id for f in faces] != list(range(len(faces))):
@@ -338,7 +337,7 @@ def _axiom_findings(cx):
     comparison, with the Euler characteristic and genus."""
     face_findings = []
     for f in cx.faces:
-        seq = [cx.edge_type(s.edge) for s in f.sides]
+        seq = [cx.edge_type(eid) for eid, _rev in f.sides]
         if f.chirality == CW:
             seq = seq[::-1]
         n = len(seq)
@@ -365,8 +364,8 @@ def _axiom_findings(cx):
     stack = [0]
     while stack:
         f = stack.pop()
-        for s in cx.faces[f].sides:
-            for (g, _k) in cx.occurrences()[s.edge]:
+        for eid, _rev in cx.faces[f].sides:
+            for (g, _k) in cx.occurrences()[eid]:
                 if g not in reached:
                     reached.add(g)
                     stack.append(g)
@@ -665,9 +664,9 @@ def tree_cotree(cx):
     cols = []
     for f in cx.faces:
         col = {}
-        for s in f.sides:
-            if not in_tree[s.edge]:
-                col[s.edge] = col.get(s.edge, 0) + (-1 if s.reversed else 1)
+        for e, rev in f.sides:
+            if not in_tree[e]:
+                col[e] = col.get(e, 0) + (-1 if rev else 1)
         cols.append({e: x for e, x in col.items() if x})
     adjacent = [[] for _ in cx.faces]
     for e, ((fa, _), (fb, _)) in cx.occurrences().items():
@@ -815,7 +814,7 @@ def complex_to_dict(cx):
             {
                 "id": f.id,
                 "chirality": f.chirality,
-                "sides": [{"edge": s.edge, "reversed": s.reversed} for s in f.sides],
+                "sides": [{"edge": eid, "reversed": rev} for eid, rev in f.sides],
             }
             for f in cx.faces
         ],

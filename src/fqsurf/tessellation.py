@@ -285,7 +285,7 @@ def _subdivide(cx, pieces, axis, genus):
 
     face_cuts = {}
     for f in cx.faces:
-        pos = [k for k, s in enumerate(f.sides) if s.edge in cut_edges]
+        pos = [k for k, (eid, _rev) in enumerate(f.sides) if eid in cut_edges]
         if len(pos) != pieces:
             raise CutSystemFailure(
                 f"axis {axis}: face {f.id} has {len(pos)} sides in the cut class, "
@@ -316,8 +316,9 @@ def _subdivide(cx, pieces, axis, genus):
 
     def half_sides(old_side, part):
         """New (edge, reversed) for the first/second half of a walked side."""
-        h1, h2 = splits[old_side.edge]
-        if not old_side.reversed:
+        eid, rev = old_side
+        h1, h2 = splits[eid]
+        if not rev:
             return (h1, False) if part == "first" else (h2, False)
         return (h2, True) if part == "first" else (h1, True)
 
@@ -328,8 +329,8 @@ def _subdivide(cx, pieces, axis, genus):
             start = ks[j]
             walk = [half_sides(f.sides[start], "second")]
             for off in range(1, step):
-                s = f.sides[(start + off) % p]
-                walk.append((carried[s.edge], s.reversed))
+                eid, rev = f.sides[(start + off) % p]
+                walk.append((carried[eid], rev))
             walk.append(half_sides(f.sides[(start + step) % p], "first"))
             if pieces == 2:
                 walk.append((chords[f.id][0], j == 1))

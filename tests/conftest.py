@@ -110,8 +110,8 @@ def boundary_matrices(cx):
     """
     d2 = [{} for _ in range(cx.num_edges)]
     for f in cx.faces:
-        for s in f.sides:
-            d2[s.edge][f.id] = d2[s.edge].get(f.id, 0) + (-1 if s.reversed else 1)
+        for e, rev in f.sides:
+            d2[e][f.id] = d2[e].get(f.id, 0) + (-1 if rev else 1)
     d1 = [{} for _ in range(cx.num_vertices)]
     for e in cx.edges:
         head, tail = cx.head_vertex((e.id, True)), cx.tail_vertex((e.id, True))

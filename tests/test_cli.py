@@ -262,6 +262,17 @@ class TestColorCommand:
         assert capsys.readouterr().err == "error: vertex 0 has degree 8, not 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive"]], ids=["propagate", "exhaustive"])
+    def test_empty_complex_writes_nothing(self, tmp_path, capsys, flags):
+        path = tmp_path / "empty.json"
+        path.write_text('{"format": "fq-complex/1", "p": 6, "edges": [], "faces": []}')
+        out = tmp_path / "coloring.json"
+        assert main(["color", "-i", str(path), "-o", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: the complex has no vertices, so no base vertex to seed from\n"
+        )
+        assert not out.exists()
+
 
 class TestSubdivideCommand:
     def test_halves_with_sidecar(self, tmp_path, rect_p8_1x2):

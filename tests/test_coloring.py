@@ -19,7 +19,7 @@ from fqsurf.coloring import (
     witness_to_dict,
 )
 from fqsurf.loops import trace_geodesic_loops
-from fqsurf.surface_complex import canonical_json
+from fqsurf.surface_complex import build_complex, canonical_json
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -232,6 +232,19 @@ class TestVerification:
         ok, violations = verify_good_coloring(pillowcase, coloring)
         assert ok
         assert violations == []
+
+    def test_uncolored_edge_is_named(self, block_p6_g2):
+        coloring = solve_good_coloring(block_p6_g2)
+        colors = {e: c for e, c in coloring.colors.items() if e not in (7, 3)}
+        with pytest.raises(ValueError, match="^edge 3 is not colored$"):
+            verify_good_coloring(block_p6_g2, coloring._replace(colors=colors))
+
+
+@pytest.mark.parametrize("mode", ["propagate", "exhaustive"])
+def test_coloring_needs_a_base_vertex(mode):
+    """A coloring records its base vertex; a complex without vertices has none."""
+    with pytest.raises(ValueError, match="^the complex has no vertices"):
+        solve_good_coloring(build_complex(6, [], []), mode)
 
 
 def test_coloring_needs_degree_four_vertices():

@@ -16,7 +16,6 @@ from fqsurf.lattice import (
     CERT_FORMAT,
     D_FACTOR,
     E_FACTOR,
-    IndexMap,
     LinkConditionReport,
     LinkGraph,
     NotAlternatingNonCoprime,
@@ -98,37 +97,39 @@ class TestAlternatingDecomposition:
 
 class TestSymmetricAxes:
     def test_two_fold_axes(self):
-        assert sorted(symmetric_axes(Q8, "two")) == [1, 3, 5, 7]
+        assert sorted(symmetric_axes(Q8, 2)) == [1, 3, 5, 7]
 
     def test_constant_sequence_has_all_axes(self):
-        assert sorted(symmetric_axes(Q12, "four")) == list(range(1, 13))
+        assert sorted(symmetric_axes(Q12, 4)) == list(range(1, 13))
 
     def test_asymmetric_sequences(self):
-        assert symmetric_axes((2, 3, 4, 2, 2, 2, 2, 2), "two") == set()
-        assert symmetric_axes((2, 2, 3, 2, 2, 4, 2, 2), "two") == set()
+        assert symmetric_axes((2, 3, 4, 2, 2, 2, 2, 2), 2) == set()
+        assert symmetric_axes((2, 2, 3, 2, 2, 4, 2, 2), 2) == set()
 
     def test_fourfold_needs_divisible_p(self):
         from fqsurf.tessellation import BadDivisibility
 
         with pytest.raises(BadDivisibility):
-            symmetric_axes((2,) * 6, "four")
+            symmetric_axes((2,) * 6, 4)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind must be 'two' or 'four', got 'three'"):
-            symmetric_axes(Q8, "three")
+    @pytest.mark.parametrize("q", [Q8, ()])
+    @pytest.mark.parametrize("pieces", [3, "two", 2.0, True])
+    def test_other_pieces_rejected(self, q, pieces):
+        with pytest.raises(ValueError, match=re.escape(f"pieces must be 2 or 4, got {pieces!r}")):
+            symmetric_axes(q, pieces)
 
     @pytest.mark.parametrize(
         "q", [(2.5, 3, 2, 3, 2.5, 3, 2, 3), (2, 3, 2, True, 2, 3, 2, True)]
     )
     def test_non_integer_entry_rejected(self, q):
         with pytest.raises(ValueError, match="q entry must be an integer"):
-            symmetric_axes(q, "two")
+            symmetric_axes(q, 2)
 
     @given(st.lists(st.integers(2, 9), min_size=8, max_size=8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_axis_means_palindrome(self, q, m):
         q = tuple(q)
-        axes = symmetric_axes(q, "two")
+        axes = symmetric_axes(q, 2)
         mirrored = all(
             q[(m - 1 + i) % 8] == q[(m - 1 - i) % 8] for i in range(1, 5)
         )
@@ -672,8 +673,8 @@ def _reference_assign_groups(cx, coloring, q):
         n = len(f.sides)
         per_corner = []
         for k in range(n):
-            ea = f.sides[(k - 1) % n].edge
-            eb = f.sides[k].edge
+            ea = f.sides[(k - 1) % n][0]
+            eb = f.sides[k][0]
             per_corner.append(edge_factors[ea] & edge_factors[eb])
         face_factors[f.id] = per_corner[0]
         if any(c != per_corner[0] for c in per_corner):
@@ -893,55 +894,12 @@ class TestNoSharedContainers:
         assert all(checks[u] == pristine[u] for u in checks if u != v)
 
 
-class TestIndexMaps:
-    def test_reflection_fixes_its_axis(self):
-        r = IndexMap.reflection(8, 1)
-        assert r.apply(1) == 1
-        assert r.apply(2) == 8
-        assert r.is_reflection
-
-    def test_rotation_shifts(self):
-        assert IndexMap.rotation(8, 3).apply(2) == 5
-        assert not IndexMap.rotation(8, 3).is_reflection
-
-    def test_two_reflections_make_a_rotation(self):
-        r1 = IndexMap.reflection(8, 1)
-        r3 = IndexMap.reflection(8, 3)
-        assert r1.after(r3) == IndexMap.rotation(8, 4)
-
-    def test_mismatched_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            IndexMap.reflection(8, 1).after(IndexMap.reflection(6, 1))
-
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(0, 7)), min_size=1, max_size=5
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_compositions_stay_in_the_dihedral_group(self, steps):
-        total = IndexMap.rotation(8, 0)
-        for refl, k in steps:
-            nxt = (
-                IndexMap.reflection(8, k) if refl else IndexMap.rotation(8, k)
-            )
-            total = nxt.after(total)
-        image = [total.apply(i) for i in range(1, 9)]
-        assert sorted(image) == list(range(1, 9))
-        deltas = {
-            (image[(i + 1) % 8] - image[i]) % 8 for i in range(8)
-        }
-        assert deltas == {1} or deltas == {7}
-
-
 class TestLoopObstructions:
     def test_odd_loops_pin_reflections(self, rect_p8_1x2):
-        report = trace_geodesic_loops(rect_p8_1x2)
-        assert loop_obstructions(rect_p8_1x2, report) == [IndexMap.reflection(8, 1)]
+        assert loop_obstructions(trace_geodesic_loops(rect_p8_1x2)) == [1]
 
     def test_no_odd_loops_no_obstructions(self, block_p6_g2):
-        report = trace_geodesic_loops(block_p6_g2)
-        assert loop_obstructions(block_p6_g2, report) == []
+        assert loop_obstructions(trace_geodesic_loops(block_p6_g2)) == []
 
 
 # (p, pieces, genus) of every Subdiv2 and Subdiv4 rung of the certify_ladder
@@ -958,9 +916,9 @@ LADDER_SUBDIV_BASES = [(8, 2, g) for g in (8, 16, 32, 64, 128, 256)] + [
 def test_forced_orbits_are_the_cut_symmetry(p, pieces, genus):
     """Two independent statements of the symmetry a subdivided base needs.
 
-    The reflections that the base grid's odd loops force, closed under
-    composition, are constant on exactly the q that ``is_symmetric`` accepts
-    at the cut axis 1, on every q in {2, 3}^p.
+    Every q in {2, 3}^p is constant on the orbits of the reflections that the
+    base grid's odd loops force exactly when ``is_symmetric`` accepts it at
+    the cut axis 1.
     """
     F = face_count(p, genus)
     if pieces == 2:
@@ -969,34 +927,53 @@ def test_forced_orbits_are_the_cut_symmetry(p, pieces, genus):
         a = lattice._smallest_prime_factor(F)  # as decide picks it
         grid = (a, F // a)
     base = build_rect_tessellation(p, *grid)
-    sym = symmetry_closure(p, loop_obstructions(base, trace_geodesic_loops(base)))
+    orbits = symmetry_closure(p, loop_obstructions(trace_geodesic_loops(base)))
     seen = set()
     for q in iter_product((2, 3), repeat=p):
         symmetric = is_symmetric(q, 1, pieces)
-        assert sym.constant_on_orbits(q) == symmetric, q
+        assert _constant_on_orbits(q, orbits) == symmetric, q
         seen.add(symmetric)
     assert seen == {True, False}
 
 
+def _constant_on_orbits(q, orbits):
+    return all(len({q[k - 1] for k in orbit}) == 1 for orbit in orbits)
+
+
+def _brute_force_orbits(p, axes):
+    """Compose reflection permutations until no new one appears, then take
+    the orbit of each index under every permutation found."""
+    reflections = {
+        tuple((2 * m - k - 1) % p + 1 for k in range(1, p + 1)) for m in axes
+    }
+    group = {tuple(range(1, p + 1))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for r in reflections:
+            composed = tuple(r[g[k] - 1] for k in range(p))
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    orbits = {tuple(sorted({g[k - 1] for g in group})) for k in range(1, p + 1)}
+    return tuple(sorted(orbits))
+
+
 class TestSymmetryClosure:
     def test_two_reflections_on_eight(self):
-        sym = symmetry_closure(
-            8, [IndexMap.reflection(8, 1), IndexMap.reflection(8, 3)]
-        )
-        assert sym.orbits == ((1, 5), (2, 4, 6, 8), (3, 7))
-        assert sym.orbit_of(1) == (1, 5)
-        assert sym.constant_on_orbits(Q8)
-        assert not sym.constant_on_orbits((3, 2, 9, 2, 4, 2, 9, 2))
+        orbits = symmetry_closure(8, [1, 3])
+        assert orbits == ((1, 5), (2, 4, 6, 8), (3, 7))
+        assert _constant_on_orbits(Q8, orbits)
+        assert not _constant_on_orbits((3, 2, 9, 2, 4, 2, 9, 2), orbits)
 
     def test_three_reflections_on_twelve(self):
-        gens = [IndexMap.reflection(12, m) for m in (1, 4, 5)]
-        sym = symmetry_closure(12, gens)
-        assert sym.orbits == ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))
+        orbits = symmetry_closure(12, [1, 4, 5])
+        assert orbits == ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))
 
-    def test_orbit_lookup_range(self):
-        sym = symmetry_closure(8, [IndexMap.reflection(8, 1)])
-        with pytest.raises(ValueError):
-            sym.orbit_of(9)
+    @given(st.integers(3, 24), st.lists(st.integers(), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_brute_force_closure(self, p, axes):
+        assert symmetry_closure(p, axes) == _brute_force_orbits(p, axes)
 
 
 class TestDecide:
@@ -1101,7 +1078,7 @@ class TestDecide:
         found = 0
         while found < 25:
             q = tuple(rng.randint(2, 9) for _ in range(8))
-            if symmetric_axes(q, "two"):
+            if symmetric_axes(q, 2):
                 continue
             found += 1
             v = decide(8, q, 2)
@@ -1125,7 +1102,7 @@ def _degeneracies(cx):
     repeated = sum(
         1
         for f in cx.faces
-        if len({cx.tail_vertex((s.edge, not s.reversed)) for s in f.sides}) < cx.p
+        if len({cx.tail_vertex((e, not rev)) for e, rev in f.sides}) < cx.p
     )
     return self_glued, repeated
 
@@ -1160,7 +1137,7 @@ class TestPrimeFaceCounts:
     def test_prime_face_count_is_unknown_but_quarters_cleanly(self, monkeypatch, p, F, k):
         q = _four_symmetric_sequence(p, 100 * p + 10 * F + k)
         g = 1 + F * (p - 4) // 8
-        axes = sorted(symmetric_axes(q, "four"))
+        axes = sorted(symmetric_axes(q, 4))
         assert axes
         v = decide(p, q, g)
         assert (v.outcome, v.method, v.reason) == ("Unknown", None, f"F={F} is not composite")

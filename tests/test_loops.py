@@ -232,7 +232,7 @@ def _loop_lists(cx, loops, seed):
     single-edge chain."""
     rng = random.Random(seed)
     edge = GeodesicLoop(0, 1, ((0, True),), 1, "odd", False)
-    faces = [GeodesicLoop(f.id, None, tuple((s.edge, not s.reversed) for s in f.sides),
+    faces = [GeodesicLoop(f.id, None, tuple((e, not rev) for e, rev in f.sides),
                           cx.p, "even", False)
              for f in cx.faces]
     reverse = [

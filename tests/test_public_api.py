@@ -14,11 +14,11 @@ PUBLIC = [
     "COLORING_FORMAT", "COMPLEX_FORMAT", "CW", "ConstructionFailure",
     "ContradictionWitness", "CutSystemFailure", "DanglingEdgeReference",
     "DegenerateLoop", "DualGraph", "DuplicateId", "Edge", "EdgeColoring", "Face",
-    "Finding", "GeodesicLoop", "GroupAssignment", "IndexMap", "IndexSymmetry",
-    "IntegerMatrix", "LOOPS_FORMAT", "LinkConditionReport", "LinkGraph",
+    "Finding", "GeodesicLoop", "GroupAssignment", "IntegerMatrix",
+    "LOOPS_FORMAT", "LinkConditionReport", "LinkGraph",
     "LoopReport", "NonIntegralFaceCount", "NotAlternatingNonCoprime",
     "NotGoodColoring", "OddPUnsupported", "OrientationAssignment",
-    "ParityConstraint", "ParityConstraintSystem", "SUBDIV_FORMAT", "Side",
+    "ParityConstraint", "ParityConstraintSystem", "SUBDIV_FORMAT",
     "SubdivisionMap", "SurfaceComplex", "SymmetryViolation",
     "TooLargeForExhaustive", "ValidationReport", "Verdict", "VertexCheck",
     "WrongSideCount", "alternating_noncoprime", "assign_face_orientations",
@@ -36,8 +36,8 @@ PUBLIC = [
     "witness_to_dict",
 ]
 
-# test-only API taken out of the library: the tests keep their own sparse
-# boundary builder and matrix product in conftest
+# names taken out of the library.  The test-only API first: the tests keep
+# their own sparse boundary builder and matrix product in conftest.
 REMOVED = [
     (fqsurf, "boundary_matrices"),
     (surface_complex, "boundary_matrices"),
@@ -54,6 +54,13 @@ REMOVED = [
     (coloring.ContradictionWitness, "edge_ids"),
     (lattice.LinkConditionReport, "failing_vertices"),
     (lattice.LinkGraph, "side_sizes"),
+    # forced symmetries are plain axes and orbits; a face side is a plain pair
+    (fqsurf, "IndexMap"),
+    (fqsurf, "IndexSymmetry"),
+    (fqsurf, "Side"),
+    (lattice, "IndexMap"),
+    (lattice, "IndexSymmetry"),
+    (surface_complex, "Side"),
 ]
 
 

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 RECORDS = [
     (surface_complex, "Edge", ("id", "type")),
-    (surface_complex, "Side", ("edge", "reversed")),
     (surface_complex, "Face", ("id", "chirality", "sides")),
     (surface_complex, "Finding", ("tag", "detail")),
     (surface_complex, "ValidationReport",
@@ -49,8 +48,6 @@ RECORDS = [
     (lattice, "LinkGraph",
      ("vertex", "types", "side_vertices", "edges", "simple", "complete",
       "sizes_ok")),
-    (lattice, "IndexMap", ("p", "sign", "shift")),
-    (lattice, "IndexSymmetry", ("p", "generators", "elements", "orbits")),
     (lattice, "Verdict", ("outcome", "method", "reason", "certificate")),
 ]
 

@@ -425,9 +425,9 @@ def assert_tree_cotree_is_a_chain_map(cx):
             assert image == {e: 1}
     for f in cx.faces:
         total = {}
-        for s in f.sides:
-            for k, c in red.images[s.edge].items():
-                total[k] = total.get(k, 0) + (-c if s.reversed else c)
+        for e, rev in f.sides:
+            for k, c in red.images[e].items():
+                total[k] = total.get(k, 0) + (-c if rev else c)
         assert not any(total.values()), f.id
 
 
@@ -750,15 +750,15 @@ def reference_navigation(cx):
         return (f, (k + 1) % len(cx.faces[f].sides))
 
     def sigma(corner):
-        a, b = occ[cx.faces[corner[0]].sides[corner[1]].edge]
+        a, b = occ[cx.faces[corner[0]].sides[corner[1]][0]]
         return next_in_face(b if a == corner else a)
 
     orbits = []
     vertex_of = {}
     corner_of = {}
     for f in cx.faces:
-        for k, s in enumerate(f.sides):
-            corner_of[(s.edge, not s.reversed)] = (f.id, k)
+        for k, (e, rev) in enumerate(f.sides):
+            corner_of[(e, not rev)] = (f.id, k)
             if (f.id, k) in vertex_of:
                 continue
             orbit = [(f.id, k)]
@@ -776,7 +776,7 @@ def assert_navigation_matches_reference(cx):
     rotations = []
     for v, orbit in enumerate(orbits):
         rays = tuple(
-            (cx.faces[f].sides[k].edge, not cx.faces[f].sides[k].reversed)
+            (cx.faces[f].sides[k][0], not cx.faces[f].sides[k][1])
             for f, k in orbit
         )
         assert cx.rotation(v) == rays
