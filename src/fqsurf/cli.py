@@ -113,6 +113,8 @@ def _cmd_validate(args):
 
 def _cmd_loops(args):
     cx = _read_complex(args.input)
+    if not cx.num_faces:
+        raise ValueError("the complex has no faces")
     report = trace_geodesic_loops(cx)
     text = canonical_json(loop_report_to_dict(report))
     if args.report:
@@ -178,6 +180,8 @@ def _cmd_decide(args):
 
 def _cmd_export(args):
     cx = _read_complex(args.input)
+    if not cx.num_faces:
+        raise ValueError("the complex has no faces")
     _write_text(args.dual, dual_graph(cx).to_dot())
     return 0
 

@@ -462,9 +462,14 @@ def symmetry_closure(p, axes):
     The reflection about m sends k to 2m - k, read mod p in 1..p.  An orbit
     is everything single reflections reach from one index, so the orbits are
     the connected components of k ~ 2m - k.  They come back as sorted
-    tuples, listed by least element.
+    tuples, listed by least element.  p >= 1 and the axes must be ints.
     """
-    axes = set(axes)
+    _require_int_parameter("p", p)
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    axes = tuple(axes)
+    for m in axes:
+        _require_int_parameter("axis", m)
     orbits = []
     seen = set()
     for k in range(1, p + 1):
@@ -574,35 +579,28 @@ def _transverse_gcd(q, m):
     return gcd(*(q_at(q, m + t) for t in range(1, len(q), 2)))
 
 
-def _solve_or_fail(cx):
-    col = solve_good_coloring(cx, "propagate")
-    if not isinstance(col, EdgeColoring):
+def _certify(p, q, g, pieces=1, grid=None, axis=None):
+    """Build a construction, color it and certify it.
+
+    ``pieces=1`` is the Block complex for q.  ``pieces`` 2 or 4 cuts every
+    face of the a×b rect ``grid`` into that many at axis 1 and certifies the
+    sequence q derives about its symmetry ``axis``.
+    """
+    construction = {"method": "Block", "p": p, "genus": g}
+    if pieces == 1:
+        cx = build_block_tessellation(p, g)
+    else:
+        subdivide = subdivide_two if pieces == 2 else subdivide_four
+        cx, _smap = subdivide(build_rect_tessellation(p, *grid), axis=1)
+        q = derived_sequence(q, pieces, axis)
+        construction.update(
+            method=f"Subdiv{pieces}", grid=list(grid), symmetry_axis=axis, derived_q=list(q)
+        )
+    coloring = solve_good_coloring(cx, "propagate")
+    if not isinstance(coloring, EdgeColoring):
         raise RuntimeError("no good coloring on the constructed complex")
-    return col
-
-
-def _certify_block(p, q, g):
-    cx = build_block_tessellation(p, g)
-    cert = build_certificate(cx, _solve_or_fail(cx), q)
-    cert["construction"] = {"method": "Block", "p": p, "genus": g}
-    return cert
-
-
-def _certify_subdiv(p, q, g, pieces, grid, axis):
-    """Cut each face of an a×b rect grid into ``pieces`` and certify the result."""
-    base = build_rect_tessellation(p, *grid)
-    subdivide = subdivide_two if pieces == 2 else subdivide_four
-    sub, _smap = subdivide(base, axis=1)
-    q_sub = derived_sequence(q, pieces, axis)
-    cert = build_certificate(sub, _solve_or_fail(sub), q_sub)
-    cert["construction"] = {
-        "method": f"Subdiv{pieces}",
-        "p": p,
-        "genus": g,
-        "grid": list(grid),
-        "symmetry_axis": axis,
-        "derived_q": list(q_sub),
-    }
+    cert = build_certificate(cx, coloring, q)
+    cert["construction"] = construction
     return cert
 
 
@@ -645,11 +643,11 @@ def decide(p, q, g, certify=False):
     F = face_count(p, g)
     deco = alternating_noncoprime(q)
 
-    def exists(method, reason, certifier):
+    def exists(method, reason, *construction):
         if not certify:
             return Verdict(EXISTS, method, reason)
         try:
-            cert = certifier()
+            cert = _certify(p, q, g, *construction)
         except Exception as exc:
             return Verdict(
                 INTERNAL_ERROR, method, f"certification crashed: {exc}"
@@ -663,11 +661,7 @@ def decide(p, q, g, certify=False):
     if F % 4 == 0:
         if deco is None:
             return Verdict(UNKNOWN, None, "not alternating non-coprime")
-        return exists(
-            "Block",
-            f"F={F} divisible by 4 and q alternating non-coprime",
-            lambda: _certify_block(p, q, g),
-        )
+        return exists("Block", f"F={F} divisible by 4 and q alternating non-coprime")
 
     if F % 2 == 0:
         axes = sorted(symmetric_axes(q, 2))
@@ -686,7 +680,7 @@ def decide(p, q, g, certify=False):
         return exists(
             "Subdiv2",
             f"F={F}, q 2-symmetric about {m0} with even transverse gcd",
-            lambda: _certify_subdiv(p, q, g, 2, (F // 2, 2), m0),
+            2, (F // 2, 2), m0,
         )
 
     axes = sorted(symmetric_axes(q, 4))
@@ -707,7 +701,7 @@ def decide(p, q, g, certify=False):
     return exists(
         "Subdiv4",
         f"F={F} odd composite, q 4-symmetric about {m0}, d and e even",
-        lambda: _certify_subdiv(p, q, g, 4, (a, F // a), m0),
+        4, (a, F // a), m0,
     )
 
 

@@ -127,33 +127,18 @@ def build_block_tessellation(p, g):
         raise BadDivisibility(f"face count {F} is not a multiple of 4")
     n = F // 4
 
-    def A(j):
-        return 4 * j
-
-    def B(j):
-        return 4 * j + 1
-
-    def C(j):
-        return 4 * j + 2
-
-    def D(j):
-        return 4 * j + 3
-
-    chir = []
-    for _ in range(n):
-        chir += [CCW, CCW, CW, CW]
+    # face 4j+k is in block j; a row (k, k2, shift) of a table pairs face
+    # 4j+k with face k2 of block j+shift, for every j
+    odd = ((0, 3, 0), (1, 2, 0))
+    even = ((0, 2, 0), (1, 3, 0))
+    last = ((0, 2, -1), (1, 3, 1))
+    chir = [CCW, CCW, CW, CW] * n
     matchings = []
     for t in range(1, p + 1):
-        if t == p:
-            m = [(A(j), C((j - 1) % n)) for j in range(n)]
-            m += [(B(j), D((j + 1) % n)) for j in range(n)]
-        elif t % 2:
-            m = [(A(j), D(j)) for j in range(n)]
-            m += [(B(j), C(j)) for j in range(n)]
-        else:
-            m = [(A(j), C(j)) for j in range(n)]
-            m += [(B(j), D(j)) for j in range(n)]
-        matchings.append(m)
+        table = last if t == p else odd if t % 2 else even
+        matchings.append([
+            (4 * j + k, 4 * ((j + shift) % n) + k2) for k, k2, shift in table for j in range(n)
+        ])
 
     cx = complex_from_matchings(p, chir, matchings)
     report = validate(cx, expected_genus=g)
@@ -166,28 +151,16 @@ def build_block_tessellation(p, g):
     return cx
 
 
-def _rect_layout(p):
-    """Side positions of a notched square: rim segments and notches."""
-    m = (p - 4) // 4
-    pos_e = 0
-    pos_w = 2 * m + 2
-    pos_tg = {r: 2 * r - 1 for r in range(1, m + 2)}
-    pos_tn = {r: 2 * r for r in range(1, m + 1)}
-    pos_bg = {r: 2 * m + 1 + 2 * r for r in range(1, m + 2)}
-    pos_bn = {r: 2 * m + 2 + 2 * r for r in range(1, m + 1)}
-    return m, pos_e, pos_w, pos_tg, pos_tn, pos_bg, pos_bn
-
-
 def build_rect_tessellation(p, a, b):
     """Glue an a×b torus grid of notched squares, pairing the notch holes.
 
     Vertical rims glue east-to-west along rows, rim segments glue
     top-to-bottom along columns (mirrored, so segment r meets segment
     m+2-r), and the notch slits that remain open are two-sided holes glued
-    in pairs: side-by-side pairs when b is even, otherwise diagonal pairs
-    that step one row and one column (which needs an even notch count per
-    face).  Genus comes out to 1 + ab(p-4)/8.  Edge types are provisional —
-    structural validity is enforced, full labeling cannot hold here.
+    in pairs along each row: notch s of column j to notch m+1-s of column
+    j+1, and for odd m the middle notches of columns 2u and 2u+1, so b must
+    be even.  Genus comes out to 1 + ab(p-4)/8.  Edge types are provisional
+    — structural validity is enforced, full labeling cannot hold here.
     """
     _require_int_parameter("p", p)
     _require_int_parameter("a", a)
@@ -196,7 +169,11 @@ def build_rect_tessellation(p, a, b):
         raise BadDivisibility("rectangular construction needs p ≡ 0 (mod 4), p >= 8")
     if a < 1 or b < 1:
         raise ValueError("grid dimensions must be positive")
-    m, pos_e, pos_w, pos_tg, pos_tn, pos_bg, pos_bn = _rect_layout(p)
+    # A notched square with m = (p-4)/4 notches per rim reads, from side 0:
+    # the east rim 0; top rim segment r at 2r-1 and top notch r at 2r; the
+    # west rim 2m+2; bottom rim segment r at 2m+1+2r and bottom notch r at
+    # 2m+2+2r.
+    m = (p - 4) // 4
     if b % 2 and m % 2:
         raise ConstructionFailure(
             "no hole pairing: odd columns need an even notch count per face"
@@ -217,44 +194,40 @@ def build_rect_tessellation(p, a, b):
 
     for i in range(a):
         for j in range(b):
-            new_edge(1, fid(i, j), pos_e, fid(i, (j + 1) % b), pos_w)
+            new_edge(1, fid(i, j), 0, fid(i, (j + 1) % b), 2 * m + 2)
     for i in range(a):
         for j in range(b):
             for r in range(1, m + 2):
                 new_edge(
                     2 * r,
-                    fid(i, j), pos_tg[r],
-                    fid((i + 1) % a, j), pos_bg[m + 2 - r],
+                    fid(i, j), 2 * r - 1,
+                    fid((i + 1) % a, j), 2 * m + 1 + 2 * (m + 2 - r),
                 )
-
-    def hole_top(i, j, r):
-        return (fid(i, j), pos_tn[r])
-
-    def hole_bottom(i, j, r):
-        return (fid((i + 1) % a, j), pos_bn[m + 1 - r])
 
     # Nested pairing: notch s of one column meets notch m+1-s of the next,
     # so a rim geodesic that dives into a notch resurfaces one step later
     # and closes after two edges; the middle notch (odd m) pairs between
-    # adjacent columns instead.
+    # adjacent columns instead.  A pair (i, j, s, k, t) joins notch s of
+    # column j to notch t of column k in row i; each such hole is the top
+    # notch r of face (i, j) over the bottom notch m+1-r of the face below.
     pairs = []
     for i in range(a):
         for j in range(b):
             for s in range(1, m // 2 + 1):
-                pairs.append(((i, j, s), (i, (j + 1) % b, m + 1 - s)))
+                pairs.append((i, j, s, (j + 1) % b, m + 1 - s))
     if m % 2:
         mid = (m + 1) // 2
         for i in range(a):
             for u in range(b // 2):
-                pairs.append(((i, 2 * u, mid), (i, 2 * u + 1, mid)))
-    for x, y in pairs:
-        etype = 2 * x[2] + 1
-        fx, px = hole_top(*x)
-        fy, py = hole_top(*y)
-        new_edge(etype, fx, px, fy, py)
-        fx, px = hole_bottom(*x)
-        fy, py = hole_bottom(*y)
-        new_edge(etype, fx, px, fy, py)
+                pairs.append((i, 2 * u, mid, 2 * u + 1, mid))
+    for i, j, s, k, t in pairs:
+        below = (i + 1) % a
+        new_edge(2 * s + 1, fid(i, j), 2 * s, fid(i, k), 2 * t)
+        new_edge(
+            2 * s + 1,
+            fid(below, j), 2 * m + 2 + 2 * (m + 1 - s),
+            fid(below, k), 2 * m + 2 + 2 * (m + 1 - t),
+        )
 
     face_specs = [(f, CCW, sides[f]) for f in range(F)]
     cx = build_complex(p, edge_specs, face_specs)
@@ -314,24 +287,19 @@ def _subdivide(cx, pieces, axis, genus):
         chords[f.id] = list(range(next_id, next_id + n_chord))
         next_id += n_chord
 
-    def half_sides(old_side, part):
-        """New (edge, reversed) for the first/second half of a walked side."""
-        eid, rev = old_side
-        h1, h2 = splits[eid]
-        if not rev:
-            return (h1, False) if part == "first" else (h2, False)
-        return (h2, True) if part == "first" else (h1, True)
-
     sub_faces = []
     for f in cx.faces:
         ks = face_cuts[f.id]
         for j in range(pieces):
             start = ks[j]
-            walk = [half_sides(f.sides[start], "second")]
+            # half k of a walked side (e, rev) is (splits[e][k ^ rev], rev)
+            eid, rev = f.sides[start]
+            walk = [(splits[eid][1 ^ rev], rev)]
             for off in range(1, step):
                 eid, rev = f.sides[(start + off) % p]
                 walk.append((carried[eid], rev))
-            walk.append(half_sides(f.sides[(start + step) % p], "first"))
+            eid, rev = f.sides[(start + step) % p]
+            walk.append((splits[eid][rev], rev))
             if pieces == 2:
                 walk.append((chords[f.id][0], j == 1))
             else:

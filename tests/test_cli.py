@@ -215,6 +215,22 @@ class TestOpenComplex:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["open.json"]
 
 
+class TestFacelessComplex:
+    @pytest.mark.parametrize(
+        "command",
+        [["loops"], ["loops", "--report", "out.json"], ["export", "--dual", "dual.dot"]],
+        ids=["loops", "loops-report", "export"],
+    )
+    def test_fails_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.json").write_text(
+            '{"format": "fq-complex/1", "p": 6, "edges": [], "faces": []}'
+        )
+        assert main([command[0], "-i", "empty.json", *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: the complex has no faces\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
+
+
 class TestLoopsCommand:
     def test_stdout_report(self, tmp_path, capsys, block_p6_g2):
         path = write_complex(tmp_path / "block.json", block_p6_g2)

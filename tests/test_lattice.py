@@ -975,6 +975,22 @@ class TestSymmetryClosure:
     def test_matches_the_brute_force_closure(self, p, axes):
         assert symmetry_closure(p, axes) == _brute_force_orbits(p, axes)
 
+    @pytest.mark.parametrize(
+        "p,axes,name",
+        [
+            (8, [1.5], "axis"),
+            (8, [True], "axis"),
+            (8, [1, False], "axis"),
+            (8.0, [1], "p"),
+            (True, [1], "p"),
+            (0, [1], "p"),
+            (-4, [], "p"),
+        ],
+    )
+    def test_rejects_a_non_int_or_a_p_below_one(self, p, axes, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            symmetry_closure(p, axes)
+
 
 class TestDecide:
     def test_block_instance(self):
@@ -1143,7 +1159,7 @@ class TestPrimeFaceCounts:
         assert (v.outcome, v.method, v.reason) == ("Unknown", None, f"F={F} is not composite")
         for grid in ((1, F), (F, 1)):
             cert, seen = _certified_complexes(
-                monkeypatch, lambda: lattice._certify_subdiv(p, q, g, 4, grid, axes[0])
+                monkeypatch, lambda: lattice._certify(p, q, g, 4, grid, axes[0])
             )
             assert cert["ok"] is True, grid
             assert [_degeneracies(cx) for cx in seen] == [(0, 0)], grid

@@ -152,9 +152,10 @@ class TestRectBuilder:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             build_rect_tessellation(p, a, b)
 
-    def test_odd_column_odd_notch_unpairable(self):
-        with pytest.raises(ConstructionFailure):
-            build_rect_tessellation(8, 1, 1)
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 3), (3, 1)])
+    def test_odd_column_odd_notch_unpairable(self, a, b):
+        with pytest.raises(ConstructionFailure, match="^no hole pairing: "):
+            build_rect_tessellation(8, a, b)
 
     def test_single_row_wraps_to_self_adjacency(self):
         dg_loops = trace_geodesic_loops(build_rect_tessellation(8, 1, 2))
