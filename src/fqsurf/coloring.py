@@ -11,12 +11,14 @@ tuple.  A coloring exists iff no constraint cycle has odd total parity.
 The face orientations 2-color the dual graph the same way: chirality
 alternates across each dual edge, one parity-1 constraint over face ids.
 
-Turns are read off the rotation system by ``SurfaceComplex.continue_through``:
+Turns are read off the rotation system, as ``SurfaceComplex.continue_through``
+does, but from the tables of ``SurfaceComplex._derive`` fetched once per pass:
 a passage goes straight at turn 2, left at 1 and right at -1.
 """
 
 from collections import deque, namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 from .loops import trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
@@ -51,13 +53,14 @@ class ParityConstraintSystem:
         self.variables = tuple(variables)
         self.constraints = tuple(constraints)
         adjacency = {v: [] for v in self.variables}
-        for c in self.constraints:
+        # appended in (parity, tag) order, so a stable sort by neighbor gives the order
+        for c in sorted(self.constraints, key=itemgetter(2, 3)):
             if c.edge_a not in adjacency or c.edge_b not in adjacency:
                 raise ValueError("constraint references unknown edge")
             adjacency[c.edge_a].append((c.edge_b, c))
             adjacency[c.edge_b].append((c.edge_a, c))
         for pairs in adjacency.values():
-            pairs.sort(key=lambda item: (item[0], item[1].parity, item[1].tag))
+            pairs.sort(key=itemgetter(0))
         self.adjacency = adjacency
 
     @cached_property
@@ -91,15 +94,17 @@ def _hanging_edges(cx, cycle):
 
     Left and right are defined only at a degree-4 head vertex.
     """
+    _orbits, rotations, rays = cx._derive()
     lefts = []
     rights = []
-    for dedge in cycle:
-        v = cx.head_vertex(dedge)
-        degree = len(cx.rotation(v))
-        if degree != 4:
-            raise ValueError(f"vertex {v} has degree {degree}, not 4")
-        lefts.append(cx.continue_through(dedge, 1)[0])
-        rights.append(cx.continue_through(dedge, -1)[0])
+    for e, fwd in cycle:
+        # the head vertex, and the reversal's position in its rotation
+        v, i = rays[e, not fwd]
+        rot = rotations[v]
+        if len(rot) != 4:
+            raise ValueError(f"vertex {v} has degree {len(rot)}, not 4")
+        lefts.append(rot[(i + 1) % 4][0])
+        rights.append(rot[(i - 1) % 4][0])
     return lefts, rights
 
 
@@ -315,6 +320,7 @@ def verify_good_coloring(cx, coloring):
     if missing is not None:
         raise ValueError(f"edge {missing} is not colored")
     report = trace_geodesic_loops(cx)
+    colors = coloring.colors
     violations = []
     for loop in report.loops:
         if loop.degenerate:
@@ -324,12 +330,12 @@ def verify_good_coloring(cx, coloring):
         for k in range(n):
             e = cycle[k][0]
             f = cycle[(k + 1) % n][0]
-            if coloring.color_of(e) == coloring.color_of(f):
+            if colors[e] == colors[f]:
                 violations.append(
                     (ALTERNATING, loop.loop_id, e, f)
                 )
         for name, side in zip(("left", "right"), _hanging_edges(cx, cycle)):
-            observed = {coloring.color_of(e) for e in side}
+            observed = {colors[e] for e in side}
             if len(observed) > 1:
                 violations.append(
                     (CONSISTENCY, loop.loop_id, name, tuple(sorted(set(side))))

@@ -205,9 +205,8 @@ def assign_groups(cx, coloring, q):
         c = coloring.colors[e.id]
         if type(c) is not int or c not in (0, 1):
             raise NotGoodColoring(f"edge {e.id} has color {c!r}, not 0 or 1")
-    unknown = {
-        e for e in coloring.colors if type(e) is not int or not 0 <= e < cx.num_edges
-    }
+    n_edges = cx.num_edges
+    unknown = {e for e in coloring.colors if type(e) is not int or not 0 <= e < n_edges}
     if unknown:
         # the smallest int id first, then other keys (even 3.0 or True) by repr
         ids = sorted(e for e in unknown if type(e) is int) or sorted(map(repr, unknown))
@@ -238,10 +237,10 @@ def assign_groups(cx, coloring, q):
             face_conflicts[f.id] = tuple(per_corner)
 
     edge_types = [e.type for e in cx.edges]
+    orbits, rotations, _rays = cx._derive()
     type_pairs = {}
     signatures = []
-    for v, orbit in enumerate(cx.vertices()):
-        rays = cx.rotation(v)
+    for v, (orbit, rays) in enumerate(zip(orbits, rotations)):
         ray_types = tuple([edge_types[e] for e, _ in rays])
         pair = type_pairs.get(ray_types)
         if pair is None:

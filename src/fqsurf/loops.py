@@ -30,7 +30,8 @@ class GeodesicLoop(namedtuple(
     __slots__ = ()
 
     def vertex_ids(self, cx):
-        return {cx.tail_vertex(d) for d in self.directed_edges}
+        rays = cx._derive()[2]
+        return {rays[d][0] for d in self.directed_edges}
 
 
 # pairwise_intersections holds the shared-vertex counts for each unordered
@@ -50,6 +51,8 @@ def trace_geodesic_loops(cx):
     """
     if cx._loop_report is not None:
         return cx._loop_report
+    _orbits, rotations, rays = cx._derive()
+    edge_types = [e.type for e in cx.edges]
     # edges are stored by id, so this walks directed edges in (id, forward first) order
     order = [(e.id, fwd) for e in cx.edges for fwd in (True, False)]
     visited = set()
@@ -57,20 +60,22 @@ def trace_geodesic_loops(cx):
     for start in order:
         if start in visited:
             continue
-        cycle = [start]
-        visited.add(start)
-        cur = cx.straight_continuation(start)
-        while cur != start:
+        cycle = []
+        cur = start
+        while cur != start or not cycle:
             cycle.append(cur)
             visited.add(cur)
-            cur = cx.straight_continuation(cur)
+            # straight on: two steps round the head's rotation from the reversal
+            v, i = rays[cur[0], not cur[1]]
+            rot = rotations[v]
+            cur = rot[(i + 2) % len(rot)]
         edge_ids = {e for e, _ in cycle}
         degenerate = len(edge_ids) < len(cycle)
         if not degenerate:
             # retire the reversed twin so the loop is reported once
             for e, fwd in cycle:
                 visited.add((e, not fwd))
-        types = {cx.edge_type(e) for e in edge_ids}
+        types = {edge_types[e] for e in edge_ids}
         length = len(edge_ids)
         loops.append(
             GeodesicLoop(
@@ -129,10 +134,11 @@ def loops_generate_h1(cx, loops):
     invariant factor 1.
     """
     red = tree_cotree(cx)
+    rays = cx._derive()[2]
     for lp in loops:
         boundary = {}
-        for d in lp.directed_edges:
-            head, tail = cx.head_vertex(d), cx.tail_vertex(d)
+        for e, fwd in lp.directed_edges:
+            head, tail = rays[e, not fwd][0], rays[e, fwd][0]
             boundary[head] = boundary.get(head, 0) + 1
             boundary[tail] = boundary.get(tail, 0) - 1
         if any(boundary.values()):

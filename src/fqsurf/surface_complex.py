@@ -78,6 +78,10 @@ class SurfaceComplex:
     geodesic loop report (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
+
+    Passes over a whole complex read ``_derive()``'s tables directly; the
+    accessors (``rotation``, ``tail_vertex``, ``continue_through`` ...) are
+    the checked per-element API, raising ValueError for an id it lacks.
     """
 
     def __init__(self, p, edges, faces):
@@ -102,6 +106,8 @@ class SurfaceComplex:
         return len(self.faces)
 
     def edge_type(self, edge_id):
+        if type(edge_id) is not int or not 0 <= edge_id < len(self.edges):
+            raise ValueError(f"edge {edge_id!r} is not an int in 0..{self.num_edges - 1}")
         return self.edges[edge_id].type
 
     def occurrences(self):
@@ -118,14 +124,14 @@ class SurfaceComplex:
         """Edges not used exactly once in each sense, as (edge id, reason)."""
         if self._defects is None:
             defects = []
-            for e in self.edges:
-                locs = self.occurrences()[e.id]
+            # occurrences are keyed in edge id order
+            for eid, locs in self.occurrences().items():
                 if len(locs) != 2:
-                    defects.append((e.id, f"{len(locs)} sides"))
+                    defects.append((eid, f"{len(locs)} sides"))
                     continue
                 (fa, ka), (fb, kb) = locs
                 if self.faces[fa].sides[ka][1] == self.faces[fb].sides[kb][1]:
-                    defects.append((e.id, "same sense twice"))
+                    defects.append((eid, "same sense twice"))
             self._defects = defects
         return self._defects
 
@@ -146,29 +152,31 @@ class SurfaceComplex:
             if not self.is_closed():
                 raise ValueError("vertex structure requires a closed complex")
             occ = self.occurrences()
+            sides = [f.sides for f in self.faces]
             orbits = []
             rotations = []
             ray_table = {}
-            for f in self.faces:
-                for k in range(len(f.sides)):
-                    corner = (f.id, k)
+            for f, walk in enumerate(sides):
+                for k, (eid, rev) in enumerate(walk):
+                    ray = (eid, not rev)
+                    # a closed complex leaves each directed edge from one corner
+                    if ray in ray_table:
+                        continue
+                    v = len(orbits)
+                    corner = (f, k)
                     orbit = []
                     rays = []
-                    while True:
-                        eid, rev = self.faces[corner[0]].sides[corner[1]]
-                        ray = (eid, not rev)
-                        # a closed complex leaves each directed edge from one corner
-                        if ray in ray_table:
-                            break
-                        ray_table[ray] = (len(orbits), len(rays))
+                    while ray not in ray_table:
+                        ray_table[ray] = (v, len(rays))
                         orbit.append(corner)
                         rays.append(ray)
                         a, b = occ[eid]
                         g, j = b if a == corner else a
-                        corner = (g, (j + 1) % len(self.faces[g].sides))
-                    if orbit:
-                        orbits.append(tuple(orbit))
-                        rotations.append(tuple(rays))
+                        corner = (g, (j + 1) % len(sides[g]))
+                        eid, rev = sides[g][corner[1]]
+                        ray = (eid, not rev)
+                    orbits.append(tuple(orbit))
+                    rotations.append(tuple(rays))
             self._vertex_data = (tuple(orbits), tuple(rotations), ray_table)
         return self._vertex_data
 
@@ -180,15 +188,29 @@ class SurfaceComplex:
     def num_vertices(self):
         return len(self.vertices())
 
+    def _ray(self, dedge, reverse=False):
+        """(tail vertex, rotation index) of a directed edge, or of its reversal."""
+        rays = self._derive()[2]
+        if type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool) and dedge in rays:
+            return rays[dedge[0], dedge[1] ^ reverse]
+        raise ValueError(f"{dedge!r} is not a directed edge of the complex")
+
     def tail_vertex(self, dedge):
-        return self._derive()[2][dedge][0]
+        return self._ray(dedge)[0]
 
     def head_vertex(self, dedge):
-        return self.tail_vertex((dedge[0], not dedge[1]))
+        return self._ray(dedge, reverse=True)[0]
+
+    def _rays_at(self, vertex_id):
+        """The rotation at a vertex id, checked to be an int in 0..V-1."""
+        rotations = self._derive()[1]
+        if type(vertex_id) is not int or not 0 <= vertex_id < len(rotations):
+            raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(rotations) - 1}")
+        return rotations[vertex_id]
 
     def rotation(self, vertex_id):
         """Outgoing directed edges at a vertex, in clockwise order."""
-        return self._derive()[1][vertex_id]
+        return self._rays_at(vertex_id)
 
     def continue_through(self, dedge, turn):
         """Continue an incoming directed edge through its head vertex.
@@ -197,8 +219,8 @@ class SurfaceComplex:
         reversal of the incoming edge: at a degree-4 vertex, ``2`` goes
         straight, ``1`` turns left, ``-1`` turns right and ``0`` doubles back.
         """
-        v, i = self._derive()[2][(dedge[0], not dedge[1])]
-        rays = self.rotation(v)
+        v, i = self._ray(dedge, reverse=True)
+        rays = self._derive()[1][v]
         return rays[(i + turn) % len(rays)]
 
     def straight_continuation(self, dedge):
@@ -206,10 +228,10 @@ class SurfaceComplex:
 
     def vertex_type_pair(self, vertex_id):
         """The ordered type pair (i, i+1) at a degree-4 vertex, else None."""
-        rays = self.rotation(vertex_id)
+        rays = self._rays_at(vertex_id)
         if len(rays) != 4:
             return None
-        t = [self.edge_type(e) for e, _ in rays]
+        t = [self.edges[e].type for e, _ in rays]
         if t[0] != t[2] or t[1] != t[3] or t[0] == t[1]:
             return None
         if succ_type(t[0], self.p) == t[1]:
@@ -246,8 +268,9 @@ def build_complex(p, edge_specs, face_specs):
     edges = []
     seen = set()
     for eid, etype in edge_specs:
-        _require_int_parameter("edge id", eid)
-        _require_int_parameter("edge type", etype)
+        if type(eid) is not int or type(etype) is not int:
+            _require_int_parameter("edge id", eid)
+            _require_int_parameter("edge type", etype)
         if eid in seen:
             raise DuplicateId(f"edge id {eid} declared twice")
         seen.add(eid)
@@ -271,7 +294,8 @@ def build_complex(p, edge_specs, face_specs):
             raise WrongSideCount(f"face {fid} has {len(sides)} sides, expected {p}")
         packed = []
         for eid, rev in sides:
-            _require_int_parameter("side edge", eid)
+            if type(eid) is not int:
+                _require_int_parameter("side edge", eid)
             if eid not in seen:
                 raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
             if type(rev) is not bool:
@@ -313,8 +337,11 @@ def validate(cx, expected_genus=None):
 
     Everything but the genus comparison is computed once per complex and
     cached; ``expected_genus`` is checked on each call, unless the complex
-    is open or has no faces and so has no genus to compare.
+    is open or has no faces and so has no genus to compare.  It must be None
+    or an int; anything else raises ValueError.
     """
+    if expected_genus is not None:
+        _require_int_parameter("expected genus", expected_genus)
     if cx._validation is None:
         cx._validation = _axiom_findings(cx)
     findings, face_findings, euler, genus = cx._validation
@@ -335,13 +362,15 @@ def validate(cx, expected_genus=None):
 def _axiom_findings(cx):
     """The findings of :func:`validate` that precede and follow its genus
     comparison, with the Euler characteristic and genus."""
+    p, edge_types = cx.p, [e.type for e in cx.edges]
+    # the p-side type cycles, one from each type; a face must read one of them
+    cycles = {t: [(t + k - 1) % p + 1 for k in range(p)] for t in range(1, p + 1)}
     face_findings = []
     for f in cx.faces:
-        seq = [cx.edge_type(eid) for eid, _rev in f.sides]
+        seq = [edge_types[eid] for eid, _rev in f.sides]
         if f.chirality == CW:
             seq = seq[::-1]
-        n = len(seq)
-        if any(seq[(k + 1) % n] != succ_type(seq[k], cx.p) for k in range(n)):
+        if seq != cycles[seq[0]]:
             face_findings.append(
                 Finding("FaceLabeling",
                         f"face {f.id} does not read a consecutive type cycle: {seq}")
@@ -355,7 +384,8 @@ def _axiom_findings(cx):
         return (Finding("Disconnected", "the complex has no faces"),), (), 0, None
 
     failures = []
-    orbits = cx.vertices()
+    orbits, rotations, _rays = cx._derive()
+    occ = cx.occurrences()
     n_v, n_e, n_f = len(orbits), cx.num_edges, cx.num_faces
     euler = n_v - n_e + n_f
 
@@ -365,7 +395,7 @@ def _axiom_findings(cx):
     while stack:
         f = stack.pop()
         for eid, _rev in cx.faces[f].sides:
-            for (g, _k) in cx.occurrences()[eid]:
+            for (g, _k) in occ[eid]:
                 if g not in reached:
                     reached.add(g)
                     stack.append(g)
@@ -382,9 +412,12 @@ def _axiom_findings(cx):
                     f"vertices without exactly 4 corners: {wrong_degree[:8]}")
         )
     else:
-        bad_alt = [
-            vid for vid in range(n_v) if cx.vertex_type_pair(vid) is None
-        ]
+        # the type pair depends only on the ray types: read it once per tuple
+        groups = {}
+        for vid, rays in enumerate(rotations):
+            groups.setdefault(tuple([edge_types[e] for e, _ in rays]), []).append(vid)
+        bad_alt = sorted(vid for group in groups.values()
+                         if cx.vertex_type_pair(group[0]) is None for vid in group)
         if bad_alt:
             failures.append(
                 Finding("VertexTypeAlternation",
@@ -416,10 +449,8 @@ def dual_graph(cx):
     """The face-adjacency multigraph, deterministically ordered."""
     if not cx.is_closed():
         raise ValueError("dual graph requires a closed complex")
-    edges = []
-    for e in cx.edges:
-        (fa, _), (fb, _) = cx.occurrences()[e.id]
-        edges.append((fa, fb, e.id))
+    occ = cx.occurrences()
+    edges = [(occ[e.id][0][0], occ[e.id][1][0], e.id) for e in cx.edges]
     return DualGraph(tuple(f.id for f in cx.faces), tuple(edges))
 
 

@@ -363,13 +363,10 @@ def _subdivide(cx, pieces, axis, genus):
             f"axis {axis}: subdivided loops violate the intersection hypotheses"
         )
 
-    midpoints = {}
-    for old_eid, (h1, _h2) in splits.items():
-        midpoints[old_eid] = out.head_vertex((h1, True))
-    centers = {}
-    if pieces == 4:
-        for f in cx.faces:
-            centers[f.id] = out.head_vertex((chords[f.id][0], True))
+    # the head of (h, True) is the tail of (h, False)
+    rays = out._derive()[2]
+    midpoints = {old_eid: rays[h1, False][0] for old_eid, (h1, _h2) in splits.items()}
+    centers = {f.id: rays[chords[f.id][0], False][0] for f in cx.faces} if pieces == 4 else {}
     return out, SubdivisionMap(
         pieces=pieces,
         axis=axis,

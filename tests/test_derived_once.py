@@ -1,5 +1,7 @@
 """Derived structures are computed once per complex and then shared."""
 
+from collections import Counter
+
 import pytest
 
 import fqsurf.coloring
@@ -11,7 +13,12 @@ from conftest import make_twelve_gon
 from fqsurf.coloring import EdgeColoring, solve_good_coloring
 from fqsurf.lattice import assign_groups, build_certificate, decide
 from fqsurf.loops import trace_geodesic_loops
-from fqsurf.surface_complex import validate
+from fqsurf.surface_complex import (
+    SurfaceComplex,
+    complex_from_dict,
+    complex_to_dict,
+    validate,
+)
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
@@ -178,3 +185,64 @@ def test_subdivision_builds_and_validates_once(monkeypatch):
     assert len(validated) == 2
     assert validated[0][0] is rect and validated[1][0] is out
     assert dual == [[], []]
+
+
+ACCESSORS = (
+    "edge_type", "tail_vertex", "head_vertex", "rotation", "continue_through",
+    "straight_continuation", "vertex_type_pair",
+)
+
+
+def _count_accessor_calls(monkeypatch):
+    """Wrap every per-element accessor of SurfaceComplex with a counter.
+
+    Returns the list of (accessor, complex, args) calls; a
+    ``vertex_type_pair`` call records the vertex's ray types as its args.
+    """
+    calls = []
+    for name in ACCESSORS:
+        original = getattr(SurfaceComplex, name)
+
+        def counted(cx, *args, _name=name, _original=original):
+            if _name == "vertex_type_pair":
+                rays = cx._derive()[1][args[0]]
+                calls.append((_name, cx, tuple(cx.edges[e].type for e, _ in rays)))
+            else:
+                calls.append((_name, cx, args))
+            return _original(cx, *args)
+
+        monkeypatch.setattr(SurfaceComplex, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, q, genus, method",
+    [
+        (6, (2, 3) * 3, 17, "Block"),
+        (8, (2, 4) * 4, 32, "Subdiv2"),
+        (12, (2, 4) * 6, 66, "Subdiv4"),
+    ],
+)
+def test_certified_decide_reads_the_tables_not_the_accessors(monkeypatch, p, q, genus,
+                                                              method):
+    calls = _count_accessor_calls(monkeypatch)
+    verdict = decide(p, q, genus, certify=True)
+    assert (verdict.outcome, verdict.method) == ("Exists", method)
+    # the coloring's seed reads the base vertex's rotation once
+    assert [(name, args) for name, _cx, args in calls if name != "vertex_type_pair"] == [
+        ("rotation", (0,))
+    ]
+    # validate and assign_groups each ask once per distinct tuple of ray types
+    pairs = Counter((id(cx), types) for name, cx, types in calls if name == "vertex_type_pair")
+    assert pairs and max(pairs.values()) <= 2
+
+
+def test_validate_reads_one_type_pair_per_ray_type_tuple(monkeypatch):
+    cx = build_block_tessellation(6, 17)
+    distinct = {tuple(cx.edge_type(e) for e, _ in cx.rotation(v))
+                for v in range(cx.num_vertices)}
+    fresh = complex_from_dict(complex_to_dict(cx))
+    calls = _count_accessor_calls(monkeypatch)
+    assert validate(fresh, expected_genus=17).passed
+    assert [name for name, _cx, _args in calls] == ["vertex_type_pair"] * len(distinct)
+    assert len(distinct) < cx.num_vertices

@@ -1,0 +1,305 @@
+"""Differential tests: each pass that reads the derived tables directly
+against a reference written on the public, checked accessors.
+
+The references are the bodies these passes had when they called
+``rotation``, ``continue_through``, ``tail_vertex``, ``vertex_type_pair``
+and ``edge_type`` once per element.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fqsurf.coloring import (
+    ALTERNATING,
+    CONSISTENCY,
+    EdgeColoring,
+    ParityConstraint,
+    ParityConstraintSystem,
+    _hanging_edges,
+    build_constraints,
+)
+from fqsurf.lattice import assign_groups
+from fqsurf.loops import GeodesicLoop, trace_geodesic_loops
+from fqsurf.surface_complex import (
+    build_complex,
+    complex_from_dict,
+    complex_to_dict,
+    succ_type,
+    validate,
+)
+from fqsurf.tessellation import (
+    build_block_tessellation,
+    build_rect_tessellation,
+    subdivide_four,
+    subdivide_two,
+)
+
+from conftest import (
+    make_crossing,
+    make_octagon,
+    make_pillowcase,
+    make_torus,
+    make_twelve_gon,
+)
+from test_loops import closed_complexes, right_angled_complexes
+
+HAND_BUILT = [make_torus, make_pillowcase, make_crossing, make_twelve_gon, make_octagon]
+FIXTURES = ["block_p6_g2", "block_p6_g3", "block_p8_g3", "block_p10_g4",
+            "rect_p8_1x2", "rect_p8_3x2", "rect_p12_3x3", "hex4", "hex36"]
+
+
+def _fresh(cx):
+    """A copy of ``cx`` with nothing derived or cached yet."""
+    return complex_from_dict(complex_to_dict(cx))
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return "returned", fn(*args)
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _all_complexes(request):
+    return [make() for make in HAND_BUILT] + [
+        request.getfixturevalue(name) for name in FIXTURES
+    ]
+
+
+# ------------------------------------------------------------ references
+
+
+def _reference_hanging_edges(cx, cycle):
+    lefts = []
+    rights = []
+    for dedge in cycle:
+        v = cx.head_vertex(dedge)
+        degree = len(cx.rotation(v))
+        if degree != 4:
+            raise ValueError(f"vertex {v} has degree {degree}, not 4")
+        lefts.append(cx.continue_through(dedge, 1)[0])
+        rights.append(cx.continue_through(dedge, -1)[0])
+    return lefts, rights
+
+
+def _reference_loops(cx):
+    """Geodesic loops by a ``straight_continuation`` walk."""
+    order = [(e.id, fwd) for e in cx.edges for fwd in (True, False)]
+    visited = set()
+    loops = []
+    for start in order:
+        if start in visited:
+            continue
+        cycle = [start]
+        visited.add(start)
+        cur = cx.straight_continuation(start)
+        while cur != start:
+            cycle.append(cur)
+            visited.add(cur)
+            cur = cx.straight_continuation(cur)
+        edge_ids = {e for e, _ in cycle}
+        degenerate = len(edge_ids) < len(cycle)
+        if not degenerate:
+            for e, fwd in cycle:
+                visited.add((e, not fwd))
+        types = {cx.edge_type(e) for e in edge_ids}
+        length = len(edge_ids)
+        loops.append(GeodesicLoop(
+            loop_id=len(loops),
+            type=types.pop() if len(types) == 1 else None,
+            directed_edges=tuple(cycle),
+            undirected_length=length,
+            parity="odd" if length % 2 else "even",
+            degenerate=degenerate,
+        ))
+    return loops
+
+
+def _reference_labeling_findings(cx):
+    """(tag, detail) of the FaceLabeling and VertexTypeAlternation findings,
+    read per face with ``succ_type`` and per vertex with ``vertex_type_pair``."""
+    found = []
+    if cx.is_closed() and cx.num_faces:
+        if all(len(cx.rotation(v)) == 4 for v in range(cx.num_vertices)):
+            bad = [v for v in range(cx.num_vertices) if cx.vertex_type_pair(v) is None]
+            if bad:
+                found.append((
+                    "VertexTypeAlternation",
+                    f"vertices whose edge types do not alternate i, i+1: {bad[:8]}",
+                ))
+    for f in cx.faces:
+        seq = [cx.edge_type(eid) for eid, _rev in f.sides]
+        if f.chirality == "cw":
+            seq = seq[::-1]
+        n = len(seq)
+        if any(seq[(k + 1) % n] != succ_type(seq[k], cx.p) for k in range(n)):
+            found.append((
+                "FaceLabeling",
+                f"face {f.id} does not read a consecutive type cycle: {seq}",
+            ))
+    return found
+
+
+def _reference_signatures(cx, assignment):
+    signatures = []
+    for v, orbit in enumerate(cx.vertices()):
+        rays = cx.rotation(v)
+        signatures.append((
+            cx.vertex_type_pair(v),
+            tuple(assignment.edge_factors[e] for e, _ in rays),
+            tuple(cx.edge_type(e) for e, _ in rays),
+            # sector k lies clockwise between rays k and k+1: the face of corner k+1
+            tuple(assignment.face_factors[orbit[(k + 1) % 4][0]] for k in range(4)),
+        ))
+    return tuple(signatures)
+
+
+def _reference_adjacency(variables, constraints):
+    adjacency = {v: [] for v in variables}
+    for c in constraints:
+        adjacency[c.edge_a].append((c.edge_b, c))
+        adjacency[c.edge_b].append((c.edge_a, c))
+    for pairs in adjacency.values():
+        pairs.sort(key=lambda item: (item[0], item[1].parity, item[1].tag))
+    return adjacency
+
+
+# ------------------------------------------------------------ comparisons
+
+
+def _assert_hanging_edges_match(cx):
+    if not cx.is_closed():
+        return
+    for lp in trace_geodesic_loops(cx).loops:
+        cycle = lp.directed_edges
+        assert _outcome(_hanging_edges, cx, cycle) == _outcome(
+            _reference_hanging_edges, cx, cycle
+        )
+
+
+def _assert_loops_match(cx):
+    if cx.is_closed():
+        assert trace_geodesic_loops(cx).loops == _reference_loops(cx)
+        for lp in trace_geodesic_loops(cx).loops:
+            assert lp.vertex_ids(cx) == {cx.tail_vertex(d) for d in lp.directed_edges}
+
+
+def _assert_labeling_findings_match(cx):
+    cx = _fresh(cx)
+    got = [(f.tag, f.detail) for f in validate(cx).failures
+           if f.tag in ("VertexTypeAlternation", "FaceLabeling")]
+    assert got == _reference_labeling_findings(cx)
+
+
+def _assert_signatures_match(cx):
+    if not validate(cx).passed:
+        return
+    colors = {e.id: (e.id * 7 + e.type) % 2 for e in cx.edges}
+    coloring = EdgeColoring(colors=colors, base_vertex=0, seed=())
+    a = assign_groups(cx, coloring, (2, 4) * (cx.p // 2))
+    assert a.signatures == _reference_signatures(cx, a)
+
+
+def _assert_adjacency_matches(cx):
+    if not cx.is_closed():
+        return
+    report = trace_geodesic_loops(cx)
+    if any(lp.degenerate for lp in report.loops):
+        return
+    try:
+        system = build_constraints(cx, report)
+    except ValueError:
+        return  # a vertex that is not of degree 4; compared above
+    assert system.adjacency == _reference_adjacency(system.variables, system.constraints)
+
+
+ALL_CHECKS = [
+    _assert_hanging_edges_match,
+    _assert_loops_match,
+    _assert_labeling_findings_match,
+    _assert_signatures_match,
+    _assert_adjacency_matches,
+]
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__[8:])
+def test_fixtures_match_references(request, check):
+    for cx in _all_complexes(request):
+        check(cx)
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__[8:])
+def test_subdivided_grids_match_references(check):
+    check(subdivide_two(build_rect_tessellation(8, 3, 4), axis=1)[0])
+    check(subdivide_four(build_rect_tessellation(12, 3, 5), axis=1)[0])
+    check(build_block_tessellation(6, 9))
+
+
+@given(closed_complexes())
+@settings(max_examples=40, deadline=None)
+def test_closed_complexes_match_references(cx):
+    for check in ALL_CHECKS:
+        check(cx)
+
+
+@given(right_angled_complexes())
+@settings(max_examples=40, deadline=None)
+def test_right_angled_complexes_match_references(cx):
+    for check in ALL_CHECKS:
+        check(cx)
+
+
+@st.composite
+def retyped_complexes(draw):
+    """A right-angled complex with its edge types redrawn at random, so
+    faces and vertices may read types that do not alternate."""
+    cx = draw(right_angled_complexes())
+    types = [draw(st.integers(1, cx.p)) for _ in cx.edges]
+    return build_complex(
+        cx.p,
+        [(e.id, t) for e, t in zip(cx.edges, types)],
+        [(f.id, f.chirality, f.sides) for f in cx.faces],
+    )
+
+
+@given(retyped_complexes())
+@settings(max_examples=60, deadline=None)
+def test_retyped_complexes_match_references(cx):
+    for check in ALL_CHECKS:
+        check(cx)
+
+
+def test_non_alternating_vertex_types_are_found_alike():
+    cx = make_twelve_gon()
+    assert [tag for tag, _detail in _reference_labeling_findings(cx)] == [
+        "VertexTypeAlternation", "FaceLabeling"
+    ]
+    _assert_labeling_findings_match(cx)
+
+
+def test_degree_eight_vertex_fails_alike():
+    cx = make_octagon()
+    (lp, *_rest) = trace_geodesic_loops(cx).loops
+    expected = ("raised", ValueError, "vertex 0 has degree 8, not 4")
+    assert _outcome(_hanging_edges, cx, lp.directed_edges) == expected
+    assert _outcome(_reference_hanging_edges, cx, lp.directed_edges) == expected
+    _assert_loops_match(cx)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1),
+              st.sampled_from([ALTERNATING, CONSISTENCY])),
+    max_size=30,
+))
+@settings(max_examples=100, deadline=None)
+def test_adjacency_order_matches_reference_on_arbitrary_constraints(rows):
+    """Self-constraints, repeats and both orientations of one pair included."""
+    constraints = [ParityConstraint(*row) for row in rows]
+    system = ParityConstraintSystem(range(6), constraints)
+    reference = _reference_adjacency(range(6), constraints)
+    assert system.adjacency == reference
+    # equal constraints given twice are listed in the order they were given
+    for v, pairs in system.adjacency.items():
+        assert [id(c) for _w, c in pairs] == [id(c) for _w, c in reference[v]]

@@ -94,8 +94,8 @@ class TestTwelveGonLoops:
 
 def _dense_pairwise(cx, loops):
     """The quadratic oracle: intersect the vertex sets of every pair of
-    loops and keep the nonzero counts."""
-    vsets = [lp.vertex_ids(cx) for lp in loops]
+    loops, read with the checked ``tail_vertex``, and keep the nonzero counts."""
+    vsets = [{cx.tail_vertex(d) for d in lp.directed_edges} for lp in loops]
     out = {}
     for i, j in itertools.combinations(range(len(loops)), 2):
         n = len(vsets[i] & vsets[j])

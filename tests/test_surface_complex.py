@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,6 +242,13 @@ class TestValidate:
         rep = validate(block_p6_g2, expected_genus=2)
         assert rep.passed
         assert rep.tags() == []
+
+    @pytest.mark.parametrize("genus", ["2", 2.0, True])
+    def test_non_int_expected_genus_rejected(self, block_p6_g2, genus):
+        with pytest.raises(ValueError, match=f"^expected genus must be an integer, "
+                                             f"got {genus!r}$"):
+            validate(block_p6_g2, expected_genus=genus)
+        assert validate(block_p6_g2, expected_genus=2).passed
 
     def test_structural_tags(self):
         # closedness makes a complex oriented, so no parity of the Euler
@@ -599,6 +607,61 @@ class TestOpenComplex:
     def test_vertex_structure_is_refused(self, use):
         with pytest.raises(ValueError, match="^vertex structure requires a closed complex$"):
             use(make_open_square())
+
+
+class TestAccessorIds:
+    """The per-element accessors answer only for ids the complex has."""
+
+    @pytest.mark.parametrize("vertex", [-1, 1, 2, True, 0.0, "0", None])
+    @pytest.mark.parametrize("accessor", ["rotation", "vertex_type_pair"])
+    def test_vertex_outside_the_complex(self, accessor, vertex):
+        cx = make_torus()  # one vertex
+        with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(vertex))} "
+                                             r"is not an int in 0\.\.0$"):
+            getattr(cx, accessor)(vertex)
+
+    def test_last_vertex_is_not_vertex_minus_one(self, block_p6_g2):
+        n = block_p6_g2.num_vertices
+        assert block_p6_g2.vertex_type_pair(n - 1) is not None
+        for accessor in (block_p6_g2.rotation, block_p6_g2.vertex_type_pair):
+            with pytest.raises(ValueError, match=rf"^vertex -1 is not an int in 0\.\.{n - 1}$"):
+                accessor(-1)
+            with pytest.raises(ValueError, match=rf"^vertex {n} is not an int"):
+                accessor(n)
+
+    @pytest.mark.parametrize(
+        "dedge", [(99, True), (2, False), (-1, True), (0, None), (0, 1), (True, True),
+                  (0,), (0, True, 1), 0, [0, True], "ab"],
+    )
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda cx, d: cx.tail_vertex(d),
+            lambda cx, d: cx.head_vertex(d),
+            lambda cx, d: cx.continue_through(d, 2),
+            lambda cx, d: cx.straight_continuation(d),
+        ],
+        ids=["tail_vertex", "head_vertex", "continue_through", "straight_continuation"],
+    )
+    def test_directed_edge_outside_the_complex(self, use, dedge):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(dedge))} "
+                                             r"is not a directed edge of the complex$"):
+            use(make_torus(), dedge)
+
+    @pytest.mark.parametrize("edge", [-1, 2, True, 1.0])
+    def test_edge_outside_the_complex(self, edge):
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} "
+                                             r"is not an int in 0\.\.1$"):
+            make_torus().edge_type(edge)
+
+    def test_ids_in_range_still_answer(self, block_p6_g2):
+        cx = block_p6_g2
+        for e in cx.edges:
+            assert cx.edge_type(e.id) == e.type
+            for d in ((e.id, True), (e.id, False)):
+                v = cx.tail_vertex(d)
+                assert d in cx.rotation(v)
+                assert cx.head_vertex(d) == cx.tail_vertex((e.id, not d[1]))
 
 
 # ---------------------------------------------------------------- properties
