@@ -155,6 +155,9 @@ def _cmd_subdivide(args):
 
 def _cmd_certify(args):
     cx = _read_complex(args.input)
+    report = validate(cx)
+    if not report.passed:
+        raise ValueError(f"the complex fails validation: {report.tags()}")
     coloring = coloring_from_dict(_read_json(args.coloring))
     q = _parse_q(args.q)
     cert = build_certificate(cx, coloring, q)

@@ -94,7 +94,7 @@ def _hanging_edges(cx, cycle):
 
     Left and right are defined only at a degree-4 head vertex.
     """
-    _orbits, rotations, rays = cx._derive()
+    _orbits, rotations, rays, _pairs = cx._derive()
     lefts = []
     rights = []
     for e, fwd in cycle:

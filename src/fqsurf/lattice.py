@@ -184,9 +184,9 @@ def assign_groups(cx, coloring, q):
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
 
-    Edges of one (type, color) share one frozenset, and a type pair is
-    derived once per distinct tuple of ray types.  Everything here is
-    read-only and shared between cells.
+    Edges of one (type, color) share one frozenset, and the type pairs are
+    the complex's own derived table.  Everything here is read-only and
+    shared between cells.
     """
     q = _require_int_sequence(q)
     if cx.p % 2 != 0:
@@ -199,12 +199,18 @@ def assign_groups(cx, coloring, q):
     if deco is None:
         raise NotAlternatingNonCoprime(f"{q} has no alternating decomposition")
 
+    factor_sets = {}
+    edge_factors = {}
     for e in cx.edges:
         if e.id not in coloring.colors:
             raise NotGoodColoring(f"edge {e.id} is not colored")
         c = coloring.colors[e.id]
         if type(c) is not int or c not in (0, 1):
             raise NotGoodColoring(f"edge {e.id} has color {c!r}, not 0 or 1")
+        factors = factor_sets.get((e.type, c))
+        if factors is None:
+            factors = factor_sets[e.type, c] = _edge_factor_set(e.type, c)
+        edge_factors[e.id] = factors
     n_edges = cx.num_edges
     unknown = {e for e in coloring.colors if type(e) is not int or not 0 <= e < n_edges}
     if unknown:
@@ -217,15 +223,6 @@ def assign_groups(cx, coloring, q):
     coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
-    factor_sets = {}
-    edge_factors = {}
-    for e in cx.edges:
-        key = (e.type, coloring.colors[e.id])
-        factors = factor_sets.get(key)
-        if factors is None:
-            factors = factor_sets[key] = _edge_factor_set(*key)
-        edge_factors[e.id] = factors
-
     face_factors = {}
     face_conflicts = {}
     for f in cx.faces:
@@ -237,16 +234,12 @@ def assign_groups(cx, coloring, q):
             face_conflicts[f.id] = tuple(per_corner)
 
     edge_types = [e.type for e in cx.edges]
-    orbits, rotations, _rays = cx._derive()
-    type_pairs = {}
+    orbits, rotations, _rays, pairs = cx._derive()
     signatures = []
-    for v, (orbit, rays) in enumerate(zip(orbits, rotations)):
-        ray_types = tuple([edge_types[e] for e, _ in rays])
-        pair = type_pairs.get(ray_types)
+    for v, (orbit, rays, pair) in enumerate(zip(orbits, rotations, pairs)):
         if pair is None:
-            pair = type_pairs[ray_types] = cx.vertex_type_pair(v)
-            if pair is None:
-                raise ValueError(f"vertex {v} has no alternating type pair")
+            raise ValueError(f"vertex {v} has no alternating type pair")
+        ray_types = tuple([edge_types[e] for e, _ in rays])
         # a type pair needs four rays; sector k is the face of corner k+1
         (e0, _), (e1, _), (e2, _), (e3, _) = rays
         (f0, _), (f1, _), (f2, _), (f3, _) = orbit
@@ -374,7 +367,10 @@ def build_link_graph(assignment, vertex):
     edges number |side i|·|side j|: then they are all the pairs.
     """
     q = assignment.q
-    (i, j), ray_factors, ray_types, sector_factors = assignment.signatures[vertex]
+    signatures = assignment.signatures
+    if type(vertex) is not int or not 0 <= vertex < len(signatures):
+        raise ValueError(f"vertex {vertex!r} is not an int in 0..{len(signatures) - 1}")
+    (i, j), ray_factors, ray_types, sector_factors = signatures[vertex]
     universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
     orders = assignment.orders
 

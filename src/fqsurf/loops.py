@@ -21,7 +21,7 @@ leftover edges.
 import itertools
 from collections import namedtuple
 
-from .surface_complex import smith_normal_form, tree_cotree
+from .surface_complex import IntegerMatrix, smith_normal_form, tree_cotree
 
 
 class GeodesicLoop(namedtuple(
@@ -51,7 +51,7 @@ def trace_geodesic_loops(cx):
     """
     if cx._loop_report is not None:
         return cx._loop_report
-    _orbits, rotations, rays = cx._derive()
+    _orbits, rotations, rays, _pairs = cx._derive()
     edge_types = [e.type for e in cx.edges]
     # edges are stored by id, so this walks directed edges in (id, forward first) order
     order = [(e.id, fwd) for e in cx.edges for fwd in (True, False)]
@@ -130,8 +130,8 @@ def loops_generate_h1(cx, loops):
     Eppstein, SODA 2003, and Erickson and Whittlesey, SODA 2005): each loop
     maps to Z^X over the leftover edges X, and H1 of a closed (so oriented)
     complex is Z^X itself.  True iff :func:`smith_normal_form` of the loop
-    coordinates, |X| = 2g rows per closed component, has rank |X| and every
-    invariant factor 1.
+    coordinates, summed straight into |X| = 2g rows per closed component
+    and one column per loop, has rank |X| and every invariant factor 1.
     """
     red = tree_cotree(cx)
     rays = cx._derive()[2]
@@ -143,15 +143,15 @@ def loops_generate_h1(cx, loops):
             boundary[tail] = boundary.get(tail, 0) - 1
         if any(boundary.values()):
             return False
-    coords = []
-    for lp in loops:
-        col = {}
+    row_of = {e: r for r, e in enumerate(red.x_edges)}
+    rows = [{} for _ in red.x_edges]
+    for j, lp in enumerate(loops):
         for e, fwd in lp.directed_edges:
             sign = 1 if fwd else -1
             for x, c in red.images[e].items():
-                col[x] = col.get(x, 0) + sign * c
-        coords.append(col)
-    diag, rank = smith_normal_form(red.matrix(coords))
+                row = rows[row_of[x]]
+                row[j] = row.get(j, 0) + sign * c
+    diag, rank = smith_normal_form(IntegerMatrix.from_rows(rows, len(loops)))
     return rank == len(red.x_edges) and all(d in (0, 1) for d in diag)
 
 

@@ -69,13 +69,25 @@ def succ_type(t, p):
     return t % p + 1
 
 
+def _type_pair(types, p):
+    """The ordered type pair (i, i+1) of a vertex whose four ray types, in
+    rotation order, alternate i and i+1; else None."""
+    if len(types) == 4 and types[0] == types[2] != types[1] == types[3]:
+        a, b = types[:2]
+        if b == succ_type(a, p):
+            return (a, b)
+        if a == succ_type(b, p):
+            return (b, a)
+    return None
+
+
 class SurfaceComplex:
     """A polygonal surface with typed edges; immutable once built.
 
     Derived structures are computed on first use and cached per complex:
-    edge occurrences, closedness defects, vertex orbits, rotations and the
-    ray table, the genus-independent findings of :func:`validate`, and the
-    geodesic loop report (filled by
+    edge occurrences, closedness defects, vertex orbits, rotations, the ray
+    table and the vertex type pairs, the genus-independent findings of
+    :func:`validate`, and the geodesic loop report (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
 
@@ -145,17 +157,21 @@ class SurfaceComplex:
     def _derive(self):
         """Walk each vertex's corners once, by ``sigma`` of the module docstring.
 
-        Records the orbits, the rotations and the ray table, which maps each
-        directed edge to its tail vertex and its position in that rotation.
+        Records the orbits, the rotations, the ray table, which maps each
+        directed edge to its tail vertex and its position in that rotation,
+        and each vertex's type pair, read once per distinct tuple of ray types.
         """
         if self._vertex_data is None:
             if not self.is_closed():
                 raise ValueError("vertex structure requires a closed complex")
             occ = self.occurrences()
             sides = [f.sides for f in self.faces]
+            edge_types = [e.type for e in self.edges]
             orbits = []
             rotations = []
             ray_table = {}
+            pairs = []
+            pair_of = {}  # ray types -> type pair
             for f, walk in enumerate(sides):
                 for k, (eid, rev) in enumerate(walk):
                     ray = (eid, not rev)
@@ -177,7 +193,11 @@ class SurfaceComplex:
                         ray = (eid, not rev)
                     orbits.append(tuple(orbit))
                     rotations.append(tuple(rays))
-            self._vertex_data = (tuple(orbits), tuple(rotations), ray_table)
+                    types = tuple([edge_types[e] for e, _ in rays])
+                    if types not in pair_of:
+                        pair_of[types] = _type_pair(types, self.p)
+                    pairs.append(pair_of[types])
+            self._vertex_data = (tuple(orbits), tuple(rotations), ray_table, tuple(pairs))
         return self._vertex_data
 
     def vertices(self):
@@ -201,16 +221,12 @@ class SurfaceComplex:
     def head_vertex(self, dedge):
         return self._ray(dedge, reverse=True)[0]
 
-    def _rays_at(self, vertex_id):
-        """The rotation at a vertex id, checked to be an int in 0..V-1."""
+    def rotation(self, vertex_id):
+        """Outgoing directed edges at a vertex, in clockwise order."""
         rotations = self._derive()[1]
         if type(vertex_id) is not int or not 0 <= vertex_id < len(rotations):
             raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(rotations) - 1}")
         return rotations[vertex_id]
-
-    def rotation(self, vertex_id):
-        """Outgoing directed edges at a vertex, in clockwise order."""
-        return self._rays_at(vertex_id)
 
     def continue_through(self, dedge, turn):
         """Continue an incoming directed edge through its head vertex.
@@ -219,6 +235,8 @@ class SurfaceComplex:
         reversal of the incoming edge: at a degree-4 vertex, ``2`` goes
         straight, ``1`` turns left, ``-1`` turns right and ``0`` doubles back.
         """
+        if type(turn) is not int:
+            raise ValueError(f"turn {turn!r} is not an int")
         v, i = self._ray(dedge, reverse=True)
         rays = self._derive()[1][v]
         return rays[(i + turn) % len(rays)]
@@ -228,17 +246,10 @@ class SurfaceComplex:
 
     def vertex_type_pair(self, vertex_id):
         """The ordered type pair (i, i+1) at a degree-4 vertex, else None."""
-        rays = self._rays_at(vertex_id)
-        if len(rays) != 4:
-            return None
-        t = [self.edges[e].type for e, _ in rays]
-        if t[0] != t[2] or t[1] != t[3] or t[0] == t[1]:
-            return None
-        if succ_type(t[0], self.p) == t[1]:
-            return (t[0], t[1])
-        if succ_type(t[1], self.p) == t[0]:
-            return (t[1], t[0])
-        return None
+        pairs = self._derive()[3]
+        if type(vertex_id) is not int or not 0 <= vertex_id < len(pairs):
+            raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(pairs) - 1}")
+        return pairs[vertex_id]
 
     def __eq__(self, other):
         return (
@@ -384,7 +395,7 @@ def _axiom_findings(cx):
         return (Finding("Disconnected", "the complex has no faces"),), (), 0, None
 
     failures = []
-    orbits, rotations, _rays = cx._derive()
+    orbits, _rotations, _rays, pairs = cx._derive()
     occ = cx.occurrences()
     n_v, n_e, n_f = len(orbits), cx.num_edges, cx.num_faces
     euler = n_v - n_e + n_f
@@ -412,12 +423,7 @@ def _axiom_findings(cx):
                     f"vertices without exactly 4 corners: {wrong_degree[:8]}")
         )
     else:
-        # the type pair depends only on the ray types: read it once per tuple
-        groups = {}
-        for vid, rays in enumerate(rotations):
-            groups.setdefault(tuple([edge_types[e] for e, _ in rays]), []).append(vid)
-        bad_alt = sorted(vid for group in groups.values()
-                         if cx.vertex_type_pair(group[0]) is None for vid in group)
+        bad_alt = [vid for vid, pair in enumerate(pairs) if pair is None]
         if bad_alt:
             failures.append(
                 Finding("VertexTypeAlternation",
@@ -641,15 +647,6 @@ class TreeCotree(namedtuple("TreeCotree", "tree cotree x_edges images")):
     """
 
     __slots__ = ()
-
-    def matrix(self, columns):
-        """``{X edge: coefficient}`` columns as an |X|-row IntegerMatrix."""
-        index = {e: i for i, e in enumerate(self.x_edges)}
-        rows = [{} for _ in self.x_edges]
-        for j, col in enumerate(columns):
-            for e, x in col.items():
-                rows[index[e]][j] = x
-        return IntegerMatrix.from_rows(rows, len(columns))
 
 
 def tree_cotree(cx):

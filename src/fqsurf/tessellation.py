@@ -26,6 +26,7 @@ construction and several test fixtures are wired.
 """
 
 from collections import deque, namedtuple
+from itertools import chain
 
 from .loops import trace_geodesic_loops
 from .surface_complex import (
@@ -83,13 +84,21 @@ def complex_from_matchings(p, chiralities, matchings):
     at position t-1, clockwise faces at position p-t (mod p), so every face
     reads a full consecutive type cycle and the labeling axiom holds by
     construction.  The lower face id of a pair takes the forward sense.
+    Every face id must be an int in 0..len(chiralities)-1.
     """
     n_faces = len(chiralities)
+    face_ids = set(range(n_faces))
     if len(matchings) != p:
         raise ValueError(f"expected {p} matchings, got {len(matchings)}")
     sides = [[None] * p for _ in range(n_faces)]
     edge_specs = []
     for t in range(1, p + 1):
+        ids = list(chain.from_iterable(matchings[t - 1]))
+        if not set(map(type, ids)) <= {int} or not face_ids.issuperset(ids):
+            bad = next(z for z in ids if type(z) is not int or z not in face_ids)
+            raise ValueError(
+                f"matching for type {t}: face {bad!r} is not an int in 0..{n_faces - 1}"
+            )
         seen = set()
         pairs = sorted((min(x, y), max(x, y)) for x, y in matchings[t - 1])
         for x, y in pairs:
@@ -256,21 +265,6 @@ def _subdivide(cx, pieces, axis, genus):
     cut_types = {((axis - 1 + k * step) % p) + 1 for k in range(pieces)}
     cut_edges = {e.id for e in cx.edges if e.type in cut_types}
 
-    face_cuts = {}
-    for f in cx.faces:
-        pos = [k for k, (eid, _rev) in enumerate(f.sides) if eid in cut_edges]
-        if len(pos) != pieces:
-            raise CutSystemFailure(
-                f"axis {axis}: face {f.id} has {len(pos)} sides in the cut class, "
-                f"needs {pieces}"
-            )
-        k0 = pos[0]
-        if pos != [k0 + t * step for t in range(pieces)]:
-            raise CutSystemFailure(
-                f"axis {axis}: face {f.id} cut sides sit at {pos}, not evenly spaced"
-            )
-        face_cuts[f.id] = pos
-
     splits = {}
     carried = {}
     next_id = 0
@@ -281,17 +275,24 @@ def _subdivide(cx, pieces, axis, genus):
         else:
             carried[e.id] = next_id
             next_id += 1
+    # face ids are dense and sorted, so face f's chords follow those of f-1
+    n_chord = 1 if pieces == 2 else 4
+    occ = [[] for _ in range(next_id + n_chord * cx.num_faces)]
     chords = {}
-    for f in cx.faces:
-        n_chord = 1 if pieces == 2 else 4
-        chords[f.id] = list(range(next_id, next_id + n_chord))
-        next_id += n_chord
-
     sub_faces = []
     for f in cx.faces:
-        ks = face_cuts[f.id]
-        for j in range(pieces):
-            start = ks[j]
+        ks = [k for k, (eid, _rev) in enumerate(f.sides) if eid in cut_edges]
+        if len(ks) != pieces:
+            raise CutSystemFailure(
+                f"axis {axis}: face {f.id} has {len(ks)} sides in the cut class, "
+                f"needs {pieces}"
+            )
+        if ks != [ks[0] + t * step for t in range(pieces)]:
+            raise CutSystemFailure(
+                f"axis {axis}: face {f.id} cut sides sit at {ks}, not evenly spaced"
+            )
+        chord = chords[f.id] = [next_id + n_chord * f.id + c for c in range(n_chord)]
+        for j, start in enumerate(ks):
             # half k of a walked side (e, rev) is (splits[e][k ^ rev], rev)
             eid, rev = f.sides[start]
             walk = [(splits[eid][1 ^ rev], rev)]
@@ -301,16 +302,14 @@ def _subdivide(cx, pieces, axis, genus):
             eid, rev = f.sides[(start + step) % p]
             walk.append((splits[eid][rev], rev))
             if pieces == 2:
-                walk.append((chords[f.id][0], j == 1))
+                walk.append((chord[0], j == 1))
             else:
-                walk.append((chords[f.id][(j + 1) % 4], False))
-                walk.append((chords[f.id][j], True))
+                walk.append((chord[(j + 1) % 4], False))
+                walk.append((chord[j], True))
+            idx = len(sub_faces)
+            for k, (eid, _rev) in enumerate(walk):
+                occ[eid].append((idx, k))
             sub_faces.append(walk)
-
-    occ = [[] for _ in range(next_id)]
-    for idx, walk in enumerate(sub_faces):
-        for k, (eid, _rev) in enumerate(walk):
-            occ[eid].append((idx, k))
 
     # one breadth-first pass from sub-face 0, whose leading half-side is
     # declared type 1: each face reached takes the sense opposite to the face
@@ -347,7 +346,7 @@ def _subdivide(cx, pieces, axis, genus):
             f"axis {axis}: no consistent relabeling ({clash})"
         )
 
-    final_edges = [(eid, types[eid]) for eid in range(next_id)]
+    final_edges = [(eid, types[eid]) for eid in range(len(occ))]
     final_faces = [
         (idx, CCW if sense[idx] == 1 else CW, walk)
         for idx, walk in enumerate(sub_faces)
@@ -431,7 +430,8 @@ def is_symmetric(q, m, pieces):
     2-symmetric: q reads the same both ways from m, so q[m+i] = q[m-i].
     4-symmetric: it also reads the same both ways from the antipode m+p/2,
     which needs p divisible by 4.  These are the symmetries a cut into two
-    or four pieces along axis m needs.
+    or four pieces along axis m needs.  An empty sequence has no axis and
+    raises ValueError.
     """
     q = _require_int_sequence(q)
     _require_int_parameter("axis", m)
@@ -439,6 +439,8 @@ def is_symmetric(q, m, pieces):
     p = len(q)
     if pieces not in (2, 4):
         raise ValueError("pieces must be 2 or 4")
+    if not p:
+        raise ValueError("an empty sequence has no symmetry axis")
     if pieces == 4 and p % 4:
         raise BadDivisibility(f"4-symmetry needs a length divisible by 4, got {p}")
     centers = (m,) if pieces == 2 else (m, m + p // 2)

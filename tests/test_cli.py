@@ -9,7 +9,7 @@ import pytest
 from fqsurf.cli import main
 from fqsurf.coloring import solve_good_coloring
 from fqsurf.lattice import build_certificate, decide, verdict_to_dict
-from fqsurf.surface_complex import canonical_json, complex_to_dict
+from fqsurf.surface_complex import build_complex, canonical_json, complex_to_dict
 from fqsurf.tessellation import build_rect_tessellation, subdivide_two
 
 from conftest import make_octagon, make_open_square
@@ -55,6 +55,27 @@ def _replace(*path, value):
         node[path[-1]] = value
         return doc
     return edit
+
+
+def _two_copies(cx):
+    """Two disjoint copies of a complex, the second with shifted ids."""
+    n_e, n_f = cx.num_edges, cx.num_faces
+    return build_complex(
+        cx.p,
+        [(e.id + k * n_e, e.type) for k in (0, 1) for e in cx.edges],
+        [(f.id + k * n_f, f.chirality, [(e + k * n_e, rev) for e, rev in f.sides])
+         for k in (0, 1) for f in cx.faces],
+    )
+
+
+def _face_zero_flipped(cx):
+    """The complex with face 0's chirality flipped, so face 0 is mislabeled."""
+    flip = {"ccw": "cw", "cw": "ccw"}
+    return build_complex(
+        cx.p,
+        [(e.id, e.type) for e in cx.edges],
+        [(f.id, flip[f.chirality] if f.id == 0 else f.chirality, f.sides) for f in cx.faces],
+    )
 
 
 def test_console_script_entry_point_resolves():
@@ -378,6 +399,28 @@ class TestCertifyAndDecide:
         assert rc == 1
         assert json.loads(cert.read_text())["ok"] is False
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, tags",
+        [(_two_copies, "['Disconnected']"), (_face_zero_flipped, "['FaceLabeling']")],
+        ids=["disconnected", "face-labeling"],
+    )
+    def test_certify_rejects_a_complex_that_fails_validation(
+        self, tmp_path, block_p6_g2, capsys, make, tags
+    ):
+        cx = make(block_p6_g2)
+        path = write_complex(tmp_path / "complex.json", cx)
+        coloring = tmp_path / "coloring.json"
+        cert = tmp_path / "cert.json"
+        assert main(["color", "-i", path, "-o", str(coloring)]) == 0
+        # the library certifies what it is given; the command validates first
+        assert build_certificate(cx, solve_good_coloring(cx), (2, 3) * 3)["ok"] is True
+        capsys.readouterr()
+        rc = main(["certify", "-i", path, "--coloring", str(coloring),
+                   "--q", "2,3,2,3,2,3", "-o", str(cert)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: the complex fails validation: {tags}\n")
+        assert not cert.exists()
 
     def test_certify_rejects_a_color_outside_zero_one(self, tmp_path,
                                                         block_p6_g2, capsys):

@@ -1,7 +1,5 @@
 """Derived structures are computed once per complex and then shared."""
 
-from collections import Counter
-
 import pytest
 
 import fqsurf.coloring
@@ -196,23 +194,23 @@ ACCESSORS = (
 def _count_accessor_calls(monkeypatch):
     """Wrap every per-element accessor of SurfaceComplex with a counter.
 
-    Returns the list of (accessor, complex, args) calls; a
-    ``vertex_type_pair`` call records the vertex's ray types as its args.
+    Returns the list of (accessor, complex, args) calls.
     """
     calls = []
     for name in ACCESSORS:
         original = getattr(SurfaceComplex, name)
 
         def counted(cx, *args, _name=name, _original=original):
-            if _name == "vertex_type_pair":
-                rays = cx._derive()[1][args[0]]
-                calls.append((_name, cx, tuple(cx.edges[e].type for e, _ in rays)))
-            else:
-                calls.append((_name, cx, args))
+            calls.append((_name, cx, args))
             return _original(cx, *args)
 
         monkeypatch.setattr(SurfaceComplex, name, counted)
     return calls
+
+
+def _distinct_ray_types(cx):
+    """The distinct tuples of ray types, in rotation order, at cx's vertices."""
+    return {tuple(cx.edges[e].type for e, _ in rays) for rays in cx._derive()[1]}
 
 
 @pytest.mark.parametrize(
@@ -225,24 +223,35 @@ def _count_accessor_calls(monkeypatch):
 )
 def test_certified_decide_reads_the_tables_not_the_accessors(monkeypatch, p, q, genus,
                                                               method):
+    derived = {}
+    derive = SurfaceComplex._derive
+
+    def recorded(cx):
+        derived[id(cx)] = cx
+        return derive(cx)
+
+    monkeypatch.setattr(SurfaceComplex, "_derive", recorded)
     calls = _count_accessor_calls(monkeypatch)
+    pairs = _count_calls(monkeypatch, fqsurf.surface_complex, "_type_pair")
     verdict = decide(p, q, genus, certify=True)
     assert (verdict.outcome, verdict.method) == ("Exists", method)
     # the coloring's seed reads the base vertex's rotation once
-    assert [(name, args) for name, _cx, args in calls if name != "vertex_type_pair"] == [
-        ("rotation", (0,))
-    ]
-    # validate and assign_groups each ask once per distinct tuple of ray types
-    pairs = Counter((id(cx), types) for name, cx, types in calls if name == "vertex_type_pair")
-    assert pairs and max(pairs.values()) <= 2
+    assert [(name, args) for name, _cx, args in calls] == [("rotation", (0,))]
+    # every complex needs one type pair per distinct ray-type tuple: no more
+    # calls than that means validate and assign_groups share them
+    assert len(pairs) == sum(len(_distinct_ray_types(cx)) for cx in list(derived.values()))
 
 
 def test_validate_reads_one_type_pair_per_ray_type_tuple(monkeypatch):
     cx = build_block_tessellation(6, 17)
-    distinct = {tuple(cx.edge_type(e) for e, _ in cx.rotation(v))
-                for v in range(cx.num_vertices)}
+    distinct = _distinct_ray_types(cx)
     fresh = complex_from_dict(complex_to_dict(cx))
     calls = _count_accessor_calls(monkeypatch)
+    pairs = _count_calls(monkeypatch, fqsurf.surface_complex, "_type_pair")
     assert validate(fresh, expected_genus=17).passed
-    assert [name for name, _cx, _args in calls] == ["vertex_type_pair"] * len(distinct)
+    assert calls == []
+    assert sorted(types for types, _p in pairs) == sorted(distinct)
     assert len(distinct) < cx.num_vertices
+    assert assign_groups(fresh, solve_good_coloring(fresh), (2, 3) * 3).certified
+    assert calls == [("rotation", fresh, (0,))]
+    assert sorted(types for types, _p in pairs) == sorted(distinct)

@@ -3,7 +3,9 @@ against a reference written on the public, checked accessors.
 
 The references are the bodies these passes had when they called
 ``rotation``, ``continue_through``, ``tail_vertex``, ``vertex_type_pair``
-and ``edge_type`` once per element.
+and ``edge_type`` once per element.  ``vertex_type_pair`` now reads the
+table under test, so the references derive the type pair from ``rotation``
+and ``edge_type`` instead, by that accessor's former body.
 """
 
 import pytest
@@ -117,13 +119,29 @@ def _reference_loops(cx):
     return loops
 
 
+def _reference_type_pair(cx, v):
+    """The ordered type pair (i, i+1) at a degree-4 vertex, else None."""
+    rays = cx.rotation(v)
+    if len(rays) != 4:
+        return None
+    t = [cx.edge_type(e) for e, _ in rays]
+    if t[0] != t[2] or t[1] != t[3] or t[0] == t[1]:
+        return None
+    if succ_type(t[0], cx.p) == t[1]:
+        return (t[0], t[1])
+    if succ_type(t[1], cx.p) == t[0]:
+        return (t[1], t[0])
+    return None
+
+
 def _reference_labeling_findings(cx):
     """(tag, detail) of the FaceLabeling and VertexTypeAlternation findings,
-    read per face with ``succ_type`` and per vertex with ``vertex_type_pair``."""
+    read per face with ``succ_type`` and per vertex with the reference type
+    pair."""
     found = []
     if cx.is_closed() and cx.num_faces:
         if all(len(cx.rotation(v)) == 4 for v in range(cx.num_vertices)):
-            bad = [v for v in range(cx.num_vertices) if cx.vertex_type_pair(v) is None]
+            bad = [v for v in range(cx.num_vertices) if _reference_type_pair(cx, v) is None]
             if bad:
                 found.append((
                     "VertexTypeAlternation",
@@ -147,7 +165,7 @@ def _reference_signatures(cx, assignment):
     for v, orbit in enumerate(cx.vertices()):
         rays = cx.rotation(v)
         signatures.append((
-            cx.vertex_type_pair(v),
+            _reference_type_pair(cx, v),
             tuple(assignment.edge_factors[e] for e, _ in rays),
             tuple(cx.edge_type(e) for e, _ in rays),
             # sector k lies clockwise between rays k and k+1: the face of corner k+1
@@ -193,6 +211,14 @@ def _assert_labeling_findings_match(cx):
     assert got == _reference_labeling_findings(cx)
 
 
+def _assert_type_pairs_match(cx):
+    if cx.is_closed():
+        cx = _fresh(cx)
+        assert [cx.vertex_type_pair(v) for v in range(cx.num_vertices)] == [
+            _reference_type_pair(cx, v) for v in range(cx.num_vertices)
+        ]
+
+
 def _assert_signatures_match(cx):
     if not validate(cx).passed:
         return
@@ -219,6 +245,7 @@ ALL_CHECKS = [
     _assert_hanging_edges_match,
     _assert_loops_match,
     _assert_labeling_findings_match,
+    _assert_type_pairs_match,
     _assert_signatures_match,
     _assert_adjacency_matches,
 ]

@@ -157,6 +157,13 @@ class TestAssignGroups:
             i, j = check.types
             assert check.index_sums == {i: Q6[j - 1], j: Q6[i - 1]}
 
+    @pytest.mark.parametrize("vertex", [-1, 6, 99, True, 0.0, "0", None])
+    def test_link_graph_of_a_vertex_outside_the_complex(self, block_assignment, vertex):
+        assert len(block_assignment.signatures) == 6
+        with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(vertex))} "
+                                             r"is not an int in 0\.\.5$"):
+            build_link_graph(block_assignment, vertex)
+
     def test_links_are_complete_bipartite(self, block_assignment, block_p6_g2):
         for v in range(block_p6_g2.num_vertices):
             link = build_link_graph(block_assignment, v)

@@ -648,6 +648,11 @@ class TestAccessorIds:
                                              r"is not a directed edge of the complex$"):
             use(make_torus(), dedge)
 
+    @pytest.mark.parametrize("turn", [True, False, "2", 2.0, None])
+    def test_turn_that_is_not_an_int(self, turn):
+        with pytest.raises(ValueError, match=rf"^turn {re.escape(repr(turn))} is not an int$"):
+            make_torus().continue_through((0, True), turn)
+
     @pytest.mark.parametrize("edge", [-1, 2, True, 1.0])
     def test_edge_outside_the_complex(self, edge):
         with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} "

@@ -1,11 +1,14 @@
 """Face counts, builders, chord subdivisions, derived thickness sequences."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsurf.surface_complex import build_complex, canonical_json, complex_to_dict, validate
 from fqsurf.coloring import assign_face_orientations
+from fqsurf.lattice import symmetric_axes
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.tessellation import (
     BadDivisibility,
@@ -83,6 +86,15 @@ class TestComplexFromMatchings:
         twice = [(0, 1), (1, 2)]
         with pytest.raises(ValueError, match="face 1 matched twice at type 1"):
             complex_from_matchings(6, ("ccw", "cw", "ccw"), [twice] + [[(0, 1)]] * 5)
+
+    @pytest.mark.parametrize("face", [-1, 4, 7, True, False, 1.0, "1", None])
+    def test_face_id_outside_the_faces_rejected(self, face):
+        good = [[(0, 1), (2, 3)], [(0, 3), (1, 2)]] * 3
+        assert complex_from_matchings(6, ("ccw", "cw") * 2, good).num_faces == 4
+        bad = good[:5] + [[(0, 1), (2, face)]]
+        with pytest.raises(ValueError, match=rf"^matching for type 6: face {re.escape(repr(face))} "
+                                             r"is not an int in 0\.\.3$"):
+            complex_from_matchings(6, ("ccw", "cw") * 2, bad)
 
 
 class TestBlockBuilder:
@@ -293,6 +305,14 @@ class TestDerivedSequence:
     def test_unknown_piece_count(self):
         with pytest.raises(ValueError):
             derived_sequence((2,) * 8, 3, 1)
+
+    @pytest.mark.parametrize("pieces", [2, 4])
+    def test_empty_sequence_has_no_symmetry(self, pieces):
+        assert symmetric_axes((), pieces) == set()
+        for call in (lambda: is_symmetric((), 1, pieces),
+                     lambda: derived_sequence((), pieces, 1)):
+            with pytest.raises(ValueError, match="^an empty sequence has no symmetry axis$"):
+                call()
 
     @pytest.mark.parametrize("check", [is_symmetric, derived_sequence])
     @pytest.mark.parametrize(
