@@ -31,7 +31,15 @@ class GeodesicLoop(namedtuple(
 
     def vertex_ids(self, cx):
         rays = cx._derive()[2]
-        return {rays[d][0] for d in self.directed_edges}
+        try:
+            return {rays[d][0] for d in self.directed_edges}
+        except KeyError as exc:
+            raise _not_a_directed_edge(exc) from None
+
+
+def _not_a_directed_edge(exc):
+    """The accessors' error for the directed edge a ``rays`` lookup missed."""
+    return ValueError(f"{exc.args[0]!r} is not a directed edge of the complex")
 
 
 # pairwise_intersections holds the shared-vertex counts for each unordered
@@ -110,7 +118,8 @@ def trace_geodesic_loops(cx):
 
 def pairwise_intersections(cx, loops):
     """Shared-vertex counts for each unordered pair of loops that meet,
-    keyed by position in `loops`; pairs that share no vertex are absent."""
+    keyed by position in `loops`; pairs that share no vertex are absent.
+    ValueError names the first directed edge that ``cx`` lacks."""
     on_vertex = {}
     for i, lp in enumerate(loops):
         for v in lp.vertex_ids(cx):
@@ -125,7 +134,8 @@ def pairwise_intersections(cx, loops):
 def loops_generate_h1(cx, loops):
     """Do the loops plus face boundaries generate H1 of the surface?
 
-    The loops must be cycles (zero boundary).  The chain complex is then
+    The loops must be cycles (zero boundary), and ValueError names the
+    first directed edge that ``cx`` lacks.  The chain complex is then
     reduced by tree-cotree decomposition (:func:`tree_cotree`, after
     Eppstein, SODA 2003, and Erickson and Whittlesey, SODA 2005): each loop
     maps to Z^X over the leftover edges X, and H1 of a closed (so oriented)
@@ -135,14 +145,17 @@ def loops_generate_h1(cx, loops):
     """
     red = tree_cotree(cx)
     rays = cx._derive()[2]
-    for lp in loops:
-        boundary = {}
-        for e, fwd in lp.directed_edges:
-            head, tail = rays[e, not fwd][0], rays[e, fwd][0]
-            boundary[head] = boundary.get(head, 0) + 1
-            boundary[tail] = boundary.get(tail, 0) - 1
-        if any(boundary.values()):
-            return False
+    try:
+        for lp in loops:
+            boundary = {}
+            for e, fwd in lp.directed_edges:
+                tail, head = rays[e, fwd][0], rays[e, not fwd][0]
+                boundary[head] = boundary.get(head, 0) + 1
+                boundary[tail] = boundary.get(tail, 0) - 1
+            if any(boundary.values()):
+                return False
+    except KeyError as exc:
+        raise _not_a_directed_edge(exc) from None
     row_of = {e: r for r, e in enumerate(red.x_edges)}
     rows = [{} for _ in red.x_edges]
     for j, lp in enumerate(loops):

@@ -485,7 +485,17 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, entries, cols):
-        """A matrix from ``{col: value}`` rows of ints; zero values are dropped."""
+        """A matrix from ``{col: value}`` rows of ints; zero values are dropped.
+
+        Raises TypeError for an entry that is not an int, as the constructor
+        does, and ValueError for a column that is not an int in 0..cols-1.
+        """
+        for row in entries:
+            for j, x in row.items():
+                if type(x) is not int:
+                    raise TypeError(f"non-integer entry {x!r}")
+                if type(j) is not int or not 0 <= j < cols:
+                    raise ValueError(f"column {j!r} is not an int in 0..{cols - 1}")
         m = cls.__new__(cls)
         m.rows, m.cols = len(entries), cols
         m.entries = [{j: x for j, x in row.items() if x} for row in entries]

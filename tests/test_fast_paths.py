@@ -6,22 +6,31 @@ The references are the bodies these passes had when they called
 and ``edge_type`` once per element.  ``vertex_type_pair`` now reads the
 table under test, so the references derive the type pair from ``rotation``
 and ``edge_type`` instead, by that accessor's former body.
+
+The loop-phase colorer of ``solve_good_coloring`` is checked against the
+constraint-system transport it replaces, ``_propagate`` over
+``build_constraints``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqsurf.coloring
 from fqsurf.coloring import (
     ALTERNATING,
     CONSISTENCY,
+    ContradictionWitness,
+    DegenerateLoop,
     EdgeColoring,
     ParityConstraint,
     ParityConstraintSystem,
     _hanging_edges,
+    _propagate,
     build_constraints,
+    solve_good_coloring,
 )
-from fqsurf.lattice import assign_groups
+from fqsurf.lattice import assign_groups, decide
 from fqsurf.loops import GeodesicLoop, trace_geodesic_loops
 from fqsurf.surface_complex import (
     build_complex,
@@ -44,6 +53,7 @@ from conftest import (
     make_torus,
     make_twelve_gon,
 )
+from test_derived_once import _count_calls
 from test_loops import closed_complexes, right_angled_complexes
 
 HAND_BUILT = [make_torus, make_pillowcase, make_crossing, make_twelve_gon, make_octagon]
@@ -174,6 +184,10 @@ def _reference_signatures(cx, assignment):
     return tuple(signatures)
 
 
+def _reference_coloring(cx):
+    return _propagate(cx, build_constraints(cx, trace_geodesic_loops(cx)))
+
+
 def _reference_adjacency(variables, constraints):
     adjacency = {v: [] for v in variables}
     for c in constraints:
@@ -241,6 +255,25 @@ def _assert_adjacency_matches(cx):
     assert system.adjacency == _reference_adjacency(system.variables, system.constraints)
 
 
+def _coloring_outcome(solve, cx):
+    """What ``solve(cx)`` gives, field by field, with the colors' key order."""
+    out = _outcome(solve, cx)
+    if out[0] == "raised":
+        return out
+    result = out[1]
+    if isinstance(result, ContradictionWitness):
+        return "witness", result.cycle
+    return ("coloring", list(result.colors.items()), result.base_vertex, result.seed,
+            result.solution_count)
+
+
+def _assert_phase_colorer_matches(cx):
+    cx = _fresh(cx)
+    assert _coloring_outcome(solve_good_coloring, cx) == _coloring_outcome(
+        _reference_coloring, cx
+    )
+
+
 ALL_CHECKS = [
     _assert_hanging_edges_match,
     _assert_loops_match,
@@ -248,6 +281,7 @@ ALL_CHECKS = [
     _assert_type_pairs_match,
     _assert_signatures_match,
     _assert_adjacency_matches,
+    _assert_phase_colorer_matches,
 ]
 
 
@@ -330,3 +364,58 @@ def test_adjacency_order_matches_reference_on_arbitrary_constraints(rows):
     # equal constraints given twice are listed in the order they were given
     for v, pairs in system.adjacency.items():
         assert [id(c) for _w, c in pairs] == [id(c) for _w, c in reference[v]]
+
+
+def _disjoint(*complexes):
+    """The disjoint union of complexes with one p, ids renumbered in order."""
+    edges, faces = [], []
+    for cx in complexes:
+        shift, face_shift = len(edges), len(faces)
+        edges += [(shift + e.id, e.type) for e in cx.edges]
+        faces += [(face_shift + f.id, f.chirality, [(shift + e, rev) for e, rev in f.sides])
+                  for f in cx.faces]
+    return build_complex(complexes[0].p, edges, faces)
+
+
+def test_phase_colorer_matches_on_disjoint_unions(request):
+    """Components that no seed reaches get their least edge colored 0."""
+    blocks = [request.getfixturevalue(name) for name in ("block_p6_g2", "block_p6_g3")]
+    for cx in (_disjoint(*blocks), _disjoint(*blocks[::-1]),
+               _disjoint(make_crossing(), request.getfixturevalue("hex4"))):
+        assert isinstance(solve_good_coloring(cx), EdgeColoring)
+        _assert_phase_colorer_matches(cx)
+
+
+@pytest.mark.parametrize("make, expected", [
+    (make_octagon, (ValueError, "vertex 0 has degree 8, not 4")),
+    (make_pillowcase, (DegenerateLoop, "loop 0 folds back on itself")),
+    # an odd loop comes first, and the walk goes on to the degree-8 vertex
+    (lambda: _disjoint(build_rect_tessellation(8, 1, 2), make_octagon()),
+     (ValueError, "vertex 4 has degree 8, not 4")),
+], ids=["octagon", "pillowcase", "odd-then-degree-8"])
+def test_phase_colorer_raises_alike(make, expected):
+    cx = make()
+    assert _coloring_outcome(solve_good_coloring, cx) == ("raised", *expected)
+    assert _coloring_outcome(_reference_coloring, _fresh(cx)) == ("raised", *expected)
+
+
+@pytest.mark.parametrize(
+    "p, q, genus, method",
+    [
+        (6, (2, 3) * 3, 17, "Block"),
+        (8, (2, 4) * 4, 32, "Subdiv2"),
+        (12, (2, 4) * 6, 66, "Subdiv4"),
+    ],
+)
+def test_certified_decide_builds_no_constraint_system(monkeypatch, p, q, genus, method):
+    calls = _count_calls(monkeypatch, fqsurf.coloring, "build_constraints")
+    verdict = decide(p, q, genus, certify=True)
+    assert (verdict.outcome, verdict.method) == ("Exists", method)
+    assert calls == []
+
+
+def test_contradiction_falls_back_to_the_constraint_system(monkeypatch, rect_p8_1x2):
+    calls = _count_calls(monkeypatch, fqsurf.coloring, "build_constraints")
+    witness = solve_good_coloring(rect_p8_1x2)
+    assert isinstance(witness, ContradictionWitness)
+    assert len(calls) == 1

@@ -266,6 +266,23 @@ def _assert_homology_matches_reference(cx, seed=0):
     return verdicts
 
 
+class TestForeignLoops:
+    """Loops traced on another complex name the directed edge it lacks."""
+
+    LOOPS = trace_geodesic_loops(build_block_tessellation(6, 5)).loops
+
+    def test_vertex_ids(self, block_p6_g2):
+        with pytest.raises(ValueError) as info:
+            self.LOOPS[-1].vertex_ids(block_p6_g2)
+        assert str(info.value) == "(46, True) is not a directed edge of the complex"
+
+    @pytest.mark.parametrize("check", [pairwise_intersections, loops_generate_h1])
+    def test_whole_loop_lists(self, block_p6_g2, check):
+        with pytest.raises(ValueError) as info:
+            check(block_p6_g2, self.LOOPS)
+        assert str(info.value) == "(12, True) is not a directed edge of the complex"
+
+
 class TestHomologyAgainstReference:
     @pytest.mark.parametrize(
         "make",

@@ -383,6 +383,16 @@ class TestMatrixInputChecks:
         with pytest.raises(TypeError, match="non-integer entry"):
             IntegerMatrix([[1, entry]])
 
+    @pytest.mark.parametrize("entry", [1.5, 0.0, "1", None, True, False])
+    def test_sparse_non_integer_entry_rejected(self, entry):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntegerMatrix.from_rows([{0: 1}, {1: entry}], 2)
+
+    @pytest.mark.parametrize("col", [5, 2, -1, 1.0, True, "0"])
+    def test_sparse_column_outside_the_matrix_rejected(self, col):
+        with pytest.raises(ValueError, match=r"column .* is not an int in 0\.\.1"):
+            IntegerMatrix.from_rows([{0: 1}, {col: 1}], 2)
+
 
 class TestHomology:
     def test_boundary_composition_vanishes(self, block_p6_g2):
