@@ -11,10 +11,10 @@ tuple.  A coloring exists iff no constraint cycle has odd total parity.
 The ``propagate`` solver never builds that system for a good complex.  On an
 even loop, colors alternate exactly when edge k has color ``phase ^ (k & 1)``
 for one phase bit per loop, and each edge lies on one loop.  A hanging-edge
-relation then ties two loops' phases, and a parity union-find over the loops
-(Tarjan, "Efficiency of a good but not linear set union algorithm", JACM
-1975) merges them.  An odd loop or an inconsistent union is a contradiction:
-only then is the constraint system built, to close its witness cycle.
+relation then ties two loops' phases, and the phases are transported breadth
+first over those ties.  An odd loop or a tie whose phases disagree is a
+contradiction: only then is the constraint system built, to close its
+witness cycle.
 
 The face orientations 2-color the dual graph the same way: chirality
 alternates across each dual edge, one parity-1 constraint over face ids.
@@ -170,22 +170,15 @@ def _seed_priorities(cx):
     """The paper's base-point seeding: four rays in counterclockwise order
     get colors 0, 0, 1, 1.  Rotations are stored clockwise, so reverse.
 
-    Raises ValueError for a complex with no vertices: a coloring records its
-    base vertex, and such a complex has none.
+    The base vertex 0 has degree 4: every vertex is the head of a passage
+    of some loop, and the loop walks that precede seeding raise on any
+    other degree.  Raises ValueError for a complex with no vertices: a
+    coloring records its base vertex, and such a complex has none.
     """
-    base = 0
     if cx.num_vertices == 0:
         raise ValueError("the complex has no vertices, so no base vertex to seed from")
-    rot = cx.rotation(base)
-    if len(rot) != 4:
-        return base, []
-    ccw = [rot[0], rot[3], rot[2], rot[1]]
-    return base, [
-        (ccw[0][0], 0),
-        (ccw[1][0], 0),
-        (ccw[2][0], 1),
-        (ccw[3][0], 1),
-    ]
+    (e0, _), (e1, _), (e2, _), (e3, _) = cx.rotation(0)
+    return 0, [(e0, 0), (e3, 0), (e2, 1), (e1, 1)]
 
 
 def _transport(system, priorities):
@@ -301,66 +294,54 @@ def _phase_coloring(cx, report):
 
     One pass over the loops, in order, raises what ``build_constraints``
     raises and records each edge's loop and its position bit.  A loop's
-    left hanging edges must share a color, so each is tied to the first.
-    The right ones then agree as well: at each passage the right hanging
-    edge follows the left one on the crossing loop, so their colors differ.
-    In each component of loops, the first seed priority in it fixes the
-    phases, else its least loop gets phase 0: loops start in increasing
-    edge order at their least edge, so that colors its least edge 0.
+    left hanging edges must share a color, so each ties its loop's phase to
+    the first one's.  The right ones then agree as well: at each passage the
+    right hanging edge follows the left one on the crossing loop, so their
+    colors differ.  Phases are transported breadth first over the ties,
+    rooted at each seed priority in order, then at each unphased loop in
+    increasing order with phase 0: loops start in increasing edge order at
+    their least edge, so that colors its least edge 0.
     """
     loops = report.loops
     loop_of = [0] * cx.num_edges
     bit = [0] * cx.num_edges
     lefts = []
-    even = True
     for i, loop in enumerate(loops):
         if loop.degenerate:
             raise DegenerateLoop(f"loop {loop.loop_id} folds back on itself")
         cycle = loop.directed_edges
         lefts.append(_hanging_edges(cx, cycle)[0])
-        even = even and len(cycle) % 2 == 0
         for k, (e, _fwd) in enumerate(cycle):
             loop_of[e] = i
             bit[e] = k & 1
-    if not even:
+    if report.odd_loops:
         return None
 
-    parent = list(range(len(loops)))
-    # a loop's phase relative to its parent's; 0 at every root
-    rel = [0] * len(loops)
-
-    def find(x):
-        """(root, phase of x relative to the root's), halving the path."""
-        p = 0
-        while parent[x] != x:
-            up = parent[x]
-            rel[x] ^= rel[up]
-            parent[x] = parent[up]
-            p ^= rel[x]
-            x = parent[x]
-        return x, p
-
+    # (other loop, parity of the two phases) for each tie at a loop
+    ties = [[] for _ in loops]
     for side in lefts:
-        r0, p0 = find(loop_of[side[0]])
-        p0 ^= bit[side[0]]
-        for a in side:
-            r, p = find(loop_of[a])
-            p ^= bit[a]
-            if r != r0:
-                parent[r] = r0
-                rel[r] = p ^ p0
-            elif p != p0:
-                return None
+        a = side[0]
+        for b in side[1:]:
+            parity = bit[a] ^ bit[b]
+            ties[loop_of[a]].append((loop_of[b], parity))
+            ties[loop_of[b]].append((loop_of[a], parity))
 
     base, priorities = _seed_priorities(cx)
-    root_phase = {}
-    for e, c in priorities:
-        r, p = find(loop_of[e])
-        root_phase.setdefault(r, c ^ bit[e] ^ p)
-    phase = []
-    for i in range(len(loops)):
-        r, p = find(i)
-        phase.append(root_phase.setdefault(r, p) ^ p)
+    phase = [None] * len(loops)
+    roots = [(loop_of[e], c ^ bit[e]) for e, c in priorities]
+    for root, root_phase in [*roots, *((i, 0) for i in range(len(loops)))]:
+        if phase[root] is not None:
+            continue
+        phase[root] = root_phase
+        queue = [root]
+        for u in queue:
+            p = phase[u]
+            for w, parity in ties[u]:
+                if phase[w] is None:
+                    phase[w] = p ^ parity
+                    queue.append(w)
+                elif phase[w] != p ^ parity:
+                    return None
     colors = {e: phase[i] ^ b for e, (i, b) in enumerate(zip(loop_of, bit))}
     seed = tuple((e, colors[e]) for e, _c in priorities)
     return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
@@ -369,29 +350,31 @@ def _phase_coloring(cx, report):
 def solve_good_coloring(cx, mode="propagate"):
     """Find a good coloring, or exhibit an odd constraint cycle.
 
-    ``propagate`` gives each geodesic loop one phase bit, colors its edges
-    alternately from it, and unions the phases that the hanging-edge
-    relations tie, from the canonical seeds.  Its colors are those of
-    transporting the seeds over a spanning tree of the constraint graph.
-    Only on a contradiction, an odd loop or an inconsistent union, does it
-    build that graph, and its witness is the transport's.  ``exhaustive``
-    scans assignments in lexicographic order (pruned), returning the least
+    Both modes first walk the loops by phases, which raises what
+    ``build_constraints`` raises.  ``propagate`` gives each geodesic loop
+    one phase bit, colors its edges alternately from it, and transports the
+    phases breadth first over the ties that the hanging-edge relations
+    make, from the canonical seeds.  Its colors are those of transporting
+    the seeds over a spanning tree of the constraint graph.  Only on a
+    contradiction, an odd loop or a tie whose phases disagree, does it build
+    that graph, and its witness is the transport's.  ``exhaustive`` refuses
+    a complex of more than 22 edges before it builds any system, then scans
+    assignments in lexicographic order (pruned), returning the least
     solution and the total number of solutions.
     """
     if mode not in ("propagate", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     report = trace_geodesic_loops(cx)
-    if mode == "propagate":
-        coloring = _phase_coloring(cx, report)
-        if coloring is None:
-            return _propagate(cx, build_constraints(cx, report))
-        return coloring
-    system = build_constraints(cx, report)
-    if cx.num_edges > EXHAUSTIVE_EDGE_LIMIT:
-        raise TooLargeForExhaustive(
-            f"{cx.num_edges} edges exceeds the cap of {EXHAUSTIVE_EDGE_LIMIT}"
-        )
-    return _exhaustive(cx, system)
+    coloring = _phase_coloring(cx, report)
+    if mode == "exhaustive":
+        if cx.num_edges > EXHAUSTIVE_EDGE_LIMIT:
+            raise TooLargeForExhaustive(
+                f"{cx.num_edges} edges exceeds the cap of {EXHAUSTIVE_EDGE_LIMIT}"
+            )
+        return _exhaustive(cx, build_constraints(cx, report))
+    if coloring is None:
+        return _propagate(cx, build_constraints(cx, report))
+    return coloring
 
 
 def verify_good_coloring(cx, coloring):

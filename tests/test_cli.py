@@ -283,6 +283,14 @@ class TestColorCommand:
         assert main(["color", "-i", path, "-o", str(out), "--exhaustive"]) == 0
         assert json.loads(out.read_text())["solution_count"] == 4
 
+    def test_exhaustive_over_the_cap_writes_nothing(self, tmp_path, capsys):
+        path = str(tmp_path / "block.json")
+        assert main(["tessellate", "--p", "6", "--genus", "17", "-o", path]) == 0
+        out = tmp_path / "coloring.json"
+        assert main(["color", "--exhaustive", "-i", path, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: 192 edges exceeds the cap of 22\n"
+        assert not out.exists()
+
     def test_contradiction(self, tmp_path, capsys, rect_p8_1x2):
         path = write_complex(tmp_path / "rect.json", rect_p8_1x2)
         out = tmp_path / "witness.json"

@@ -25,6 +25,7 @@ from fqsurf.coloring import (
     EdgeColoring,
     ParityConstraint,
     ParityConstraintSystem,
+    TooLargeForExhaustive,
     _hanging_edges,
     _propagate,
     build_constraints,
@@ -392,11 +393,21 @@ def test_phase_colorer_matches_on_disjoint_unions(request):
     # an odd loop comes first, and the walk goes on to the degree-8 vertex
     (lambda: _disjoint(build_rect_tessellation(8, 1, 2), make_octagon()),
      (ValueError, "vertex 4 has degree 8, not 4")),
-], ids=["octagon", "pillowcase", "odd-then-degree-8"])
+    # the unions below exceed the exhaustive cap, which is checked after the walk
+    (lambda: _disjoint(*[make_pillowcase() for _ in range(6)]),
+     (DegenerateLoop, "loop 0 folds back on itself")),
+    # 24 odd loops come first, and the walk goes on to the pillowcase
+    (lambda: _disjoint(*[make_torus() for _ in range(12)], make_pillowcase()),
+     (DegenerateLoop, "loop 24 folds back on itself")),
+    (lambda: _disjoint(*[make_octagon() for _ in range(6)]),
+     (ValueError, "vertex 0 has degree 8, not 4")),
+], ids=["octagon", "pillowcase", "odd-then-degree-8", "six-pillowcases",
+        "twelve-tori-then-pillowcase", "six-octagons"])
 def test_phase_colorer_raises_alike(make, expected):
     cx = make()
     assert _coloring_outcome(solve_good_coloring, cx) == ("raised", *expected)
     assert _coloring_outcome(_reference_coloring, _fresh(cx)) == ("raised", *expected)
+    assert _outcome(solve_good_coloring, _fresh(cx), "exhaustive") == ("raised", *expected)
 
 
 @pytest.mark.parametrize(
@@ -411,6 +422,15 @@ def test_certified_decide_builds_no_constraint_system(monkeypatch, p, q, genus, 
     calls = _count_calls(monkeypatch, fqsurf.coloring, "build_constraints")
     verdict = decide(p, q, genus, certify=True)
     assert (verdict.outcome, verdict.method) == ("Exists", method)
+    assert calls == []
+
+
+def test_exhaustive_refuses_over_the_cap_before_building_constraints(monkeypatch):
+    cx = build_block_tessellation(6, 257)
+    assert cx.num_faces == 1024
+    calls = _count_calls(monkeypatch, fqsurf.coloring, "build_constraints")
+    with pytest.raises(TooLargeForExhaustive, match=r"^3072 edges exceeds the cap of 22$"):
+        solve_good_coloring(cx, "exhaustive")
     assert calls == []
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsurf import lattice
-from fqsurf.coloring import EdgeColoring, solve_good_coloring
+from fqsurf.coloring import ContradictionWitness, EdgeColoring, solve_good_coloring
 from fqsurf.lattice import (
     CERT_FORMAT,
     D_FACTOR,
@@ -37,7 +37,7 @@ from fqsurf.lattice import (
     verify_link_conditions,
 )
 from fqsurf.loops import trace_geodesic_loops
-from fqsurf.surface_complex import canonical_json
+from fqsurf.surface_complex import build_complex, canonical_json
 from fqsurf.tessellation import (
     NonIntegralFaceCount,
     build_block_tessellation,
@@ -171,6 +171,18 @@ class TestAssignGroups:
             assert link.simple and link.complete and link.sizes_ok
             assert sorted(len(vs) for vs in link.side_vertices.values()) == [2, 3]
             assert len(link.edges) == 6
+
+    def test_vertex_without_alternating_type_pair(self, block_p6_g2):
+        # edges 0 and 2 have types 1 and 2; swapped, vertex 0 no longer alternates
+        swap = {0: 2, 2: 1}
+        cx = build_complex(
+            6,
+            [(e.id, swap.get(e.id, e.type)) for e in block_p6_g2.edges],
+            [(f.id, f.chirality, f.sides) for f in block_p6_g2.faces],
+        )
+        coloring = EdgeColoring(colors={e.id: 0 for e in cx.edges}, base_vertex=0, seed=())
+        with pytest.raises(ValueError, match=r"^vertex 0 has no alternating type pair$"):
+            assign_groups(cx, coloring, Q6)
 
     def test_non_alternating_q_rejected(self, block_p6_g2):
         coloring = solve_good_coloring(block_p6_g2)
@@ -1090,6 +1102,36 @@ class TestDecide:
         assert cert["construction"]["method"] == "Subdiv4"
         assert len(cert["vertices"]) > 0
         assert cert["ok"] is True
+
+    def test_uncolorable_construction_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(lattice, "solve_good_coloring",
+                            lambda cx, mode: ContradictionWitness(()))
+        assert decide(6, Q6, 2, certify=True) == (
+            "InternalError", "Block",
+            "certification crashed: no good coloring on the constructed complex", None,
+        )
+
+    def test_crashed_certificate_is_an_internal_error(self, monkeypatch):
+        def crash(cx, coloring, q):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(lattice, "build_certificate", crash)
+        assert decide(6, Q6, 2, certify=True) == (
+            "InternalError", "Block", "certification crashed: boom", None
+        )
+
+    def test_failed_certificate_is_an_internal_error(self, monkeypatch):
+        original = lattice.build_certificate
+        failed = []
+
+        def failing(cx, coloring, q):
+            failed.append(dict(original(cx, coloring, q), ok=False))
+            return failed[-1]
+
+        monkeypatch.setattr(lattice, "build_certificate", failing)
+        v = decide(6, Q6, 2, certify=True)
+        assert v == ("InternalError", "Block", "certificate checks failed", failed[0])
+        assert v.certificate["construction"]["method"] == "Block"
 
     def test_certificates_are_deterministic(self):
         a = canonical_json(verdict_to_dict(decide(6, Q6, 2, certify=True)))
