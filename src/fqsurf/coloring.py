@@ -24,7 +24,7 @@ does, but from the tables of ``SurfaceComplex._derive`` fetched once per pass:
 a passage goes straight at turn 2, left at 1 and right at -1.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
@@ -156,14 +156,8 @@ class EdgeColoring(namedtuple(
         return self.colors[edge_id]
 
 
-class ContradictionWitness:
-    """A closed chain of constraints whose parities sum to 1."""
-
-    def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-
-    def __repr__(self):
-        return f"ContradictionWitness({len(self.cycle)} constraints)"
+# a closed chain of constraints, as a tuple, whose parities sum to 1
+ContradictionWitness = namedtuple("ContradictionWitness", "cycle")
 
 
 def _seed_priorities(cx):
@@ -195,9 +189,8 @@ def _transport(system, priorities):
             continue
         colors[root] = root_color
         parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        for u in queue:
             for w, c in system.adjacency[u]:
                 if w not in colors:
                     colors[w] = colors[u] ^ c.parity
@@ -234,57 +227,44 @@ def _witness_from_tree(parent, violated):
     lca = next(e for e in chain_b if e in in_a)
     up = [parent[e][1] for e in chain_a[: chain_a.index(lca)]]
     down = [parent[e][1] for e in chain_b[: chain_b.index(lca)]]
-    cycle = up + list(reversed(down)) + [violated]
-    return ContradictionWitness(cycle)
+    return ContradictionWitness((*up, *reversed(down), violated))
 
 
 def _exhaustive(cx, system):
-    """Pruned scan of all assignments in lexicographic order."""
+    """Pruned scan of all assignments in lexicographic edge-id order.
+
+    Each constraint is checked where its later edge is colored; the
+    variables are the dense edge ids.  An edge's constraint with itself
+    compares its color with itself, so parity 1 prunes every branch there.
+    """
     n = len(system.variables)
-    order = sorted(system.variables)
-    index = {v: k for k, v in enumerate(order)}
     by_later = [[] for _ in range(n)]
-    unsat_var = None
-    for c in system.constraints:
-        ia, ib = index[c.edge_a], index[c.edge_b]
-        if ia == ib:
-            if c.parity == 1:
-                unsat_var = c
-            continue
-        later, earlier = max(ia, ib), min(ia, ib)
-        by_later[later].append((earlier, c.parity))
+    for a, b, parity, _tag in system.constraints:
+        by_later[max(a, b)].append((min(a, b), parity))
+    assignment = [0] * n
 
-    best = None
-    count = 0
-    if unsat_var is None:
-        assignment = [0] * n
+    def solutions(k):
+        if k == n:
+            yield tuple(assignment)
+            return
+        for color in (0, 1):
+            assignment[k] = color
+            if all(assignment[j] ^ color == parity for j, parity in by_later[k]):
+                yield from solutions(k + 1)
 
-        def scan(k):
-            nonlocal best, count
-            if k == n:
-                count += 1
-                if best is None:
-                    best = tuple(assignment)
-                return
-            for color in (0, 1):
-                assignment[k] = color
-                if all(
-                    assignment[earlier] ^ color == parity
-                    for earlier, parity in by_later[k]
-                ):
-                    scan(k + 1)
-
-        scan(0)
+    found = solutions(0)
+    best = next(found, None)
     if best is None:
         fallback = _propagate(cx, system)
         if isinstance(fallback, ContradictionWitness):
             return fallback
         raise AssertionError("exhaustive found no solution but propagate did")
     base, priorities = _seed_priorities(cx)
-    colors = {order[k]: best[k] for k in range(n)}
+    colors = dict(enumerate(best))
     seed = tuple((eid, colors[eid]) for eid, _c in priorities)
     return EdgeColoring(
-        colors=colors, base_vertex=base, seed=seed, solution_count=count
+        colors=colors, base_vertex=base, seed=seed,
+        solution_count=1 + sum(1 for _ in found),
     )
 
 
@@ -372,9 +352,7 @@ def solve_good_coloring(cx, mode="propagate"):
                 f"{cx.num_edges} edges exceeds the cap of {EXHAUSTIVE_EDGE_LIMIT}"
             )
         return _exhaustive(cx, build_constraints(cx, report))
-    if coloring is None:
-        return _propagate(cx, build_constraints(cx, report))
-    return coloring
+    return coloring or _propagate(cx, build_constraints(cx, report))
 
 
 def verify_good_coloring(cx, coloring):
@@ -383,13 +361,17 @@ def verify_good_coloring(cx, coloring):
     Walks every geodesic loop and compares colors edge to edge — no
     constraint system involved, so this is an independent check of solver
     output.  Returns (ok, violations).  Raises ValueError, naming the lowest
-    such id, when an edge of the complex has no color.
+    such id, when an edge of the complex has no color or one other than the
+    int 0 or 1.
     """
-    missing = next((e.id for e in cx.edges if e.id not in coloring.colors), None)
-    if missing is not None:
-        raise ValueError(f"edge {missing} is not colored")
-    report = trace_geodesic_loops(cx)
     colors = coloring.colors
+    for e in range(cx.num_edges):
+        c = colors.get(e)
+        if type(c) is not int or c not in (0, 1):
+            if e not in colors:
+                raise ValueError(f"edge {e} is not colored")
+            raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
+    report = trace_geodesic_loops(cx)
     violations = []
     for loop in report.loops:
         if loop.degenerate:

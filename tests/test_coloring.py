@@ -1,5 +1,7 @@
 """Parity constraints, the two solvers, verification, serialization."""
 
+import itertools
+
 import pytest
 
 from fqsurf.coloring import (
@@ -189,6 +191,28 @@ class TestExhaustive:
             solve_good_coloring(block_p6_g2, mode="guess")
 
     @pytest.mark.parametrize(
+        "name, solutions",
+        [("torus", 0), ("twelve_gon", 0), ("rect_p8_1x2", 0), ("crossing", 4),
+         ("block_p6_g2", 4)],
+    )
+    def test_matches_the_definition(self, name, solutions, request):
+        """The least solution and the count are those of trying every
+        assignment, in lexicographic edge-id order, against the loop walk of
+        ``verify_good_coloring``, which reads no constraint system."""
+        cx = request.getfixturevalue(name)
+        good = []
+        for colors in itertools.product((0, 1), repeat=cx.num_edges):
+            candidate = EdgeColoring(colors=dict(enumerate(colors)), base_vertex=0, seed=())
+            if verify_good_coloring(cx, candidate)[0]:
+                good.append(candidate.colors)
+        assert len(good) == solutions
+        result = solve_good_coloring(cx, mode="exhaustive")
+        if good:
+            assert (result.colors, result.solution_count) == (good[0], len(good))
+        else:
+            assert isinstance(result, ContradictionWitness)
+
+    @pytest.mark.parametrize(
         "name",
         ["block_p6_g2", "rect_p8_1x2", "hex4", "crossing", "twelve_gon", "torus"],
     )
@@ -237,6 +261,22 @@ class TestVerification:
         coloring = solve_good_coloring(block_p6_g2)
         colors = {e: c for e, c in coloring.colors.items() if e not in (7, 3)}
         with pytest.raises(ValueError, match="^edge 3 is not colored$"):
+            verify_good_coloring(block_p6_g2, coloring._replace(colors=colors))
+
+    @pytest.mark.parametrize("renamed", [(7, 2), (False, True)], ids=["ints", "bools"])
+    def test_color_other_than_zero_or_one_is_named(self, block_p6_g2, renamed):
+        """Colors that agree and differ as 0 and 1 do are still not colors."""
+        coloring = solve_good_coloring(block_p6_g2)
+        colors = {e: renamed[c] for e, c in coloring.colors.items()}
+        shown = repr(colors[0])
+        with pytest.raises(ValueError, match=f"^edge 0 has color {shown}, not 0 or 1$"):
+            verify_good_coloring(block_p6_g2, coloring._replace(colors=colors))
+
+    def test_lowest_bad_edge_is_named(self, block_p6_g2):
+        coloring = solve_good_coloring(block_p6_g2)
+        colors = {**coloring.colors, 2: None, 5: 2}
+        del colors[7]
+        with pytest.raises(ValueError, match="^edge 2 has color None, not 0 or 1$"):
             verify_good_coloring(block_p6_g2, coloring._replace(colors=colors))
 
 

@@ -1187,11 +1187,12 @@ def _certified_complexes(monkeypatch, certify):
     return result, seen
 
 
-PRIME_SWEEP = [(p, F, k) for p in (12, 20) for F in (3, 5, 7, 11, 13) for k in range(2)]
+PRIME_SWEEP = [(p, F, k) for p in (12, 20) for F in (1, 3, 5, 7, 11, 13) for k in range(2)]
 
 
 class TestPrimeFaceCounts:
-    """Odd prime F stays Unknown, although quartering a 1×F grid certifies.
+    """Odd prime F, and F = 1, stay Unknown, although quartering a 1×F grid
+    certifies.
 
     The 1×F base grid is degenerate (edges glued to their own face, faces
     meeting a vertex twice); the complex the certificate is built on, the
@@ -1206,7 +1207,7 @@ class TestPrimeFaceCounts:
         assert axes
         v = decide(p, q, g)
         assert (v.outcome, v.method, v.reason) == ("Unknown", None, f"F={F} is not composite")
-        for grid in ((1, F), (F, 1)):
+        for grid in dict.fromkeys([(1, F), (F, 1)]):
             cert, seen = _certified_complexes(
                 monkeypatch, lambda: lattice._certify(p, q, g, 4, grid, axes[0])
             )
@@ -1215,6 +1216,8 @@ class TestPrimeFaceCounts:
 
     def test_unsubdivided_base_is_degenerate(self):
         assert _degeneracies(build_rect_tessellation(12, 1, 3)) == (9, 3)
+        assert _degeneracies(build_rect_tessellation(12, 1, 1)) == (6, 1)
+        assert _degeneracies(build_rect_tessellation(20, 1, 1)) == (10, 1)
 
     @pytest.mark.parametrize(
         "p,q,genera",

@@ -35,6 +35,7 @@ RECORDS = [
       "center_vertices")),
     (coloring, "ParityConstraint", ("edge_a", "edge_b", "parity", "tag")),
     (coloring, "EdgeColoring", ("colors", "base_vertex", "seed", "solution_count")),
+    (coloring, "ContradictionWitness", ("cycle",)),
     (coloring, "OrientationAssignment", ("colors", "odd_cycle")),
     (lattice, "AlternatingDecomposition", ("d", "e", "reduced")),
     (lattice, "VertexCheck",

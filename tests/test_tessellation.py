@@ -27,6 +27,8 @@ from fqsurf.tessellation import (
     subdivision_map_to_dict,
 )
 
+from test_loops import MATCHINGS
+
 
 class TestFaceCount:
     @pytest.mark.parametrize(
@@ -248,6 +250,24 @@ class TestSubdivideTwo:
     def test_face_cut_failure_names_its_axis(self, rect_p8_1x2):
         with pytest.raises(CutSystemFailure, match=r"^axis 2: face 0 cut sides sit at"):
             subdivide_two(rect_p8_1x2, axis=2)
+
+    def test_relabeling_clash_names_its_edge(self):
+        """The halves' side types disagree on a shared edge.  Without this
+        check ``validate`` still rejects the result, but names no edge."""
+        cx = complex_from_matchings(
+            8, ("cw", "ccw", "ccw", "cw"), [MATCHINGS[c] for c in (0, 2) * 4]
+        )
+        message = r"^axis 1: no consistent relabeling \(edge 4: 4 vs 6\)$"
+        with pytest.raises(ConstructionFailure, match=message):
+            subdivide_two(cx, axis=1)
+
+    def test_subdivided_loops_are_checked(self):
+        cx = complex_from_matchings(
+            8, ("ccw", "cw", "ccw", "cw"), [MATCHINGS[c] for c in (0, 2, 0, 2, 0, 2, 0, 1)]
+        )
+        message = "^axis 4: subdivided loops violate the intersection hypotheses$"
+        with pytest.raises(CutSystemFailure, match=message):
+            subdivide_two(cx, axis=4)
 
 
 class TestSubdivideFour:
