@@ -19,9 +19,10 @@ witness cycle.
 The face orientations 2-color the dual graph the same way: chirality
 alternates across each dual edge, one parity-1 constraint over face ids.
 
-Turns are read off the rotation system, as ``SurfaceComplex.continue_through``
-does, but from the tables of ``SurfaceComplex._derive`` fetched once per pass:
-a passage goes straight at turn 2, left at 1 and right at -1.
+Hanging edges are read from the ``left`` and ``right`` tables of
+``SurfaceComplex._derive``, fetched once per pass: the edges one step round
+the rotation either way from the reversal of a passage, as
+``SurfaceComplex.continue_through`` turns 1 and -1.
 """
 
 from collections import namedtuple
@@ -97,22 +98,27 @@ class ParityConstraintSystem:
         )
 
 
+def _degree_error(tables, d):
+    """The error for a passage along dart d whose head has degree other than 4."""
+    v = tables.tail[d ^ 1]
+    return ValueError(f"vertex {v} has degree {len(tables.rotations[v])}, not 4")
+
+
 def _hanging_edges(cx, cycle):
-    """Edge ids hanging off a loop at each passage: (lefts, rights).
+    """Edge ids hanging off a loop of the complex at each passage: (lefts, rights).
 
     Left and right are defined only at a degree-4 head vertex.
     """
-    _orbits, rotations, rays, _pairs = cx._derive()
+    tables = cx._derive()
+    left, right = tables.left, tables.right
     lefts = []
     rights = []
     for e, fwd in cycle:
-        # the head vertex, and the reversal's position in its rotation
-        v, i = rays[e, not fwd]
-        rot = rotations[v]
-        if len(rot) != 4:
-            raise ValueError(f"vertex {v} has degree {len(rot)}, not 4")
-        lefts.append(rot[(i + 1) % 4][0])
-        rights.append(rot[(i - 1) % 4][0])
+        d = e + e + (not fwd)
+        if left[d] < 0:
+            raise _degree_error(tables, d)
+        lefts.append(left[d])
+        rights.append(right[d])
     return lefts, rights
 
 
@@ -273,27 +279,34 @@ def _phase_coloring(cx, report):
     by loop phases, or None where that gives a witness.
 
     One pass over the loops, in order, raises what ``build_constraints``
-    raises and records each edge's loop and its position bit.  A loop's
-    left hanging edges must share a color, so each ties its loop's phase to
-    the first one's.  The right ones then agree as well: at each passage the
-    right hanging edge follows the left one on the crossing loop, so their
-    colors differ.  Phases are transported breadth first over the ties,
-    rooted at each seed priority in order, then at each unphased loop in
-    increasing order with phase 0: loops start in increasing edge order at
-    their least edge, so that colors its least edge 0.
+    raises and records each edge's loop, its position bit and the left
+    hanging edge of its passage.  A loop's left hanging edges must share a
+    color, so each ties its loop's phase to the first one's.  The right ones
+    then agree as well: at each passage the right hanging edge follows the
+    left one on the crossing loop, so their colors differ.  Phases are
+    transported breadth first over the ties, rooted at each seed priority in
+    order, then at each unphased loop in increasing order with phase 0:
+    loops start in increasing edge order at their least edge, so that colors
+    its least edge 0.
     """
     loops = report.loops
+    tables = cx._derive()
+    left = tables.left
     loop_of = [0] * cx.num_edges
     bit = [0] * cx.num_edges
     lefts = []
     for i, loop in enumerate(loops):
         if loop.degenerate:
             raise DegenerateLoop(f"loop {loop.loop_id} folds back on itself")
-        cycle = loop.directed_edges
-        lefts.append(_hanging_edges(cx, cycle)[0])
-        for k, (e, _fwd) in enumerate(cycle):
+        side = []
+        for k, (e, fwd) in enumerate(loop.directed_edges):
+            d = e + e + (not fwd)
+            if left[d] < 0:
+                raise _degree_error(tables, d)
+            side.append(left[d])
             loop_of[e] = i
             bit[e] = k & 1
+        lefts.append(side)
     if report.odd_loops:
         return None
 
@@ -362,15 +375,21 @@ def verify_good_coloring(cx, coloring):
     constraint system involved, so this is an independent check of solver
     output.  Returns (ok, violations).  Raises ValueError, naming the lowest
     such id, when an edge of the complex has no color or one other than the
-    int 0 or 1.
+    int 0 or 1, and then, naming the lowest by ``_least_foreign_key``,
+    when a colored key is not an edge id of the complex.
     """
     colors = coloring.colors
-    for e in range(cx.num_edges):
+    n_edges = cx.num_edges
+    for e in range(n_edges):
         c = colors.get(e)
         if type(c) is not int or c not in (0, 1):
             if e not in colors:
                 raise ValueError(f"edge {e} is not colored")
             raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
+    # every edge id is a key, so any other key makes one too many or is no int
+    if len(colors) != n_edges or not all(type(e) is int for e in colors):
+        key = _least_foreign_key(colors, n_edges)
+        raise ValueError(f"edge {key} is colored but not in the complex")
     report = trace_geodesic_loops(cx)
     violations = []
     for loop in report.loops:
@@ -392,6 +411,15 @@ def verify_good_coloring(cx, coloring):
                     (CONSISTENCY, loop.loop_id, name, tuple(sorted(set(side))))
                 )
     return (not violations, violations)
+
+
+def _least_foreign_key(colors, n_edges):
+    """The lowest colored key that is not an int edge id in 0..n_edges-1,
+    or None: the least such int, else the least repr of any other key (even
+    3.0 or True), which is returned."""
+    foreign = {e for e in colors if type(e) is not int or not 0 <= e < n_edges}
+    ints = [e for e in foreign if type(e) is int]
+    return min(ints) if ints else min(map(repr, foreign), default=None)
 
 
 class OrientationAssignment(namedtuple("OrientationAssignment", "colors odd_cycle")):

@@ -32,7 +32,12 @@ from itertools import product as iter_product
 from math import gcd
 from operator import itemgetter
 
-from .coloring import EdgeColoring, solve_good_coloring, verify_good_coloring
+from .coloring import (
+    EdgeColoring,
+    _least_foreign_key,
+    solve_good_coloring,
+    verify_good_coloring,
+)
 from .surface_complex import _require_int_parameter, _require_int_sequence
 from .tessellation import (
     build_block_tessellation,
@@ -184,9 +189,9 @@ def assign_groups(cx, coloring, q):
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
 
-    Edges of one (type, color) share one frozenset, and the type pairs are
-    the complex's own derived table.  Everything here is read-only and
-    shared between cells.
+    Edges of one (type, color) share one frozenset, and the type pairs and
+    ray types are the complex's own derived tables.  Everything here is
+    read-only and shared between cells.
     """
     q = _require_int_sequence(q)
     if cx.p % 2 != 0:
@@ -211,12 +216,9 @@ def assign_groups(cx, coloring, q):
         if factors is None:
             factors = factor_sets[e.type, c] = _edge_factor_set(e.type, c)
         edge_factors[e.id] = factors
-    n_edges = cx.num_edges
-    unknown = {e for e in coloring.colors if type(e) is not int or not 0 <= e < n_edges}
-    if unknown:
-        # the smallest int id first, then other keys (even 3.0 or True) by repr
-        ids = sorted(e for e in unknown if type(e) is int) or sorted(map(repr, unknown))
-        raise NotGoodColoring(f"edge {ids[0]} is colored but not in the complex")
+    key = _least_foreign_key(coloring.colors, cx.num_edges)
+    if key is not None:
+        raise NotGoodColoring(f"edge {key} is colored but not in the complex")
     base = coloring.base_vertex
     if type(base) is not int or not 0 <= base < cx.num_vertices:
         raise NotGoodColoring(f"base_vertex {base!r} is not a vertex of the complex")
@@ -233,21 +235,23 @@ def assign_groups(cx, coloring, q):
         if per_corner.count(per_corner[0]) != len(per_corner):
             face_conflicts[f.id] = tuple(per_corner)
 
-    edge_types = [e.type for e in cx.edges]
-    orbits, rotations, _rays, pairs = cx._derive()
+    tables = cx._derive()
+    p, corner_of = cx.p, tables.corner_of
     signatures = []
-    for v, (orbit, rays, pair) in enumerate(zip(orbits, rotations, pairs)):
+    for v, (rays, pair, ray_types) in enumerate(
+        zip(tables.rotations, tables.pairs, tables.ray_types)
+    ):
         if pair is None:
             raise ValueError(f"vertex {v} has no alternating type pair")
-        ray_types = tuple([edge_types[e] for e, _ in rays])
         # a type pair needs four rays; sector k is the face of corner k+1
-        (e0, _), (e1, _), (e2, _), (e3, _) = rays
-        (f0, _), (f1, _), (f2, _), (f3, _) = orbit
+        d0, d1, d2, d3 = rays
         signatures.append((
             pair,
-            (edge_factors[e0], edge_factors[e1], edge_factors[e2], edge_factors[e3]),
+            (edge_factors[d0 >> 1], edge_factors[d1 >> 1], edge_factors[d2 >> 1],
+             edge_factors[d3 >> 1]),
             ray_types,
-            (face_factors[f1], face_factors[f2], face_factors[f3], face_factors[f0]),
+            (face_factors[corner_of[d1] // p], face_factors[corner_of[d2] // p],
+             face_factors[corner_of[d3] // p], face_factors[corner_of[d0] // p]),
         ))
 
     assignment = GroupAssignment(

@@ -30,16 +30,17 @@ class GeodesicLoop(namedtuple(
     __slots__ = ()
 
     def vertex_ids(self, cx):
-        rays = cx._derive()[2]
-        try:
-            return {rays[d][0] for d in self.directed_edges}
-        except KeyError as exc:
-            raise _not_a_directed_edge(exc) from None
-
-
-def _not_a_directed_edge(exc):
-    """The accessors' error for the directed edge a ``rays`` lookup missed."""
-    return ValueError(f"{exc.args[0]!r} is not a directed edge of the complex")
+        tail = cx._derive().tail
+        n = len(tail)
+        ids = set()
+        # cx._darts inline: short loops make a second pass and call cost more
+        for dedge in self.directed_edges:
+            e, fwd = dedge
+            d = e + e + (not fwd) if type(e) is int and fwd in (True, False) else -1
+            if not 0 <= d < n:
+                raise ValueError(f"{dedge!r} is not a directed edge of the complex")
+            ids.add(tail[d])
+        return ids
 
 
 # pairwise_intersections holds the shared-vertex counts for each unordered
@@ -59,37 +60,34 @@ def trace_geodesic_loops(cx):
     """
     if cx._loop_report is not None:
         return cx._loop_report
-    _orbits, rotations, rays, _pairs = cx._derive()
+    straight = cx._derive().straight
     edge_types = [e.type for e in cx.edges]
-    # edges are stored by id, so this walks directed edges in (id, forward first) order
-    order = [(e.id, fwd) for e in cx.edges for fwd in (True, False)]
-    visited = set()
+    # darts 2e and 2e + 1 are (e, forward) and (e, backward), so this walks
+    # directed edges in (id, forward first) order
+    visited = bytearray(len(straight))
     loops = []
-    for start in order:
-        if start in visited:
+    for start in range(len(straight)):
+        if visited[start]:
             continue
-        cycle = []
-        cur = start
-        while cur != start or not cycle:
-            cycle.append(cur)
-            visited.add(cur)
-            # straight on: two steps round the head's rotation from the reversal
-            v, i = rays[cur[0], not cur[1]]
-            rot = rotations[v]
-            cur = rot[(i + 2) % len(rot)]
-        edge_ids = {e for e, _ in cycle}
+        cycle = [start]
+        d = straight[start]
+        while d != start:
+            cycle.append(d)
+            d = straight[d]
+        edge_ids = {d >> 1 for d in cycle}
         degenerate = len(edge_ids) < len(cycle)
-        if not degenerate:
-            # retire the reversed twin so the loop is reported once
-            for e, fwd in cycle:
-                visited.add((e, not fwd))
+        for d in cycle:
+            visited[d] = 1
+            if not degenerate:
+                # retire the reversed twin so the loop is reported once
+                visited[d ^ 1] = 1
         types = {edge_types[e] for e in edge_ids}
         length = len(edge_ids)
         loops.append(
             GeodesicLoop(
                 loop_id=len(loops),
                 type=types.pop() if len(types) == 1 else None,
-                directed_edges=tuple(cycle),
+                directed_edges=tuple([(d >> 1, not d & 1) for d in cycle]),
                 undirected_length=length,
                 parity="odd" if length % 2 else "even",
                 degenerate=degenerate,
@@ -144,24 +142,24 @@ def loops_generate_h1(cx, loops):
     and one column per loop, has rank |X| and every invariant factor 1.
     """
     red = tree_cotree(cx)
-    rays = cx._derive()[2]
-    try:
-        for lp in loops:
-            boundary = {}
-            for e, fwd in lp.directed_edges:
-                tail, head = rays[e, fwd][0], rays[e, not fwd][0]
-                boundary[head] = boundary.get(head, 0) + 1
-                boundary[tail] = boundary.get(tail, 0) - 1
-            if any(boundary.values()):
-                return False
-    except KeyError as exc:
-        raise _not_a_directed_edge(exc) from None
+    tail = cx._derive().tail
+    darts = []
+    for lp in loops:
+        cycle = cx._darts(lp.directed_edges)
+        darts.append(cycle)
+        boundary = {}
+        for d in cycle:
+            head, start = tail[d ^ 1], tail[d]
+            boundary[head] = boundary.get(head, 0) + 1
+            boundary[start] = boundary.get(start, 0) - 1
+        if any(boundary.values()):
+            return False
     row_of = {e: r for r, e in enumerate(red.x_edges)}
     rows = [{} for _ in red.x_edges]
-    for j, lp in enumerate(loops):
-        for e, fwd in lp.directed_edges:
-            sign = 1 if fwd else -1
-            for x, c in red.images[e].items():
+    for j, cycle in enumerate(darts):
+        for d in cycle:
+            sign = -1 if d & 1 else 1
+            for x, c in red.images[d >> 1].items():
                 row = rows[row_of[x]]
                 row[j] = row.get(j, 0) + sign * c
     diag, rank = smith_normal_form(IntegerMatrix.from_rows(rows, len(loops)))

@@ -18,12 +18,17 @@ point", so vertices are the orbits of
 
     sigma(corner) = next_in_face(opposite(corner))
 
-where a corner is addressed as ``(face_id, position)`` and owns the side that
-leaves it.  ``sigma`` preserves the tail vertex of the side, and successive
-corners of an orbit list the outgoing edges around the vertex in clockwise
-order.  All turn-based navigation (straight through a degree-4 vertex, left,
-right) reduces to index arithmetic in that rotation; see
-:meth:`SurfaceComplex.continue_through`.
+where a corner owns the side that leaves it.  ``sigma`` preserves the tail
+vertex of the side, and successive corners of an orbit list the outgoing
+edges around the vertex in clockwise order.  The walk runs on the half-edge
+(combinatorial map) encoding of Cori (Asterisque 27, 1975) and Lienhardt
+(CAD 23, 1991): side k of face f is corner ``c = p*f + k``, its side is dart
+``2*edge + reversed``, also the dart of the ray leaving c (directed edge
+``(edge, forward)`` is dart ``2*edge + (not forward)``), and the opposite
+side of dart d is ``d ^ 1``.  Turns (straight through a degree-4 vertex,
+left, right) are index arithmetic in a rotation of darts; see
+:meth:`SurfaceComplex._derive`.  The public API keeps ``(edge id, forward)``
+pairs and ``(face_id, position)`` corners, converted from darts on demand.
 
 The second half of the module is an exact integer linear algebra kit: an
 arbitrary-precision matrix stored as sparse rows, Smith normal form, and the
@@ -81,13 +86,24 @@ def _type_pair(types, p):
     return None
 
 
+# the flat tables of SurfaceComplex._derive, described there
+_Darts = namedtuple(
+    "_Darts", "side corner_of tail straight left right rotations pairs ray_types"
+)
+
+
+def _dedge(d):
+    """The directed edge (edge id, forward) of dart d."""
+    return (d >> 1, not d & 1)
+
+
 class SurfaceComplex:
     """A polygonal surface with typed edges; immutable once built.
 
     Derived structures are computed on first use and cached per complex:
-    edge occurrences, closedness defects, vertex orbits, rotations, the ray
-    table and the vertex type pairs, the genus-independent findings of
-    :func:`validate`, and the geodesic loop report (filled by
+    closedness defects, the dart tables of :meth:`_derive`, the pair forms
+    that ``vertices`` and ``rotation`` hand out, the genus-independent
+    findings of :func:`validate`, and the geodesic loop report (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
 
@@ -102,7 +118,9 @@ class SurfaceComplex:
         self.faces = tuple(faces)
         self._occ = None
         self._defects = None
-        self._vertex_data = None
+        self._tables = None
+        self._vertices = None
+        self._rotations = {}
         self._validation = None
         self._loop_report = None
 
@@ -135,15 +153,17 @@ class SurfaceComplex:
     def closedness_defects(self):
         """Edges not used exactly once in each sense, as (edge id, reason)."""
         if self._defects is None:
+            counts = [0] * (2 * len(self.edges))  # sides per dart
+            for f in self.faces:
+                for e, rev in f.sides:
+                    counts[e + e + rev] += 1
             defects = []
-            # occurrences are keyed in edge id order
-            for eid, locs in self.occurrences().items():
-                if len(locs) != 2:
-                    defects.append((eid, f"{len(locs)} sides"))
-                    continue
-                (fa, ka), (fb, kb) = locs
-                if self.faces[fa].sides[ka][1] == self.faces[fb].sides[kb][1]:
-                    defects.append((eid, "same sense twice"))
+            if counts.count(1) != len(counts):
+                for e, (fwd, back) in enumerate(zip(counts[::2], counts[1::2])):
+                    if fwd + back != 2:
+                        defects.append((e, f"{fwd + back} sides"))
+                    elif fwd != 1:
+                        defects.append((e, "same sense twice"))
             self._defects = defects
         return self._defects
 
@@ -155,78 +175,122 @@ class SurfaceComplex:
     # derived vertices
 
     def _derive(self):
-        """Walk each vertex's corners once, by ``sigma`` of the module docstring.
+        """Walk each vertex's rays once, by ``sigma`` of the module docstring.
 
-        Records the orbits, the rotations, the ray table, which maps each
-        directed edge to its tail vertex and its position in that rotation,
-        and each vertex's type pair, read once per distinct tuple of ray types.
+        Returns ``_Darts`` lists indexed by corner c, dart d or vertex v:
+        ``side[c]``, the dart of c's side; ``corner_of[d]``, the corner whose
+        side is d (in face ``corner_of[d] // p``); ``tail[d]``, the vertex
+        ray d leaves; ``straight[d]``, ``left[d]`` and ``right[d]``, at the
+        head of d the dart two steps round the rotation from ``d ^ 1`` and
+        the edges one step either way (-1 unless the head has degree 4);
+        ``rotations[v]``, the rays leaving v clockwise from v's least corner
+        (v's corners are their ``corner_of``); ``ray_types[v]``, their edge
+        types; ``pairs[v]``, v's type pair, read once per distinct ray types.
         """
-        if self._vertex_data is None:
+        if self._tables is None:
             if not self.is_closed():
                 raise ValueError("vertex structure requires a closed complex")
-            occ = self.occurrences()
-            sides = [f.sides for f in self.faces]
+            p = self.p
+            side = [e + e + rev for f in self.faces for e, rev in f.sides]
+            n = len(side)
+            corner_of = [0] * n
+            for c, d in enumerate(side):
+                corner_of[d] = c
+            after = list(range(1, n + 1))  # the next corner of the same face
+            after[p - 1::p] = range(0, n, p)
+            # the next ray clockwise round its tail: sigma, on darts
+            turn = [side[after[corner_of[d ^ 1]]] for d in range(n)]
             edge_types = [e.type for e in self.edges]
-            orbits = []
+            tail = [-1] * n
+            straight = [0] * n
+            left = [-1] * n
+            right = [-1] * n
             rotations = []
-            ray_table = {}
             pairs = []
+            ray_types = []
             pair_of = {}  # ray types -> type pair
-            for f, walk in enumerate(sides):
-                for k, (eid, rev) in enumerate(walk):
-                    ray = (eid, not rev)
-                    # a closed complex leaves each directed edge from one corner
-                    if ray in ray_table:
-                        continue
-                    v = len(orbits)
-                    corner = (f, k)
-                    orbit = []
-                    rays = []
-                    while ray not in ray_table:
-                        ray_table[ray] = (v, len(rays))
-                        orbit.append(corner)
-                        rays.append(ray)
-                        a, b = occ[eid]
-                        g, j = b if a == corner else a
-                        corner = (g, (j + 1) % len(sides[g]))
-                        eid, rev = sides[g][corner[1]]
-                        ray = (eid, not rev)
-                    orbits.append(tuple(orbit))
-                    rotations.append(tuple(rays))
-                    types = tuple([edge_types[e] for e, _ in rays])
-                    if types not in pair_of:
-                        pair_of[types] = _type_pair(types, self.p)
-                    pairs.append(pair_of[types])
-            self._vertex_data = (tuple(orbits), tuple(rotations), ray_table, tuple(pairs))
-        return self._vertex_data
+            for start in side:
+                if tail[start] >= 0:
+                    continue
+                v = len(rotations)
+                rot = [start]
+                d = turn[start]
+                while d != start:
+                    rot.append(d)
+                    d = turn[d]
+                for d in rot:
+                    tail[d] = v
+                if len(rot) == 4:
+                    a, b, c, d = rot
+                    ea, eb, ec, ed = a >> 1, b >> 1, c >> 1, d >> 1
+                    a, b, c, d = a ^ 1, b ^ 1, c ^ 1, d ^ 1  # arriving at v
+                    straight[a], straight[b], straight[c], straight[d] = (
+                        rot[2], rot[3], rot[0], rot[1])
+                    left[a], left[b], left[c], left[d] = eb, ec, ed, ea
+                    right[a], right[b], right[c], right[d] = ed, ea, eb, ec
+                else:
+                    for d, s in zip(rot, rot[2:] + rot[:2]):
+                        straight[d ^ 1] = s
+                rotations.append(tuple(rot))
+                types = tuple([edge_types[d >> 1] for d in rot])
+                if types not in pair_of:
+                    pair_of[types] = _type_pair(types, p)
+                pairs.append(pair_of[types])
+                ray_types.append(types)
+            self._tables = _Darts(
+                side, corner_of, tail, straight, left, right, rotations, pairs, ray_types
+            )
+        return self._tables
 
     def vertices(self):
         """Vertex corner orbits, each starting at its least (face, position)."""
-        return self._derive()[0]
+        if self._vertices is None:
+            tables = self._derive()
+            p, corner_of = self.p, tables.corner_of
+            self._vertices = tuple(
+                tuple([divmod(corner_of[d], p) for d in rot]) for rot in tables.rotations
+            )
+        return self._vertices
 
     @property
     def num_vertices(self):
-        return len(self.vertices())
+        return len(self._derive().rotations)
 
-    def _ray(self, dedge, reverse=False):
-        """(tail vertex, rotation index) of a directed edge, or of its reversal."""
-        rays = self._derive()[2]
-        if type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool) and dedge in rays:
-            return rays[dedge[0], dedge[1] ^ reverse]
+    def _dart(self, dedge):
+        """The dart of a directed edge, checked as the accessors check it."""
+        self._derive()
+        if (type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool)
+                and 0 <= dedge[0] < len(self.edges)):
+            return 2 * dedge[0] + (not dedge[1])
         raise ValueError(f"{dedge!r} is not a directed edge of the complex")
 
+    def _darts(self, dedges):
+        """The darts of directed edges; ValueError names the first one the complex lacks."""
+        n = 2 * len(self.edges)
+        darts = []
+        for dedge in dedges:
+            e, fwd = dedge
+            d = e + e + (not fwd) if type(e) is int and fwd in (True, False) else -1
+            if not 0 <= d < n:
+                raise ValueError(f"{dedge!r} is not a directed edge of the complex")
+            darts.append(d)
+        return darts
+
     def tail_vertex(self, dedge):
-        return self._ray(dedge)[0]
+        return self._derive().tail[self._dart(dedge)]
 
     def head_vertex(self, dedge):
-        return self._ray(dedge, reverse=True)[0]
+        return self._derive().tail[self._dart(dedge) ^ 1]
 
     def rotation(self, vertex_id):
         """Outgoing directed edges at a vertex, in clockwise order."""
-        rotations = self._derive()[1]
+        rotations = self._derive().rotations
         if type(vertex_id) is not int or not 0 <= vertex_id < len(rotations):
             raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(rotations) - 1}")
-        return rotations[vertex_id]
+        rays = self._rotations.get(vertex_id)
+        if rays is None:
+            rays = self._rotations[vertex_id] = tuple(map(_dedge, rotations[vertex_id]))
+        return rays
 
     def continue_through(self, dedge, turn):
         """Continue an incoming directed edge through its head vertex.
@@ -237,16 +301,17 @@ class SurfaceComplex:
         """
         if type(turn) is not int:
             raise ValueError(f"turn {turn!r} is not an int")
-        v, i = self._ray(dedge, reverse=True)
-        rays = self._derive()[1][v]
-        return rays[(i + turn) % len(rays)]
+        back = self._dart(dedge) ^ 1
+        tables = self._derive()
+        rays = tables.rotations[tables.tail[back]]
+        return _dedge(rays[(rays.index(back) + turn) % len(rays)])
 
     def straight_continuation(self, dedge):
         return self.continue_through(dedge, 2)
 
     def vertex_type_pair(self, vertex_id):
         """The ordered type pair (i, i+1) at a degree-4 vertex, else None."""
-        pairs = self._derive()[3]
+        pairs = self._derive().pairs
         if type(vertex_id) is not int or not 0 <= vertex_id < len(pairs):
             raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(pairs) - 1}")
         return pairs[vertex_id]
@@ -395,35 +460,38 @@ def _axiom_findings(cx):
         return (Finding("Disconnected", "the complex has no faces"),), (), 0, None
 
     failures = []
-    orbits, _rotations, _rays, pairs = cx._derive()
-    occ = cx.occurrences()
-    n_v, n_e, n_f = len(orbits), cx.num_edges, cx.num_faces
+    tables = cx._derive()
+    n_v, n_e, n_f = len(tables.rotations), cx.num_edges, cx.num_faces
     euler = n_v - n_e + n_f
 
-    # connectivity over the face-adjacency (dual) graph
-    reached = {0}
+    # connectivity over the face-adjacency (dual) graph: the face across the
+    # side of dart d holds the corner of d ^ 1
+    side, corner_of = tables.side, tables.corner_of
+    reached = bytearray(n_f)
+    reached[0] = 1
     stack = [0]
     while stack:
         f = stack.pop()
-        for eid, _rev in cx.faces[f].sides:
-            for (g, _k) in occ[eid]:
-                if g not in reached:
-                    reached.add(g)
-                    stack.append(g)
-    if len(reached) != n_f:
+        for d in side[p * f:p * f + p]:
+            g = corner_of[d ^ 1] // p
+            if not reached[g]:
+                reached[g] = 1
+                stack.append(g)
+    n_reached = reached.count(1)
+    if n_reached != n_f:
         failures.append(
             Finding("Disconnected",
-                    f"only {len(reached)} of {n_f} faces reachable from face 0")
+                    f"only {n_reached} of {n_f} faces reachable from face 0")
         )
 
-    wrong_degree = [vid for vid, orb in enumerate(orbits) if len(orb) != 4]
+    wrong_degree = [v for v, rot in enumerate(tables.rotations) if len(rot) != 4]
     if wrong_degree:
         failures.append(
             Finding("RightAngledVertex",
                     f"vertices without exactly 4 corners: {wrong_degree[:8]}")
         )
     else:
-        bad_alt = [vid for vid, pair in enumerate(pairs) if pair is None]
+        bad_alt = [v for v, pair in enumerate(tables.pairs) if pair is None]
         if bad_alt:
             failures.append(
                 Finding("VertexTypeAlternation",
@@ -691,10 +759,11 @@ def tree_cotree(cx):
             v = parent[v]
         return v
 
-    rays = cx._derive()[2]  # directed edge -> (tail vertex, rotation index)
+    tables = cx._derive()
+    tail, corner_of, p = tables.tail, tables.corner_of, cx.p
     in_tree = [False] * cx.num_edges
     for e in range(cx.num_edges):
-        a, b = find(rays[e, True][0]), find(rays[e, False][0])
+        a, b = find(tail[e + e]), find(tail[e + e + 1])
         if a != b:
             parent[a] = b
             in_tree[e] = True
@@ -707,7 +776,8 @@ def tree_cotree(cx):
                 col[e] = col.get(e, 0) + (-1 if rev else 1)
         cols.append({e: x for e, x in col.items() if x})
     adjacent = [[] for _ in cx.faces]
-    for e, ((fa, _), (fb, _)) in cx.occurrences().items():
+    for e in range(cx.num_edges):
+        fa, fb = corner_of[e + e] // p, corner_of[e + e + 1] // p
         if not in_tree[e] and fa != fb:
             adjacent[fa].append((e, fb))
             adjacent[fb].append((e, fa))

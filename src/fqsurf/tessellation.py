@@ -362,10 +362,10 @@ def _subdivide(cx, pieces, axis, genus):
             f"axis {axis}: subdivided loops violate the intersection hypotheses"
         )
 
-    # the head of (h, True) is the tail of (h, False)
-    rays = out._derive()[2]
-    midpoints = {old_eid: rays[h1, False][0] for old_eid, (h1, _h2) in splits.items()}
-    centers = {f.id: rays[chords[f.id][0], False][0] for f in cx.faces} if pieces == 4 else {}
+    # the head of (h, True) is the tail of (h, False), dart 2h + 1
+    tail = out._derive().tail
+    midpoints = {old_eid: tail[2 * h1 + 1] for old_eid, (h1, _h2) in splits.items()}
+    centers = {f.id: tail[2 * chords[f.id][0] + 1] for f in cx.faces} if pieces == 4 else {}
     return out, SubdivisionMap(
         pieces=pieces,
         axis=axis,

@@ -20,6 +20,7 @@ from fqsurf.coloring import (
     verify_good_coloring,
     witness_to_dict,
 )
+from fqsurf.lattice import NotGoodColoring, assign_groups
 from fqsurf.loops import trace_geodesic_loops
 from fqsurf.surface_complex import build_complex, canonical_json
 from fqsurf.tessellation import (
@@ -278,6 +279,41 @@ class TestVerification:
         del colors[7]
         with pytest.raises(ValueError, match="^edge 2 has color None, not 0 or 1$"):
             verify_good_coloring(block_p6_g2, coloring._replace(colors=colors))
+
+    def test_key_outside_the_complex_is_named(self):
+        cx = build_block_tessellation(6, 2)
+        coloring = solve_good_coloring(cx)
+        colors = {**coloring.colors, 12: 5, "x": 0}
+        with pytest.raises(ValueError, match="^edge 12 is colored but not in the complex$"):
+            verify_good_coloring(cx, coloring._replace(colors=colors))
+
+    @pytest.mark.parametrize(
+        "extra, dropped",
+        [
+            ({"x": 0, (1, 2): 1}, None),
+            ({100: 0, "x": 0, 40: 1}, None),
+            ({(1, 2): 0, 0.5: 1}, None),
+            ({-1: 0}, None),
+            ({3.0: 0}, 3),
+            ({True: 1}, 1),
+        ],
+        ids=["str-and-tuple", "ints-first", "tuple-and-float", "negative", "float-id",
+             "bool-id"],
+    )
+    def test_foreign_key_is_named_as_assign_groups_names_it(self, block_p6_g2, extra,
+                                                             dropped):
+        """The lowest int key first, else the lowest repr; a key equal to an
+        edge id but not an int (3.0, True) counts, with that edge's own key gone."""
+        coloring = solve_good_coloring(block_p6_g2)
+        colors = {e: c for e, c in coloring.colors.items() if e != dropped}
+        bad = coloring._replace(colors={**colors, **extra})
+        with pytest.raises(NotGoodColoring) as expected:
+            assign_groups(block_p6_g2, bad, (2, 3) * 3)
+        assert str(expected.value).endswith(" is colored but not in the complex")
+        with pytest.raises(ValueError) as got:
+            verify_good_coloring(block_p6_g2, bad)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("mode", ["propagate", "exhaustive"])

@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from count_bytecodes import count_certified_decide, count_opcodes
+from count_bytecodes import (
+    GROWTH_BOUND,
+    LADDER,
+    count_certified_decide,
+    count_opcodes,
+    growth_within_bound,
+)
+from fqsurf.tessellation import face_count
 
 
 def test_two_counts_of_one_call_agree():
@@ -31,3 +38,23 @@ def test_workflow_logs_the_counts():
         steps = yaml.safe_load(fh)["jobs"]["tier1"]["steps"]
     runs = [step.get("run", "") for step in steps]
     assert any("python tests/count_bytecodes.py" in run for run in runs)
+    assert any("python tests/count_bytecodes.py --ladder" in run for run in runs)
+
+
+def test_growth_bound_is_relative_to_the_face_count():
+    assert GROWTH_BOUND == 1.15
+    assert growth_within_bound(16, 100, 1024, 6400)
+    assert growth_within_bound(16, 100, 1024, 7350)
+    assert not growth_within_bound(16, 100, 1024, 7370)
+    # a quadratic pass fails at once
+    assert not growth_within_bound(16, 100, 1024, 100 * 64 * 64)
+
+
+def test_ladder_rungs_span_the_face_counts():
+    for method, p, _q, genera in LADDER:
+        faces = [face_count(p, g) for g in genera]
+        assert faces == sorted(faces) and len(faces) == 4
+        if method == "Subdiv4":
+            assert faces == [9, 25, 65, 1025]
+        else:
+            assert 14 <= faces[0] <= 16 and 1022 <= faces[-1] <= 1024

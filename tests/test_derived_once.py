@@ -210,7 +210,8 @@ def _count_accessor_calls(monkeypatch):
 
 def _distinct_ray_types(cx):
     """The distinct tuples of ray types, in rotation order, at cx's vertices."""
-    return {tuple(cx.edges[e].type for e, _ in rays) for rays in cx._derive()[1]}
+    return {tuple(cx.edges[e].type for e, _ in cx.rotation(v))
+            for v in range(cx.num_vertices)}
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,13 @@ and ``edge_type`` instead, by that accessor's former body.
 The loop-phase colorer of ``solve_good_coloring`` is checked against the
 constraint-system transport it replaces, ``_propagate`` over
 ``build_constraints``.
+
+The dart tables of ``SurfaceComplex._derive`` are checked, through the
+public API, against the walk they replace: ``sigma`` over ``(face,
+position)`` corners, finding each opposite side in ``occurrences()``, with a
+ray table keyed by ``(edge id, forward)`` pairs.  The closedness defects,
+the connectivity finding, the Betti numbers and the subdivision maps are
+checked against their former bodies on that walk.
 """
 
 import pytest
@@ -34,9 +41,12 @@ from fqsurf.coloring import (
 from fqsurf.lattice import assign_groups, decide
 from fqsurf.loops import GeodesicLoop, trace_geodesic_loops
 from fqsurf.surface_complex import (
+    IntegerMatrix,
+    betti_numbers,
     build_complex,
     complex_from_dict,
     complex_to_dict,
+    smith_normal_form,
     succ_type,
     validate,
 )
@@ -49,15 +59,19 @@ from fqsurf.tessellation import (
 
 from conftest import (
     make_crossing,
+    make_disconnected,
     make_octagon,
+    make_open_square,
     make_pillowcase,
+    make_same_sense,
     make_torus,
     make_twelve_gon,
 )
 from test_derived_once import _count_calls
 from test_loops import closed_complexes, right_angled_complexes
 
-HAND_BUILT = [make_torus, make_pillowcase, make_crossing, make_twelve_gon, make_octagon]
+HAND_BUILT = [make_torus, make_pillowcase, make_crossing, make_twelve_gon, make_octagon,
+              make_open_square, make_same_sense, make_disconnected]
 FIXTURES = ["block_p6_g2", "block_p6_g3", "block_p8_g3", "block_p10_g4",
             "rect_p8_1x2", "rect_p8_3x2", "rect_p12_3x3", "hex4", "hex36"]
 
@@ -132,10 +146,13 @@ def _reference_loops(cx):
 
 def _reference_type_pair(cx, v):
     """The ordered type pair (i, i+1) at a degree-4 vertex, else None."""
-    rays = cx.rotation(v)
-    if len(rays) != 4:
+    return _reference_pair_of(cx, [cx.edge_type(e) for e, _ in cx.rotation(v)])
+
+
+def _reference_pair_of(cx, t):
+    """The ordered type pair (i, i+1) of four ray types that alternate, else None."""
+    if len(t) != 4:
         return None
-    t = [cx.edge_type(e) for e, _ in rays]
     if t[0] != t[2] or t[1] != t[3] or t[0] == t[1]:
         return None
     if succ_type(t[0], cx.p) == t[1]:
@@ -143,6 +160,99 @@ def _reference_type_pair(cx, v):
     if succ_type(t[1], cx.p) == t[0]:
         return (t[1], t[0])
     return None
+
+
+def _reference_walk(cx):
+    """The former ``_derive`` walk: (orbits, rotations, ray table, type pairs).
+
+    Corners are ``(face, position)`` pairs and ``sigma`` finds each opposite
+    side in ``occurrences()``; the ray table maps each directed edge to its
+    tail vertex and its position in that vertex's rotation.
+    """
+    occ = cx.occurrences()
+    sides = [f.sides for f in cx.faces]
+    orbits, rotations, rays, pairs = [], [], {}, []
+    for f, walk in enumerate(sides):
+        for k, (eid, rev) in enumerate(walk):
+            ray = (eid, not rev)
+            if ray in rays:
+                continue
+            v = len(orbits)
+            corner = (f, k)
+            orbit, rotation = [], []
+            while ray not in rays:
+                rays[ray] = (v, len(rotation))
+                orbit.append(corner)
+                rotation.append(ray)
+                a, b = occ[eid]
+                g, j = b if a == corner else a
+                corner = (g, (j + 1) % len(sides[g]))
+                eid, rev = sides[g][corner[1]]
+                ray = (eid, not rev)
+            orbits.append(tuple(orbit))
+            rotations.append(tuple(rotation))
+            pairs.append(_reference_pair_of(cx, [cx.edges[e].type for e, _ in rotation]))
+    return orbits, rotations, rays, pairs
+
+
+def _reference_closedness_defects(cx):
+    defects = []
+    for eid, locs in cx.occurrences().items():
+        if len(locs) != 2:
+            defects.append((eid, f"{len(locs)} sides"))
+            continue
+        (fa, ka), (fb, kb) = locs
+        if cx.faces[fa].sides[ka][1] == cx.faces[fb].sides[kb][1]:
+            defects.append((eid, "same sense twice"))
+    return defects
+
+
+def _reference_disconnected(cx):
+    """The details of the Disconnected findings of ``validate``."""
+    if _reference_closedness_defects(cx):
+        return []
+    if not cx.num_faces:
+        return ["the complex has no faces"]
+    occ = cx.occurrences()
+    reached = {0}
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for eid, _rev in cx.faces[f].sides:
+            for g, _k in occ[eid]:
+                if g not in reached:
+                    reached.add(g)
+                    stack.append(g)
+    if len(reached) == cx.num_faces:
+        return []
+    return [f"only {len(reached)} of {cx.num_faces} faces reachable from face 0"]
+
+
+def _reference_betti_numbers(cx):
+    """Ranks from the Smith normal form of d1 and d2, with d1 read off the
+    reference walk's ray table."""
+    orbits, _rotations, rays, _pairs = _reference_walk(cx)
+    d2 = [{} for _ in cx.edges]
+    for f in cx.faces:
+        for e, rev in f.sides:
+            d2[e][f.id] = d2[e].get(f.id, 0) + (-1 if rev else 1)
+    d1 = [{} for _ in orbits]
+    for e in cx.edges:
+        head, tail = rays[e.id, False][0], rays[e.id, True][0]
+        d1[head][e.id] = d1[head].get(e.id, 0) + 1
+        d1[tail][e.id] = d1[tail].get(e.id, 0) - 1
+    _, r2 = smith_normal_form(IntegerMatrix.from_rows(d2, cx.num_faces))
+    _, r1 = smith_normal_form(IntegerMatrix.from_rows(d1, cx.num_edges))
+    return len(orbits) - r1, cx.num_edges - r1 - r2, cx.num_faces - r2
+
+
+def _reference_subdivision_vertices(out, sub):
+    """(midpoint vertices, center vertices) of a subdivision, by the former
+    body: the head of (h, True) is the tail of (h, False)."""
+    rays = _reference_walk(out)[2]
+    midpoints = {old: rays[h1, False][0] for old, (h1, _h2) in sub.edge_splits.items()}
+    centers = {f: rays[chord[0], False][0] for f, chord in sub.chords.items()}
+    return midpoints, centers if sub.pieces == 4 else {}
 
 
 def _reference_labeling_findings(cx):
@@ -200,6 +310,43 @@ def _reference_adjacency(variables, constraints):
 
 
 # ------------------------------------------------------------ comparisons
+
+
+def _assert_vertex_tables_match(cx):
+    cx = _fresh(cx)
+    if not cx.is_closed():
+        expected = ("raised", ValueError, "vertex structure requires a closed complex")
+        for use in (cx.vertices, lambda: cx.rotation(0), lambda: cx.tail_vertex((0, True))):
+            assert _outcome(use) == expected
+        return
+    orbits, rotations, rays, pairs = _reference_walk(cx)
+    assert cx.vertices() == tuple(orbits)
+    assert cx.num_vertices == len(orbits)
+    assert [cx.rotation(v) for v in range(cx.num_vertices)] == rotations
+    assert [cx.vertex_type_pair(v) for v in range(cx.num_vertices)] == pairs
+    assert len(rays) == 2 * cx.num_edges
+    for (e, fwd), (v, _i) in rays.items():
+        assert cx.tail_vertex((e, fwd)) == v
+        assert cx.head_vertex((e, fwd)) == rays[e, not fwd][0]
+        head, i = rays[e, not fwd]
+        rotation = rotations[head]
+        for turn in (-1, 0, 1, 2, 3):
+            expected = rotation[(i + turn) % len(rotation)]
+            assert cx.continue_through((e, fwd), turn) == expected
+
+
+def _assert_closedness_matches(cx):
+    assert _fresh(cx).closedness_defects() == _reference_closedness_defects(cx)
+
+
+def _assert_connectivity_matches(cx):
+    got = [f.detail for f in validate(_fresh(cx)).failures if f.tag == "Disconnected"]
+    assert got == _reference_disconnected(cx)
+
+
+def _assert_betti_numbers_match(cx):
+    if cx.is_closed():
+        assert betti_numbers(_fresh(cx)) == _reference_betti_numbers(cx)
 
 
 def _assert_hanging_edges_match(cx):
@@ -276,6 +423,10 @@ def _assert_phase_colorer_matches(cx):
 
 
 ALL_CHECKS = [
+    _assert_vertex_tables_match,
+    _assert_closedness_matches,
+    _assert_connectivity_matches,
+    _assert_betti_numbers_match,
     _assert_hanging_edges_match,
     _assert_loops_match,
     _assert_labeling_findings_match,
@@ -331,6 +482,36 @@ def retyped_complexes(draw):
 def test_retyped_complexes_match_references(cx):
     for check in ALL_CHECKS:
         check(cx)
+
+
+def test_open_and_split_complexes_are_found_alike():
+    """The defects the references find, pinned, so the comparison is not vacuous."""
+    assert _reference_closedness_defects(make_open_square()) == [
+        (e, "1 sides") for e in range(4)
+    ]
+    assert _reference_closedness_defects(make_same_sense()) == [(0, "same sense twice")]
+    assert _reference_disconnected(make_disconnected()) == [
+        "only 1 of 2 faces reachable from face 0"
+    ]
+    for make in (make_open_square, make_same_sense, make_disconnected):
+        _assert_closedness_matches(make())
+        _assert_connectivity_matches(make())
+    assert _reference_betti_numbers(make_disconnected()) == (2, 4, 2)
+    _assert_betti_numbers_match(make_disconnected())
+
+
+@pytest.mark.parametrize("subdivide, p, a, b, axis", [
+    (subdivide_two, 8, 1, 2, None),
+    (subdivide_two, 8, 3, 4, 1),
+    (subdivide_four, 12, 3, 3, 1),
+    (subdivide_four, 12, 3, 5, 1),
+])
+def test_subdivision_maps_match_references(subdivide, p, a, b, axis):
+    out, sub = subdivide(build_rect_tessellation(p, a, b), axis=axis)
+    midpoints, centers = _reference_subdivision_vertices(out, sub)
+    assert sub.midpoint_vertices == midpoints
+    assert sub.center_vertices == centers
+    assert len(centers) == (a * b if sub.pieces == 4 else 0)
 
 
 def test_non_alternating_vertex_types_are_found_alike():

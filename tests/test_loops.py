@@ -282,6 +282,23 @@ class TestForeignLoops:
             check(block_p6_g2, self.LOOPS)
         assert str(info.value) == "(12, True) is not a directed edge of the complex"
 
+    @pytest.mark.parametrize(
+        "dedge", [(1.0, True), (True, True), ("a", True), (0, "x"), (-1, False), (12, False)]
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [lambda cx, lp: lp.vertex_ids(cx), lambda cx, lp: pairwise_intersections(cx, [lp]),
+         lambda cx, lp: loops_generate_h1(cx, [lp])],
+        ids=["vertex_ids", "pairwise_intersections", "loops_generate_h1"],
+    )
+    def test_malformed_directed_edge(self, block_p6_g2, check, dedge):
+        """An edge id that is not an int of the complex, or a sense that is
+        not a bool, is named, after the directed edges before it."""
+        lp = GeodesicLoop(0, None, ((0, True), dedge, (0, False)), 2, "even", False)
+        with pytest.raises(ValueError) as info:
+            check(block_p6_g2, lp)
+        assert str(info.value) == f"{dedge!r} is not a directed edge of the complex"
+
 
 class TestHomologyAgainstReference:
     @pytest.mark.parametrize(
