@@ -6,18 +6,19 @@ all agree (likewise the other side).  Both conditions are parity relations
 between pairs of edges, so the whole problem is a parity constraint system:
 alternating pairs differ (parity 1), same-side hanging pairs agree
 (parity 0).  Each relation is stated once, as a ``ParityConstraint`` named
-tuple.  A coloring exists iff no constraint cycle has odd total parity.
+tuple, lesser edge first.  A coloring exists iff no constraint cycle has
+odd total parity.
 
-The ``propagate`` solver never builds that system for a good complex.  On an
-even loop, colors alternate exactly when edge k has color ``phase ^ (k & 1)``
-for one phase bit per loop, and each edge lies on one loop.  A hanging-edge
-relation then ties two loops' phases, and the phases are transported breadth
-first over those ties.  An odd loop or a tie whose phases disagree is a
-contradiction: only then is the constraint system built, to close its
-witness cycle.
+The ``propagate`` solver never builds that system.  On an even loop,
+colors alternate exactly when edge k has color ``phase ^ (k & 1)`` for one
+phase bit per loop, and each edge lies on one loop.  A hanging-edge
+relation then ties two loops' phases, and the phases are transported
+breadth first over those ties.  An odd loop, or a tie whose phases
+disagree, is a contradiction, and the walk spells out its odd cycle in
+relations of the system as a witness.
 
-The face orientations 2-color the dual graph the same way: chirality
-alternates across each dual edge, one parity-1 constraint over face ids.
+The face orientations 2-color the dual graph on the same walk: chirality
+alternates across each dual edge, one parity-1 tie over face ids.
 
 Hanging edges are read from the ``left`` and ``right`` tables of
 ``SurfaceComplex._derive``, fetched once per pass: the edges one step round
@@ -26,8 +27,6 @@ the rotation either way from the reversal of a passage, as
 """
 
 from collections import namedtuple
-from functools import cached_property
-from operator import itemgetter
 
 from .loops import trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
@@ -50,52 +49,8 @@ CONSISTENCY = "consistency"
 ParityConstraint = namedtuple("ParityConstraint", "edge_a edge_b parity tag")
 
 
-class ParityConstraintSystem:
-    """Parity relations between 0/1 variables, with component structure.
-
-    ``adjacency`` maps each variable to its (neighbor, constraint) pairs in
-    (neighbor, parity, tag) order; a constraint of a variable with itself is
-    listed twice.
-    """
-
-    def __init__(self, variables, constraints):
-        self.variables = tuple(variables)
-        self.constraints = tuple(constraints)
-        adjacency = {v: [] for v in self.variables}
-        # appended in (parity, tag) order, so a stable sort by neighbor gives the order
-        for c in sorted(self.constraints, key=itemgetter(2, 3)):
-            if c.edge_a not in adjacency or c.edge_b not in adjacency:
-                raise ValueError("constraint references unknown edge")
-            adjacency[c.edge_a].append((c.edge_b, c))
-            adjacency[c.edge_b].append((c.edge_a, c))
-        for pairs in adjacency.values():
-            pairs.sort(key=itemgetter(0))
-        self.adjacency = adjacency
-
-    @cached_property
-    def components(self):
-        """The connected components, each sorted, in order of least variable."""
-        seen = set()
-        comps = []
-        for v in sorted(self.adjacency):
-            if v in seen:
-                continue
-            seen.add(v)
-            comp = [v]
-            for u in comp:
-                for w, _c in self.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def __repr__(self):
-        return (
-            f"ParityConstraintSystem({len(self.variables)} vars, "
-            f"{len(self.constraints)} constraints, "
-            f"{len(self.components)} components)"
-        )
+# the relations of ``build_constraints``, over the dense edge ids as variables
+ParityConstraintSystem = namedtuple("ParityConstraintSystem", "variables constraints")
 
 
 def _degree_error(tables, d):
@@ -122,15 +77,30 @@ def _hanging_edges(cx, cycle):
     return lefts, rights
 
 
+def _relation(a, b, parity, tag):
+    """The relation between edges a and b, lesser edge first."""
+    return ParityConstraint(min(a, b), max(a, b), parity, tag)
+
+
+def _alternations(edges, start, steps):
+    """The alternating relations of ``steps`` steps round a loop's edges,
+    from position ``start``."""
+    n = len(edges)
+    return [
+        _relation(edges[k % n], edges[(k + 1) % n], 1, ALTERNATING)
+        for k in range(start, start + steps)
+    ]
+
+
 def build_constraints(cx, loop_report):
     """Parity constraints for the good-coloring conditions.
 
     Alternating: consecutive edges of each loop differ.  Consistency: the
     left hanging edges at consecutive visited vertices agree, and likewise
     the right ones, chained cyclically around the loop.  Each relation
-    (unordered pair, tag) is stated once, where it first appears: a loop
-    of length 2 names its one pair twice, and a loop that passes another
-    twice meets the same hanging pairs again.
+    (unordered pair, tag) is stated once, lesser edge first, where it first
+    appears: a loop of length 2 names its one pair twice, and a loop that
+    passes another twice meets the same hanging pairs again.
     """
     relations = {}
     for loop in loop_report.loops:
@@ -139,16 +109,12 @@ def build_constraints(cx, loop_report):
                 f"loop {loop.loop_id} folds back on itself"
             )
         edges = [e for e, _fwd in loop.directed_edges]
-        left, right = _hanging_edges(cx, loop.directed_edges)
-        for chain, parity, tag in (
-            (edges, 1, ALTERNATING), (left, 0, CONSISTENCY), (right, 0, CONSISTENCY)
-        ):
-            for a, b in zip(chain, chain[1:] + chain[:1]):
-                key = (a, b, tag) if a < b else (b, a, tag)
-                if key not in relations:
-                    relations[key] = ParityConstraint(a, b, parity, tag)
-    variables = [e.id for e in cx.edges]
-    return ParityConstraintSystem(variables, relations.values())
+        for relation in _alternations(edges, 0, len(edges)):
+            relations[relation] = None
+        for side in _hanging_edges(cx, loop.directed_edges):
+            for a, b in zip(side, side[1:] + side[:1]):
+                relations[_relation(a, b, 0, CONSISTENCY)] = None
+    return ParityConstraintSystem(tuple(e.id for e in cx.edges), tuple(relations))
 
 
 class EdgeColoring(namedtuple(
@@ -181,72 +147,62 @@ def _seed_priorities(cx):
     return 0, [(e0, 0), (e3, 0), (e2, 1), (e1, 1)]
 
 
-def _transport(system, priorities):
-    """Color by breadth-first transport: (colors, None) or (None, witness).
+def _two_color(n, ties, roots):
+    """Breadth-first parity transport over nodes 0..n-1: (phases, None), or
+    (None, labels) at the first tie whose phases disagree.
 
-    Components are rooted seeds first: each (variable, color) priority in
-    order, then each still-uncolored variable in increasing order with
-    color 0.  The first violated constraint is closed through the tree.
+    ``ties[u]`` lists ``(w, parity, x, y)``, the label ``x, y`` oriented
+    from u to w.  Components are rooted at each given (node, phase) in
+    order, then at each unphased node in increasing order with phase 0.
+    The labels run round the cycle that the disagreeing tie closes through
+    the tree, that tie's first, each oriented along the cycle.
     """
-    colors = {}
-    parent = {}
-    for root, root_color in [*priorities, *((v, 0) for v in sorted(system.variables))]:
-        if root in colors:
+    phase = [None] * n
+    parent = [None] * n  # (node, x, y): the tie a node was reached by
+    for root, root_phase in [*roots, *((v, 0) for v in range(n))]:
+        if phase[root] is not None:
             continue
-        colors[root] = root_color
-        parent[root] = None
+        phase[root] = root_phase
         queue = [root]
         for u in queue:
-            for w, c in system.adjacency[u]:
-                if w not in colors:
-                    colors[w] = colors[u] ^ c.parity
-                    parent[w] = (u, c)
+            p = phase[u]
+            for w, parity, x, y in ties[u]:
+                if phase[w] is None:
+                    phase[w] = p ^ parity
+                    parent[w] = (u, x, y)
                     queue.append(w)
-
-    for c in system.constraints:
-        if colors[c.edge_a] ^ colors[c.edge_b] != c.parity:
-            return None, _witness_from_tree(parent, c)
-    return {v: colors[v] for v in sorted(colors)}, None
+                elif phase[w] != p ^ parity:
+                    return None, _closed_cycle(parent, u, w, (x, y))
+    return phase, None
 
 
-def _propagate(cx, system):
-    """Color from the canonical seeds; return coloring or witness."""
-    base, priorities = _seed_priorities(cx)
-    colors, witness = _transport(system, priorities)
-    if witness is not None:
-        return witness
-    seed = tuple((eid, colors[eid]) for eid, _c in priorities)
-    return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
+def _closed_cycle(parent, u, w, label):
+    """The labels of the tie u -> w, then up the tree from w to an ancestor
+    of u, then down to u."""
+    ancestry = [u]
+    while parent[ancestry[-1]] is not None:
+        ancestry.append(parent[ancestry[-1]][0])
+    meet = set(ancestry)
+    labels = [label]
+    while w not in meet:
+        w, x, y = parent[w]
+        labels.append((y, x))
+    labels += [parent[v][1:] for v in reversed(ancestry[:ancestry.index(w)])]
+    return labels
 
 
-def _witness_from_tree(parent, violated):
-    """Close the violated constraint through the propagation tree."""
-    def ancestry(e):
-        chain = [e]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]][0])
-        return chain
-
-    chain_a = ancestry(violated.edge_a)
-    chain_b = ancestry(violated.edge_b)
-    in_a = set(chain_a)
-    lca = next(e for e in chain_b if e in in_a)
-    up = [parent[e][1] for e in chain_a[: chain_a.index(lca)]]
-    down = [parent[e][1] for e in chain_b[: chain_b.index(lca)]]
-    return ContradictionWitness((*up, *reversed(down), violated))
-
-
-def _exhaustive(cx, system):
+def _exhaustive(cx, system, walked):
     """Pruned scan of all assignments in lexicographic edge-id order.
 
-    Each constraint is checked where its later edge is colored; the
-    variables are the dense edge ids.  An edge's constraint with itself
+    Each constraint is checked where its later edge, ``edge_b``, is colored;
+    the variables are the dense edge ids.  An edge's constraint with itself
     compares its color with itself, so parity 1 prunes every branch there.
+    With no solution, the phase walk's result ``walked`` must be a witness.
     """
     n = len(system.variables)
     by_later = [[] for _ in range(n)]
     for a, b, parity, _tag in system.constraints:
-        by_later[max(a, b)].append((min(a, b), parity))
+        by_later[b].append((a, parity))
     assignment = [0] * n
 
     def solutions(k):
@@ -261,9 +217,8 @@ def _exhaustive(cx, system):
     found = solutions(0)
     best = next(found, None)
     if best is None:
-        fallback = _propagate(cx, system)
-        if isinstance(fallback, ContradictionWitness):
-            return fallback
+        if isinstance(walked, ContradictionWitness):
+            return walked
         raise AssertionError("exhaustive found no solution but propagate did")
     base, priorities = _seed_priorities(cx)
     colors = dict(enumerate(best))
@@ -275,19 +230,23 @@ def _exhaustive(cx, system):
 
 
 def _phase_coloring(cx, report):
-    """The coloring ``_propagate(cx, build_constraints(cx, report))`` gives,
-    by loop phases, or None where that gives a witness.
+    """The loop-phase walk: an ``EdgeColoring`` or a ``ContradictionWitness``.
 
     One pass over the loops, in order, raises what ``build_constraints``
     raises and records each edge's loop, its position bit and the left
     hanging edge of its passage.  A loop's left hanging edges must share a
-    color, so each ties its loop's phase to the first one's.  The right ones
-    then agree as well: at each passage the right hanging edge follows the
-    left one on the crossing loop, so their colors differ.  Phases are
-    transported breadth first over the ties, rooted at each seed priority in
-    order, then at each unphased loop in increasing order with phase 0:
-    loops start in increasing edge order at their least edge, so that colors
-    its least edge 0.
+    color, so each consecutive pair ties the phases of their loops.  The
+    right ones then agree as well: at each passage the right hanging edge
+    follows the left one on the crossing loop, so their colors differ.
+    Phases are transported breadth first over the ties, rooted at each seed
+    priority in order, then at each unphased loop in increasing order with
+    phase 0: loops start in increasing edge order at their least edge, so
+    that colors its least edge 0.
+
+    The first odd loop's witness is its alternating relations; that of a
+    tie whose phases disagree, the cycle it closes, each tie as its
+    consistency relation and each loop between two as its alternating
+    relations from the entry edge on to the exit edge.
     """
     loops = report.loops
     tables = cx._derive()
@@ -307,34 +266,29 @@ def _phase_coloring(cx, report):
             loop_of[e] = i
             bit[e] = k & 1
         lefts.append(side)
+    base, priorities = _seed_priorities(cx)
     if report.odd_loops:
-        return None
+        edges = [e for e, _fwd in loops[report.odd_loops[0]].directed_edges]
+        return ContradictionWitness(tuple(_alternations(edges, 0, len(edges))))
 
-    # (other loop, parity of the two phases) for each tie at a loop
+    # (other loop, parity of the two phases, the two hanging edges) per tie
     ties = [[] for _ in loops]
     for side in lefts:
-        a = side[0]
-        for b in side[1:]:
-            parity = bit[a] ^ bit[b]
-            ties[loop_of[a]].append((loop_of[b], parity))
-            ties[loop_of[b]].append((loop_of[a], parity))
+        for x, y in zip(side, side[1:]):
+            u, w, parity = loop_of[x], loop_of[y], bit[x] ^ bit[y]
+            ties[u].append((w, parity, x, y))
+            ties[w].append((u, parity, y, x))
 
-    base, priorities = _seed_priorities(cx)
-    phase = [None] * len(loops)
     roots = [(loop_of[e], c ^ bit[e]) for e, c in priorities]
-    for root, root_phase in [*roots, *((i, 0) for i in range(len(loops)))]:
-        if phase[root] is not None:
-            continue
-        phase[root] = root_phase
-        queue = [root]
-        for u in queue:
-            p = phase[u]
-            for w, parity in ties[u]:
-                if phase[w] is None:
-                    phase[w] = p ^ parity
-                    queue.append(w)
-                elif phase[w] != p ^ parity:
-                    return None
+    phase, labels = _two_color(len(loops), ties, roots)
+    if labels is not None:
+        cycle = []
+        for (x, y), (exit_edge, _y) in zip(labels, labels[1:] + labels[:1]):
+            cycle.append(_relation(x, y, 0, CONSISTENCY))
+            edges = [e for e, _fwd in loops[loop_of[y]].directed_edges]
+            entry = edges.index(y)
+            cycle += _alternations(edges, entry, (edges.index(exit_edge) - entry) % len(edges))
+        return ContradictionWitness(tuple(cycle))
     colors = {e: phase[i] ^ b for e, (i, b) in enumerate(zip(loop_of, bit))}
     seed = tuple((e, colors[e]) for e, _c in priorities)
     return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
@@ -344,28 +298,28 @@ def solve_good_coloring(cx, mode="propagate"):
     """Find a good coloring, or exhibit an odd constraint cycle.
 
     Both modes first walk the loops by phases, which raises what
-    ``build_constraints`` raises.  ``propagate`` gives each geodesic loop
-    one phase bit, colors its edges alternately from it, and transports the
-    phases breadth first over the ties that the hanging-edge relations
-    make, from the canonical seeds.  Its colors are those of transporting
-    the seeds over a spanning tree of the constraint graph.  Only on a
-    contradiction, an odd loop or a tie whose phases disagree, does it build
-    that graph, and its witness is the transport's.  ``exhaustive`` refuses
-    a complex of more than 22 edges before it builds any system, then scans
-    assignments in lexicographic order (pruned), returning the least
-    solution and the total number of solutions.
+    ``build_constraints`` raises.  ``propagate`` returns the walk's result:
+    each geodesic loop gets one phase bit and colors its edges alternately
+    from it, and the phases are transported breadth first over the ties
+    that the hanging-edge relations make, from the canonical seeds.  On a
+    contradiction, an odd loop or a tie whose phases disagree, the walk
+    closes its own witness, an odd cycle of ``build_constraints`` relations,
+    and builds no constraint system.  ``exhaustive`` refuses a complex of
+    more than 22 edges before it builds any system, then scans assignments
+    in lexicographic order (pruned), returning the least solution and the
+    total number of solutions, or the walk's witness when there is none.
     """
     if mode not in ("propagate", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     report = trace_geodesic_loops(cx)
-    coloring = _phase_coloring(cx, report)
+    walked = _phase_coloring(cx, report)
     if mode == "exhaustive":
         if cx.num_edges > EXHAUSTIVE_EDGE_LIMIT:
             raise TooLargeForExhaustive(
                 f"{cx.num_edges} edges exceeds the cap of {EXHAUSTIVE_EDGE_LIMIT}"
             )
-        return _exhaustive(cx, build_constraints(cx, report))
-    return coloring or _propagate(cx, build_constraints(cx, report))
+        return _exhaustive(cx, build_constraints(cx, report), walked)
+    return walked
 
 
 def verify_good_coloring(cx, coloring):
@@ -433,23 +387,21 @@ class OrientationAssignment(namedtuple("OrientationAssignment", "colors odd_cycl
 def assign_face_orientations(cx):
     """2-color the dual graph, or exhibit an odd dual cycle.
 
-    One parity-1 constraint per dual edge, in primal-edge order.  The odd
-    cycle lists the faces along the witness from its violated constraint's
-    first face; a self-adjacent face is an odd cycle of length 1.
+    One parity-1 tie per dual edge, in primal-edge order, transported
+    breadth first as the loop phases are.  The odd cycle lists the faces
+    round the cycle that the first disagreeing tie closes through the
+    breadth-first tree, from the face the walk met it at; a self-adjacent
+    face is an odd cycle of length 1.
     """
     dg = dual_graph(cx)
-    system = ParityConstraintSystem(
-        dg.nodes, [ParityConstraint(a, b, 1, ALTERNATING) for a, b, _e in dg.edges]
-    )
-    colors, witness = _transport(system, [])
-    if witness is None:
-        return OrientationAssignment(colors=colors, odd_cycle=None)
-    face = witness.cycle[-1].edge_a
-    odd_cycle = []
-    for c in witness.cycle:
-        odd_cycle.append(face)
-        face = c.edge_a if face == c.edge_b else c.edge_b
-    return OrientationAssignment(colors=None, odd_cycle=odd_cycle)
+    ties = [[] for _ in dg.nodes]
+    for a, b, _e in dg.edges:
+        ties[a].append((b, 1, a, b))
+        ties[b].append((a, 1, b, a))
+    phase, labels = _two_color(len(ties), ties, [])
+    if labels is None:
+        return OrientationAssignment(colors=dict(enumerate(phase)), odd_cycle=None)
+    return OrientationAssignment(colors=None, odd_cycle=[a for a, _b in labels])
 
 
 COLORING_FORMAT = "fq-coloring/1"

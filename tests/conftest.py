@@ -1,8 +1,10 @@
-"""Shared fixtures: builder outputs, small hand-glued complexes and the
-sparse linear algebra the homology oracles are built on."""
+"""Shared fixtures: builder outputs, small hand-glued complexes, the
+sparse linear algebra the homology oracles are built on, and the
+constraint-system transport that the coloring walk is checked against."""
 
 import pytest
 
+from fqsurf.coloring import ContradictionWitness, EdgeColoring, _seed_priorities
 from fqsurf.surface_complex import IntegerMatrix, build_complex, snf_with_transforms
 from fqsurf.tessellation import (
     build_block_tessellation,
@@ -99,6 +101,17 @@ def make_disconnected():
     )
 
 
+def make_tied_octagons():
+    """Two octagons whose geodesic loops are all even, but whose
+    hanging-edge ties close a cycle of odd parity: no good coloring."""
+    f0 = [(0, False), (4, False), (3, False), (6, False),
+          (7, True), (0, True), (6, True), (2, True)]
+    f1 = [(1, True), (7, False), (2, False), (5, True),
+          (4, True), (1, False), (5, False), (3, True)]
+    types = (7, 2, 8, 2, 8, 2, 2, 3)
+    return build_complex(8, list(enumerate(types)), [(0, "ccw", f0), (1, "ccw", f1)])
+
+
 # ------------------------------------------------------- sparse linear algebra
 
 
@@ -157,6 +170,108 @@ def assert_smith_transforms(m):
     for t in (u, v):
         assert abs(Matrix(t.data).det()) == 1
     return d
+
+
+# ------------------------------------------------- constraint-system transport
+
+
+def reference_adjacency(variables, constraints):
+    """Each variable's (neighbor, constraint) pairs in (neighbor, parity,
+    tag) order; a constraint of a variable with itself is listed twice."""
+    adjacency = {v: [] for v in variables}
+    for c in constraints:
+        adjacency[c.edge_a].append((c.edge_b, c))
+        adjacency[c.edge_b].append((c.edge_a, c))
+    for pairs in adjacency.values():
+        pairs.sort(key=lambda item: (item[0], item[1].parity, item[1].tag))
+    return adjacency
+
+
+def reference_components(system):
+    """The connected components of a constraint system's variables, each
+    sorted, in order of least variable."""
+    adjacency = reference_adjacency(system.variables, system.constraints)
+    seen = set()
+    comps = []
+    for v in sorted(adjacency):
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for u in comp:
+            for w, _c in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_propagate(cx, system):
+    """Color by breadth-first transport over the whole constraint system,
+    the solver the loop-phase walk replaced: an ``EdgeColoring``, or a
+    ``ContradictionWitness`` closing the first violated constraint through
+    the transport tree.
+
+    Components are rooted at the canonical seeds first, each (edge, color)
+    in order, then at each still-uncolored edge in increasing order with
+    color 0.
+    """
+    base, priorities = _seed_priorities(cx)
+    adjacency = reference_adjacency(system.variables, system.constraints)
+    colors = {}
+    parent = {}
+    for root, root_color in [*priorities, *((v, 0) for v in sorted(system.variables))]:
+        if root in colors:
+            continue
+        colors[root] = root_color
+        parent[root] = None
+        queue = [root]
+        for u in queue:
+            for w, c in adjacency[u]:
+                if w not in colors:
+                    colors[w] = colors[u] ^ c.parity
+                    parent[w] = (u, c)
+                    queue.append(w)
+
+    def ancestry(e):
+        chain = [e]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]][0])
+        return chain
+
+    for c in system.constraints:
+        if colors[c.edge_a] ^ colors[c.edge_b] != c.parity:
+            chain_a = ancestry(c.edge_a)
+            chain_b = ancestry(c.edge_b)
+            in_a = set(chain_a)
+            lca = next(e for e in chain_b if e in in_a)
+            up = [parent[e][1] for e in chain_a[: chain_a.index(lca)]]
+            down = [parent[e][1] for e in chain_b[: chain_b.index(lca)]]
+            return ContradictionWitness((*up, *reversed(down), c))
+    colors = {v: colors[v] for v in sorted(colors)}
+    seed = tuple((eid, colors[eid]) for eid, _c in priorities)
+    return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
+
+
+def assert_odd_closed_chain(cycle, constraints):
+    """``cycle`` is a closed walk of relations from ``constraints`` whose
+    parities sum to 1: from some end of its first relation, each relation
+    leads on from where the one before it ended, and the last ends there."""
+    assert cycle
+    assert all(c in constraints for c in cycle)
+    assert sum(c.parity for c in cycle) % 2 == 1
+
+    def closes_from(start):
+        at = start
+        for c in cycle:
+            if at not in (c.edge_a, c.edge_b):
+                return False
+            at = c.edge_b if at == c.edge_a else c.edge_a
+        return at == start
+
+    first = cycle[0]
+    assert closes_from(first.edge_a) or closes_from(first.edge_b), cycle
 
 
 # ------------------------------------------------------------------- builders
@@ -227,3 +342,8 @@ def crossing():
 @pytest.fixture
 def twelve_gon():
     return make_twelve_gon()
+
+
+@pytest.fixture
+def tied_octagons():
+    return make_tied_octagons()

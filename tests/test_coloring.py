@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import fqsurf.coloring
 from fqsurf.coloring import (
     ALTERNATING,
     CONSISTENCY,
@@ -11,7 +12,6 @@ from fqsurf.coloring import (
     ContradictionWitness,
     DegenerateLoop,
     EdgeColoring,
-    ParityConstraintSystem,
     TooLargeForExhaustive,
     build_constraints,
     coloring_from_dict,
@@ -30,7 +30,12 @@ from fqsurf.tessellation import (
     subdivide_two,
 )
 
-from conftest import make_octagon
+from conftest import (
+    assert_odd_closed_chain,
+    make_octagon,
+    make_tied_octagons,
+    reference_components,
+)
 
 
 class TestConstraintSystem:
@@ -49,22 +54,13 @@ class TestConstraintSystem:
         system = build_constraints(
             block_p6_g2, trace_geodesic_loops(block_p6_g2)
         )
-        comps = system.components
+        comps = reference_components(system)
         assert len(comps) == 2
         assert sorted(e for comp in comps for e in comp) == list(range(12))
 
     def test_degenerate_loop_rejected(self, pillowcase):
         with pytest.raises(DegenerateLoop):
             build_constraints(pillowcase, trace_geodesic_loops(pillowcase))
-
-    def test_unknown_edge_in_constraint_rejected(self):
-        from fqsurf.coloring import ParityConstraint
-
-        with pytest.raises(ValueError):
-            ParityConstraintSystem(
-                variables=(0, 1),
-                constraints=(ParityConstraint(0, 7, 1, ALTERNATING),),
-            )
 
 
 def _relation_keys(cx):
@@ -118,6 +114,11 @@ class TestEachRelationOnce:
         assert len(set(keys)) == len(keys)
 
 
+# the last has only even loops; its hanging-edge ties close an odd cycle
+WITNESS_FIXTURES = ["rect_p8_1x2", "rect_p8_3x2", "rect_p12_3x3", "torus", "twelve_gon",
+                    "tied_octagons"]
+
+
 class TestPropagate:
     def test_block_solution_verifies(self, block_p6_g2):
         coloring = solve_good_coloring(block_p6_g2)
@@ -142,10 +143,7 @@ class TestPropagate:
         assert a.colors == b.colors
         assert a.seed == b.seed
 
-    @pytest.mark.parametrize(
-        "name",
-        ["rect_p8_1x2", "rect_p8_3x2", "rect_p12_3x3", "torus", "twelve_gon"],
-    )
+    @pytest.mark.parametrize("name", WITNESS_FIXTURES)
     def test_unsatisfiable_yields_witness(self, name, request):
         """The witness is a closed chain: each constraint shares a variable
         with the next, the last with the first, and the parities sum to 1."""
@@ -156,15 +154,21 @@ class TestPropagate:
             assert {c.edge_a, c.edge_b} & {following.edge_a, following.edge_b}
         assert sum(c.parity for c in chain) % 2 == 1
 
-    def test_witness_constraints_come_from_the_system(self, rect_p8_1x2):
-        system = build_constraints(
-            rect_p8_1x2, trace_geodesic_loops(rect_p8_1x2)
-        )
-        witness = solve_good_coloring(rect_p8_1x2)
-        for c in witness.cycle:
-            assert c in system.constraints
+    @pytest.mark.parametrize("name, mode", [
+        *((name, "propagate") for name in WITNESS_FIXTURES),
+        # the exhaustive scan refuses rect_p8_3x2 (24 edges) and rect_p12_3x3 (54)
+        *((name, "exhaustive") for name in ("rect_p8_1x2", "torus", "twelve_gon",
+                                            "tied_octagons")),
+    ])
+    def test_witness_constraints_come_from_the_system(self, name, mode, request):
+        """Each witness is an odd closed walk over the relations that
+        ``build_constraints`` states."""
+        cx = request.getfixturevalue(name)
+        system = build_constraints(cx, trace_geodesic_loops(cx))
+        witness = solve_good_coloring(cx, mode)
+        assert_odd_closed_chain(witness.cycle, system.constraints)
         edges = {e for c in witness.cycle for e in (c.edge_a, c.edge_b)}
-        assert edges <= set(range(rect_p8_1x2.num_edges))
+        assert edges <= set(range(cx.num_edges))
 
 
 class TestExhaustive:
@@ -183,6 +187,15 @@ class TestExhaustive:
         witness = solve_good_coloring(rect_p8_1x2, mode="exhaustive")
         assert isinstance(witness, ContradictionWitness)
 
+    def test_scan_and_phase_walk_are_cross_checked(self, monkeypatch, rect_p8_1x2):
+        """A scan that finds no solution where the phase walk found a
+        coloring is an internal contradiction, not a witness."""
+        colors = dict.fromkeys(range(rect_p8_1x2.num_edges), 0)
+        coloring = EdgeColoring(colors=colors, base_vertex=0, seed=())
+        monkeypatch.setattr(fqsurf.coloring, "_phase_coloring", lambda cx, report: coloring)
+        with pytest.raises(AssertionError, match="^exhaustive found no solution but propagate did$"):
+            solve_good_coloring(rect_p8_1x2, mode="exhaustive")
+
     def test_size_cap(self, rect_p12_3x3):
         with pytest.raises(TooLargeForExhaustive):
             solve_good_coloring(rect_p12_3x3, mode="exhaustive")
@@ -193,8 +206,8 @@ class TestExhaustive:
 
     @pytest.mark.parametrize(
         "name, solutions",
-        [("torus", 0), ("twelve_gon", 0), ("rect_p8_1x2", 0), ("crossing", 4),
-         ("block_p6_g2", 4)],
+        [("torus", 0), ("twelve_gon", 0), ("rect_p8_1x2", 0), ("tied_octagons", 0),
+         ("crossing", 4), ("block_p6_g2", 4)],
     )
     def test_matches_the_definition(self, name, solutions, request):
         """The least solution and the count are those of trying every

@@ -11,12 +11,15 @@ rectangular grids: the digest of the complex, map and loop report for each
 axis that works, the exception class for each that does not.  It was
 recorded before subdivision became a single orient-and-retype pass.
 
-The contradiction witnesses, the rect colorings and the Smith transforms
-(D, U, V on a fixed list of small matrices) were recorded before ``_smith``
-bordered its matrix with identities and before propagation shared the
-constraint system's adjacency.  The Smith transform documents were re-pinned
-once, when they lost the integer solutions they used to carry; their D, U
-and V are unchanged.  The face orientation colors of every bipartite complex
+The rect colorings and the Smith transforms (D, U, V on a fixed list of
+small matrices) were recorded before ``_smith`` bordered its matrix with
+identities and before the coloring walked loop phases.  The Smith transform
+documents were re-pinned once, when they lost the integer solutions they
+used to carry; their D, U and V are unchanged.  The contradiction
+witnesses were re-pinned once, when the phase walk began to close its own
+witness: an odd loop's alternating relations, each with its lesser edge
+first.  Those of rect-p8-1x2 and the torus, a single self-relation, did not
+move.  The face orientation colors of every bipartite complex
 in acceptance criterion 7's suite were recorded before the dual 2-coloring
 became a parity system.
 
@@ -32,7 +35,13 @@ from functools import cache
 
 import pytest
 
-from conftest import assert_smith_transforms, make_crossing, make_torus, make_twelve_gon
+from conftest import (
+    assert_smith_transforms,
+    make_crossing,
+    make_tied_octagons,
+    make_torus,
+    make_twelve_gon,
+)
 from fqsurf.cli import main
 from fqsurf.coloring import (
     assign_face_orientations,
@@ -145,6 +154,7 @@ WITNESS_COMPLEXES = {
     "rect-p12-3x3": lambda: build_rect_tessellation(12, 3, 3),
     "twelve-gon": make_twelve_gon,
     "torus": make_torus,
+    "tied-octagons": make_tied_octagons,
 }
 
 
@@ -251,11 +261,13 @@ DIGESTS = {
     "verdict/subdiv4-p12-g28": "630c4247e00ea23938dad6187ddcd153a32c315d9e892998f75fbb227077942b",
     "verdict/unknown-p6-g5": "1ac48bbc72a5805255a006a3c44b50be24f0bdf8efb117cc6063cca1e374e6ef",
     "witness/exhaustive-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
+    "witness/exhaustive-tied-octagons": "20e67605133f4115700e4c2564dda04bc552fee3b4388935df2fbf7fc8192d00",
     "witness/exhaustive-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
     "witness/exhaustive-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
     "witness/propagate-rect-p12-3x3": "9c7cd62242ddd5b383590fdbac48e0f23baf92ad5ddb5fcd701c90027fe55ba3",
     "witness/propagate-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
     "witness/propagate-rect-p8-3x2": "dc1af2c5ad5f436ef233b62bbc40667a0c0c04d8da197b7edcc9ad3f80f2ada2",
+    "witness/propagate-tied-octagons": "20e67605133f4115700e4c2564dda04bc552fee3b4388935df2fbf7fc8192d00",
     "witness/propagate-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
     "witness/propagate-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
 }

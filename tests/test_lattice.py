@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsurf import lattice
-from fqsurf.coloring import ContradictionWitness, EdgeColoring, solve_good_coloring
+from fqsurf.coloring import (
+    ContradictionWitness,
+    EdgeColoring,
+    solve_good_coloring,
+    verify_good_coloring,
+)
 from fqsurf.lattice import (
     CERT_FORMAT,
     D_FACTOR,
@@ -327,6 +332,20 @@ class TestMutationAgreement:
         assignment = assign_groups(block_p6_g2, mutated, Q6)
         assert assignment.face_conflicts
         assert not assignment.certified
+
+    def test_good_colorings_have_no_face_conflicts(self, block_p6_g2):
+        """Over all 2^12 colorings of the block, each that passes
+        ``verify_good_coloring`` has no face whose corners disagree, and
+        every other coloring but 12 has one."""
+        good = conflicted = 0
+        for colors in iter_product((0, 1), repeat=block_p6_g2.num_edges):
+            coloring = EdgeColoring(colors=dict(enumerate(colors)), base_vertex=0, seed=())
+            assignment = assign_groups(block_p6_g2, coloring, Q6)
+            if verify_good_coloring(block_p6_g2, coloring)[0]:
+                good += 1
+                assert assignment.face_conflicts == {}, colors
+            conflicted += bool(assignment.face_conflicts)
+        assert (good, conflicted) == (4, 4080)
 
 
 class TestCertificate:

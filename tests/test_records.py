@@ -34,6 +34,7 @@ RECORDS = [
      ("pieces", "axis", "edge_splits", "chords", "midpoint_vertices",
       "center_vertices")),
     (coloring, "ParityConstraint", ("edge_a", "edge_b", "parity", "tag")),
+    (coloring, "ParityConstraintSystem", ("variables", "constraints")),
     (coloring, "EdgeColoring", ("colors", "base_vertex", "seed", "solution_count")),
     (coloring, "ContradictionWitness", ("cycle",)),
     (coloring, "OrientationAssignment", ("colors", "odd_cycle")),
