@@ -263,13 +263,13 @@ DIGESTS = {
     "witness/exhaustive-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
     "witness/exhaustive-tied-octagons": "20e67605133f4115700e4c2564dda04bc552fee3b4388935df2fbf7fc8192d00",
     "witness/exhaustive-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
-    "witness/exhaustive-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
-    "witness/propagate-rect-p12-3x3": "9c7cd62242ddd5b383590fdbac48e0f23baf92ad5ddb5fcd701c90027fe55ba3",
+    "witness/exhaustive-twelve-gon": "5cc657e2658bf67ec56e3b1028ade48618ea684eadd2e260216863d5f3b4e6b4",
+    "witness/propagate-rect-p12-3x3": "a9a88ecaaa9d75eaa172144f6bb4332e12568509d5989920cc5eb9b0b8d61d2f",
     "witness/propagate-rect-p8-1x2": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
-    "witness/propagate-rect-p8-3x2": "dc1af2c5ad5f436ef233b62bbc40667a0c0c04d8da197b7edcc9ad3f80f2ada2",
+    "witness/propagate-rect-p8-3x2": "501306b5f0b4553cdea3d8d0e3572f8e8e78983e94ead80b9dc1540f37f87aab",
     "witness/propagate-tied-octagons": "20e67605133f4115700e4c2564dda04bc552fee3b4388935df2fbf7fc8192d00",
     "witness/propagate-torus": "2342f7277627f8e438d5dbf4e1f7da1e3cd0de80096e3bfd4a8260e48769458c",
-    "witness/propagate-twelve-gon": "9f0c8e70c2a1dcf6967c449dbc816f440fa2d29a264067f9058e52621816d987",
+    "witness/propagate-twelve-gon": "5cc657e2658bf67ec56e3b1028ade48618ea684eadd2e260216863d5f3b4e6b4",
 }
 
 
