@@ -266,7 +266,6 @@ def _phase_coloring(cx, report):
             loop_of[e] = i
             bit[e] = k & 1
         lefts.append(side)
-    base, priorities = _seed_priorities(cx)
     if report.odd_loops:
         edges = [e for e, _fwd in loops[report.odd_loops[0]].directed_edges]
         return ContradictionWitness(tuple(_alternations(edges, 0, len(edges))))
@@ -279,6 +278,7 @@ def _phase_coloring(cx, report):
             ties[u].append((w, parity, x, y))
             ties[w].append((u, parity, y, x))
 
+    base, priorities = _seed_priorities(cx)
     roots = [(loop_of[e], c ^ bit[e]) for e, c in priorities]
     phase, labels = _two_color(len(loops), ties, roots)
     if labels is not None:
