@@ -28,7 +28,7 @@ the rotation either way from the reversal of a passage, as
 
 from collections import namedtuple
 
-from .loops import trace_geodesic_loops
+from .loops import _dart_cycles, trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
 
 
@@ -60,7 +60,8 @@ def _degree_error(tables, d):
 
 
 def _hanging_edges(cx, cycle):
-    """Edge ids hanging off a loop of the complex at each passage: (lefts, rights).
+    """Edge ids hanging off a loop of the complex, given as its dart cycle,
+    at each passage: (lefts, rights).
 
     Left and right are defined only at a degree-4 head vertex.
     """
@@ -68,8 +69,7 @@ def _hanging_edges(cx, cycle):
     left, right = tables.left, tables.right
     lefts = []
     rights = []
-    for e, fwd in cycle:
-        d = e + e + (not fwd)
+    for d in cycle:
         if left[d] < 0:
             raise _degree_error(tables, d)
         lefts.append(left[d])
@@ -103,18 +103,19 @@ def build_constraints(cx, loop_report):
     passes another twice meets the same hanging pairs again.
     """
     relations = {}
-    for loop in loop_report.loops:
+    loops = loop_report.loops
+    for loop, cycle in zip(loops, _dart_cycles(cx, loops)):
         if loop.degenerate:
             raise DegenerateLoop(
                 f"loop {loop.loop_id} folds back on itself"
             )
-        edges = [e for e, _fwd in loop.directed_edges]
+        edges = [d >> 1 for d in cycle]
         for relation in _alternations(edges, 0, len(edges)):
             relations[relation] = None
-        for side in _hanging_edges(cx, loop.directed_edges):
+        for side in _hanging_edges(cx, cycle):
             for a, b in zip(side, side[1:] + side[:1]):
                 relations[_relation(a, b, 0, CONSISTENCY)] = None
-    return ParityConstraintSystem(tuple(e.id for e in cx.edges), tuple(relations))
+    return ParityConstraintSystem(tuple(range(cx.num_edges)), tuple(relations))
 
 
 class EdgeColoring(namedtuple(
@@ -251,23 +252,24 @@ def _phase_coloring(cx, report):
     loops = report.loops
     tables = cx._derive()
     left = tables.left
+    cycles = []
     loop_of = [0] * cx.num_edges
     bit = [0] * cx.num_edges
     lefts = []
-    for i, loop in enumerate(loops):
+    for i, (loop, cycle) in enumerate(zip(loops, _dart_cycles(cx, loops))):
         if loop.degenerate:
             raise DegenerateLoop(f"loop {loop.loop_id} folds back on itself")
+        cycles.append(cycle)
         side = []
-        for k, (e, fwd) in enumerate(loop.directed_edges):
-            d = e + e + (not fwd)
+        for k, d in enumerate(cycle):
             if left[d] < 0:
                 raise _degree_error(tables, d)
             side.append(left[d])
-            loop_of[e] = i
-            bit[e] = k & 1
+            loop_of[d >> 1] = i
+            bit[d >> 1] = k & 1
         lefts.append(side)
     if report.odd_loops:
-        edges = [e for e, _fwd in loops[report.odd_loops[0]].directed_edges]
+        edges = [d >> 1 for d in cycles[report.odd_loops[0]]]
         return ContradictionWitness(tuple(_alternations(edges, 0, len(edges))))
 
     # (other loop, parity of the two phases, the two hanging edges) per tie
@@ -285,7 +287,7 @@ def _phase_coloring(cx, report):
         cycle = []
         for (x, y), (exit_edge, _y) in zip(labels, labels[1:] + labels[:1]):
             cycle.append(_relation(x, y, 0, CONSISTENCY))
-            edges = [e for e, _fwd in loops[loop_of[y]].directed_edges]
+            edges = [d >> 1 for d in cycles[loop_of[y]]]
             entry = edges.index(y)
             cycle += _alternations(edges, entry, (edges.index(exit_edge) - entry) % len(edges))
         return ContradictionWitness(tuple(cycle))
@@ -344,16 +346,15 @@ def verify_good_coloring(cx, coloring):
     if len(colors) != n_edges or not all(type(e) is int for e in colors):
         key = _least_foreign_key(colors, n_edges)
         raise ValueError(f"edge {key} is colored but not in the complex")
-    report = trace_geodesic_loops(cx)
+    loops = trace_geodesic_loops(cx).loops
     violations = []
-    for loop in report.loops:
+    for loop, cycle in zip(loops, _dart_cycles(cx, loops)):
         if loop.degenerate:
             continue
-        cycle = loop.directed_edges
         n = len(cycle)
         for k in range(n):
-            e = cycle[k][0]
-            f = cycle[(k + 1) % n][0]
+            e = cycle[k] >> 1
+            f = cycle[(k + 1) % n] >> 1
             if colors[e] == colors[f]:
                 violations.append(
                     (ALTERNATING, loop.loop_id, e, f)

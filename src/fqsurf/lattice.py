@@ -204,18 +204,19 @@ def assign_groups(cx, coloring, q):
     if deco is None:
         raise NotAlternatingNonCoprime(f"{q} has no alternating decomposition")
 
+    colors = coloring.colors
     factor_sets = {}
-    edge_factors = {}
-    for e in cx.edges:
-        if e.id not in coloring.colors:
-            raise NotGoodColoring(f"edge {e.id} is not colored")
-        c = coloring.colors[e.id]
+    edge_sets = []  # by edge id
+    for e, t in enumerate(cx._edge_types):
+        if e not in colors:
+            raise NotGoodColoring(f"edge {e} is not colored")
+        c = colors[e]
         if type(c) is not int or c not in (0, 1):
-            raise NotGoodColoring(f"edge {e.id} has color {c!r}, not 0 or 1")
-        factors = factor_sets.get((e.type, c))
+            raise NotGoodColoring(f"edge {e} has color {c!r}, not 0 or 1")
+        factors = factor_sets.get((t, c))
         if factors is None:
-            factors = factor_sets[e.type, c] = _edge_factor_set(e.type, c)
-        edge_factors[e.id] = factors
+            factors = factor_sets[t, c] = _edge_factor_set(t, c)
+        edge_sets.append(factors)
     key = _least_foreign_key(coloring.colors, cx.num_edges)
     if key is not None:
         raise NotGoodColoring(f"edge {key} is colored but not in the complex")
@@ -225,18 +226,20 @@ def assign_groups(cx, coloring, q):
     coloring_ok, _violations = verify_good_coloring(cx, coloring)
 
     orders = _factor_orders(q, deco)
-    face_factors = {}
+    p = cx.p
+    side_sets = [edge_sets[d >> 1] for d in cx._side]
+    face_sets = []  # by face id
     face_conflicts = {}
-    for f in cx.faces:
-        side_sets = [edge_factors[eid] for eid, _rev in f.sides]
+    for f in range(cx.num_faces):
+        sets = side_sets[p * f:p * f + p]
         # corner k lies between sides k-1 and k
-        per_corner = [a & b for a, b in zip(side_sets[-1:] + side_sets[:-1], side_sets)]
-        face_factors[f.id] = per_corner[0]
-        if per_corner.count(per_corner[0]) != len(per_corner):
-            face_conflicts[f.id] = tuple(per_corner)
+        per_corner = [a & b for a, b in zip(sets[-1:] + sets[:-1], sets)]
+        face_sets.append(per_corner[0])
+        if per_corner.count(per_corner[0]) != p:
+            face_conflicts[f] = tuple(per_corner)
 
     tables = cx._derive()
-    p, corner_of = cx.p, tables.corner_of
+    corner_of = tables.corner_of
     signatures = []
     for v, (rays, pair, ray_types) in enumerate(
         zip(tables.rotations, tables.pairs, tables.ray_types)
@@ -247,11 +250,10 @@ def assign_groups(cx, coloring, q):
         d0, d1, d2, d3 = rays
         signatures.append((
             pair,
-            (edge_factors[d0 >> 1], edge_factors[d1 >> 1], edge_factors[d2 >> 1],
-             edge_factors[d3 >> 1]),
+            (edge_sets[d0 >> 1], edge_sets[d1 >> 1], edge_sets[d2 >> 1], edge_sets[d3 >> 1]),
             ray_types,
-            (face_factors[corner_of[d1] // p], face_factors[corner_of[d2] // p],
-             face_factors[corner_of[d3] // p], face_factors[corner_of[d0] // p]),
+            (face_sets[corner_of[d1] // p], face_sets[corner_of[d2] // p],
+             face_sets[corner_of[d3] // p], face_sets[corner_of[d0] // p]),
         ))
 
     assignment = GroupAssignment(
@@ -260,8 +262,8 @@ def assign_groups(cx, coloring, q):
         decomposition=deco,
         orders=orders,
         coloring=coloring,
-        edge_factors=edge_factors,
-        face_factors=face_factors,
+        edge_factors=dict(enumerate(edge_sets)),
+        face_factors=dict(enumerate(face_sets)),
         face_conflicts=face_conflicts,
         coloring_ok=coloring_ok,
         signatures=tuple(signatures),
@@ -552,12 +554,12 @@ def build_certificate(cx, coloring, q):
     ok = assignment.certified and all(link_ok for _, link_ok in links.values())
     edges = [
         {
-            "id": e.id,
-            "type": e.type,
-            "color": coloring.colors[e.id],
-            "factors": sorted(assignment.edge_factors[e.id]),
+            "id": e,
+            "type": t,
+            "color": coloring.colors[e],
+            "factors": sorted(assignment.edge_factors[e]),
         }
-        for e in cx.edges
+        for e, t in enumerate(cx._edge_types)
     ]
     deco = assignment.decomposition
     return {

@@ -56,16 +56,19 @@ def trace_geodesic_loops(cx):
 
     The report is computed on the first call for a complex and cached on it;
     every later call returns the same shared LoopReport, which callers must
-    treat as read-only.
+    treat as read-only.  Each loop's cycle of darts is kept beside it, so
+    the passes that read the report's loops need not convert their
+    directed edges back.
     """
     if cx._loop_report is not None:
         return cx._loop_report
     straight = cx._derive().straight
-    edge_types = [e.type for e in cx.edges]
+    edge_types = cx._edge_types
     # darts 2e and 2e + 1 are (e, forward) and (e, backward), so this walks
     # directed edges in (id, forward first) order
     visited = bytearray(len(straight))
     loops = []
+    cycles = []
     for start in range(len(straight)):
         if visited[start]:
             continue
@@ -83,6 +86,7 @@ def trace_geodesic_loops(cx):
                 visited[d ^ 1] = 1
         types = {edge_types[e] for e in edge_ids}
         length = len(edge_ids)
+        cycles.append(cycle)
         loops.append(
             GeodesicLoop(
                 loop_id=len(loops),
@@ -98,6 +102,7 @@ def trace_geodesic_loops(cx):
     for lp in loops:
         counts[lp.type] = counts.get(lp.type, 0) + 1
     odd = [lp.loop_id for lp in loops if lp.parity == "odd"]
+    cx._loop_darts = (loops, cycles)
     inter = pairwise_intersections(cx, loops)
     ok = (
         not odd
@@ -114,13 +119,25 @@ def trace_geodesic_loops(cx):
     return cx._loop_report
 
 
+def _dart_cycles(cx, loops):
+    """The dart cycles of ``loops``, to be read once in order: the ones the
+    trace kept when ``loops`` is the list it traced, else each loop's
+    directed edges as darts, with ValueError naming the first one that
+    ``cx`` lacks."""
+    kept = cx._loop_darts
+    if kept is not None and kept[0] is loops:
+        return kept[1]
+    return (cx._darts(lp.directed_edges) for lp in loops)
+
+
 def pairwise_intersections(cx, loops):
     """Shared-vertex counts for each unordered pair of loops that meet,
     keyed by position in `loops`; pairs that share no vertex are absent.
     ValueError names the first directed edge that ``cx`` lacks."""
+    tail = cx._derive().tail
     on_vertex = {}
-    for i, lp in enumerate(loops):
-        for v in lp.vertex_ids(cx):
+    for i, cycle in enumerate(_dart_cycles(cx, loops)):
+        for v in {tail[d] for d in cycle}:
             on_vertex.setdefault(v, []).append(i)
     out = {}
     for members in on_vertex.values():
@@ -144,8 +161,7 @@ def loops_generate_h1(cx, loops):
     red = tree_cotree(cx)
     tail = cx._derive().tail
     darts = []
-    for lp in loops:
-        cycle = cx._darts(lp.directed_edges)
+    for cycle in _dart_cycles(cx, loops):
         darts.append(cycle)
         boundary = {}
         for d in cycle:

@@ -2,15 +2,19 @@
 
 Data model
 ----------
-A :class:`SurfaceComplex` stores ``p`` (sides per face), a dense list of typed
-edges, and a dense list of faces.  Each face records its boundary as a cyclic
-list of sides in the counterclockwise walk order of the surface.  A side is a
-plain ``(edge id, reversed)`` pair naming an edge and the sense in which the
-walk traverses it, so an edge of a closed surface is mentioned by exactly two
-sides, once forward and once reversed; storing coherent counterclockwise walks
-is what makes the surface oriented.  ``chirality`` records whether the edge
-types ascend (``"ccw"``) or descend (``"cw"``) along the stored walk — the
-stored side order itself never flips.
+A :class:`SurfaceComplex` stores ``p`` (sides per face) and three flat
+tables: the edge types, indexed by edge id; the face chiralities, indexed by
+face id; and ``side``, one list of darts indexed by corner.  Corner
+``c = p*f + k`` is side k of face f, in the counterclockwise walk order of
+the surface round f, and ``side[c]`` is the dart ``2*edge + reversed``
+naming the edge the walk traverses there and the sense it traverses it in.
+An edge of a closed surface is mentioned by exactly two sides, once forward
+and once reversed; storing coherent counterclockwise walks is what makes the
+surface oriented.  ``chirality`` records whether the edge types ascend
+(``"ccw"``) or descend (``"cw"``) along the stored walk — the stored side
+order itself never flips.  The builders write the tables directly; the
+public ``edges`` and ``faces`` records, with each side a plain ``(edge id,
+reversed)`` pair, are built from them on first read.
 
 Vertices are not stored.  Identifying the two sides that mention an edge glues
 corners by the rule "the corner following my opposite side touches the same
@@ -22,13 +26,13 @@ where a corner owns the side that leaves it.  ``sigma`` preserves the tail
 vertex of the side, and successive corners of an orbit list the outgoing
 edges around the vertex in clockwise order.  The walk runs on the half-edge
 (combinatorial map) encoding of Cori (Asterisque 27, 1975) and Lienhardt
-(CAD 23, 1991): side k of face f is corner ``c = p*f + k``, its side is dart
-``2*edge + reversed``, also the dart of the ray leaving c (directed edge
-``(edge, forward)`` is dart ``2*edge + (not forward)``), and the opposite
-side of dart d is ``d ^ 1``.  Turns (straight through a degree-4 vertex,
-left, right) are index arithmetic in a rotation of darts; see
-:meth:`SurfaceComplex._derive`.  The public API keeps ``(edge id, forward)``
-pairs and ``(face_id, position)`` corners, converted from darts on demand.
+(CAD 23, 1991): the dart of a corner's side is also the dart of the ray
+leaving the corner (directed edge ``(edge, forward)`` is dart ``2*edge +
+(not forward)``), and the opposite side of dart d is ``d ^ 1``.  Turns
+(straight through a degree-4 vertex, left, right) are index arithmetic in a
+rotation of darts; see :meth:`SurfaceComplex._derive`.  The public API
+keeps ``(edge id, forward)`` pairs and ``(face_id, position)`` corners,
+converted from darts on demand.
 
 The second half of the module is an exact integer linear algebra kit: an
 arbitrary-precision matrix stored as sparse rows, Smith normal form, and the
@@ -88,7 +92,7 @@ def _type_pair(types, p):
 
 # the flat tables of SurfaceComplex._derive, described there
 _Darts = namedtuple(
-    "_Darts", "side corner_of tail straight left right rotations pairs ray_types"
+    "_Darts", "corner_of tail straight left right rotations pairs ray_types"
 )
 
 
@@ -100,65 +104,93 @@ def _dedge(d):
 class SurfaceComplex:
     """A polygonal surface with typed edges; immutable once built.
 
+    The stored form is ``p`` and the flat tables of the module docstring:
+    ``_edge_types[e]``, ``_chiralities[f]`` and ``_side[c]``.  ``edges`` and
+    ``faces`` are read-only properties, tuples of ``Edge`` and ``Face``
+    records built from the tables on first read.  The constructor takes
+    such records, with ids dense from 0 and in order and p sides per face,
+    and checks nothing; :func:`build_complex` checks them.
+
     Derived structures are computed on first use and cached per complex:
-    closedness defects, the dart tables of :meth:`_derive`, the pair forms
-    that ``vertices`` and ``rotation`` hand out, the genus-independent
-    findings of :func:`validate`, and the geodesic loop report (filled by
+    the ``edges`` and ``faces`` records, closedness defects, the dart tables
+    of :meth:`_derive`, the pair forms that ``vertices`` and ``rotation``
+    hand out, the genus-independent findings of :func:`validate`, and the
+    geodesic loop report with its dart cycles (filled by
     :func:`fqsurf.loops.trace_geodesic_loops`).  Every caller shares the
     cached objects, so they must be treated as read-only.
 
-    Passes over a whole complex read ``_derive()``'s tables directly; the
-    accessors (``rotation``, ``tail_vertex``, ``continue_through`` ...) are
-    the checked per-element API, raising ValueError for an id it lacks.
+    Passes over a whole complex read the tables directly; the accessors
+    (``rotation``, ``tail_vertex``, ``continue_through`` ...) are the
+    checked per-element API, raising ValueError for an id it lacks.
     """
 
+    # the caches, each None until first use
+    _edges = _faces = _occ = _defects = _tables = _vertices = _rotations = None
+    _validation = _loop_report = _loop_darts = None
+
     def __init__(self, p, edges, faces):
+        faces = tuple(faces)
         self.p = p
-        self.edges = tuple(edges)
-        self.faces = tuple(faces)
-        self._occ = None
-        self._defects = None
-        self._tables = None
-        self._vertices = None
-        self._rotations = {}
-        self._validation = None
-        self._loop_report = None
+        self._edge_types = [e.type for e in edges]
+        self._chiralities = [f.chirality for f in faces]
+        self._side = [e + e + rev for f in faces for e, rev in f.sides]
 
     # ------------------------------------------------------------------
     # raw structure
 
     @property
+    def edges(self):
+        """``Edge(id, type)`` records, in id order."""
+        if self._edges is None:
+            self._edges = tuple(map(Edge, range(len(self._edge_types)), self._edge_types))
+        return self._edges
+
+    @property
+    def faces(self):
+        """``Face(id, chirality, sides)`` records, in id order, each side an
+        ``(edge id, reversed)`` pair."""
+        if self._faces is None:
+            p = self.p
+            sides = [(d >> 1, d & 1 == 1) for d in self._side]
+            self._faces = tuple(
+                Face(f, chirality, tuple(sides[p * f:p * f + p]))
+                for f, chirality in enumerate(self._chiralities)
+            )
+        return self._faces
+
+    @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self._edge_types)
 
     @property
     def num_faces(self):
-        return len(self.faces)
+        return len(self._chiralities)
 
     def edge_type(self, edge_id):
-        if type(edge_id) is not int or not 0 <= edge_id < len(self.edges):
+        if type(edge_id) is not int or not 0 <= edge_id < len(self._edge_types):
             raise ValueError(f"edge {edge_id!r} is not an int in 0..{self.num_edges - 1}")
-        return self.edges[edge_id].type
+        return self._edge_types[edge_id]
 
     def occurrences(self):
         """Map edge id -> list of (face_id, position) sides mentioning it."""
         if self._occ is None:
-            occ = {e.id: [] for e in self.edges}
-            for f in self.faces:
-                for k, (eid, _rev) in enumerate(f.sides):
-                    occ[eid].append((f.id, k))
+            occ = {e: [] for e in range(len(self._edge_types))}
+            p = self.p
+            for c, d in enumerate(self._side):
+                occ[d >> 1].append(divmod(c, p))
             self._occ = occ
         return self._occ
 
     def closedness_defects(self):
         """Edges not used exactly once in each sense, as (edge id, reason)."""
         if self._defects is None:
-            counts = [0] * (2 * len(self.edges))  # sides per dart
-            for f in self.faces:
-                for e, rev in f.sides:
-                    counts[e + e + rev] += 1
+            side, n = self._side, 2 * len(self._edge_types)
             defects = []
-            if counts.count(1) != len(counts):
+            # the darts are in range, so n distinct ones are each dart once
+            if not len(side) == len(set(side)) == n:
+                counts = [0] * n  # sides per dart
+                for d in side:
+                    counts[d] += 1
                 for e, (fwd, back) in enumerate(zip(counts[::2], counts[1::2])):
                     if fwd + back != 2:
                         defects.append((e, f"{fwd + back} sides"))
@@ -177,10 +209,10 @@ class SurfaceComplex:
     def _derive(self):
         """Walk each vertex's rays once, by ``sigma`` of the module docstring.
 
-        Returns ``_Darts`` lists indexed by corner c, dart d or vertex v:
-        ``side[c]``, the dart of c's side; ``corner_of[d]``, the corner whose
-        side is d (in face ``corner_of[d] // p``); ``tail[d]``, the vertex
-        ray d leaves; ``straight[d]``, ``left[d]`` and ``right[d]``, at the
+        Returns ``_Darts`` lists indexed by dart d or vertex v, read beside
+        the stored ``_side[c]``: ``corner_of[d]``, the corner whose side is
+        d (in face ``corner_of[d] // p``); ``tail[d]``, the vertex ray d
+        leaves; ``straight[d]``, ``left[d]`` and ``right[d]``, at the
         head of d the dart two steps round the rotation from ``d ^ 1`` and
         the edges one step either way (-1 unless the head has degree 4);
         ``rotations[v]``, the rays leaving v clockwise from v's least corner
@@ -191,7 +223,7 @@ class SurfaceComplex:
             if not self.is_closed():
                 raise ValueError("vertex structure requires a closed complex")
             p = self.p
-            side = [e + e + rev for f in self.faces for e, rev in f.sides]
+            side = self._side
             n = len(side)
             corner_of = [0] * n
             for c, d in enumerate(side):
@@ -200,7 +232,7 @@ class SurfaceComplex:
             after[p - 1::p] = range(0, n, p)
             # the next ray clockwise round its tail: sigma, on darts
             turn = [side[after[corner_of[d ^ 1]]] for d in range(n)]
-            edge_types = [e.type for e in self.edges]
+            edge_types = self._edge_types
             tail = [-1] * n
             straight = [0] * n
             left = [-1] * n
@@ -238,7 +270,7 @@ class SurfaceComplex:
                 pairs.append(pair_of[types])
                 ray_types.append(types)
             self._tables = _Darts(
-                side, corner_of, tail, straight, left, right, rotations, pairs, ray_types
+                corner_of, tail, straight, left, right, rotations, pairs, ray_types
             )
         return self._tables
 
@@ -260,13 +292,13 @@ class SurfaceComplex:
         """The dart of a directed edge, checked as the accessors check it."""
         self._derive()
         if (type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool)
-                and 0 <= dedge[0] < len(self.edges)):
+                and 0 <= dedge[0] < len(self._edge_types)):
             return 2 * dedge[0] + (not dedge[1])
         raise ValueError(f"{dedge!r} is not a directed edge of the complex")
 
     def _darts(self, dedges):
         """The darts of directed edges; ValueError names the first one the complex lacks."""
-        n = 2 * len(self.edges)
+        n = 2 * len(self._edge_types)
         darts = []
         for dedge in dedges:
             e, fwd = dedge
@@ -287,7 +319,9 @@ class SurfaceComplex:
         rotations = self._derive().rotations
         if type(vertex_id) is not int or not 0 <= vertex_id < len(rotations):
             raise ValueError(f"vertex {vertex_id!r} is not an int in 0..{len(rotations) - 1}")
-        rays = self._rotations.get(vertex_id)
+        if self._rotations is None:
+            self._rotations = [None] * len(rotations)
+        rays = self._rotations[vertex_id]
         if rays is None:
             rays = self._rotations[vertex_id] = tuple(map(_dedge, rotations[vertex_id]))
         return rays
@@ -320,8 +354,9 @@ class SurfaceComplex:
         return (
             isinstance(other, SurfaceComplex)
             and self.p == other.p
-            and self.edges == other.edges
-            and self.faces == other.faces
+            and self._edge_types == other._edge_types
+            and self._chiralities == other._chiralities
+            and self._side == other._side
         )
 
     def __repr__(self):
@@ -341,48 +376,80 @@ def build_complex(p, edge_specs, face_specs):
     _require_int_parameter("p", p)
     if p < 3:
         raise ValueError("p must be at least 3")
-    edges = []
-    seen = set()
+    types = {}  # edge id -> type
     for eid, etype in edge_specs:
         if type(eid) is not int or type(etype) is not int:
             _require_int_parameter("edge id", eid)
             _require_int_parameter("edge type", etype)
-        if eid in seen:
+        if eid in types:
             raise DuplicateId(f"edge id {eid} declared twice")
-        seen.add(eid)
         if not 1 <= etype <= p:
             raise ValueError(f"edge {eid} has type {etype} outside 1..{p}")
-        edges.append(Edge(eid, etype))
-    edges.sort(key=lambda e: e.id)
-    if [e.id for e in edges] != list(range(len(edges))):
+        types[eid] = etype
+    if sorted(types) != list(range(len(types))):
         raise ValueError("edge ids must be dense 0..E-1")
 
-    faces = []
-    seen_f = set()
+    faces = {}  # face id -> (chirality, the darts of its sides)
     for fid, chirality, sides in face_specs:
         _require_int_parameter("face id", fid)
-        if fid in seen_f:
+        if fid in faces:
             raise DuplicateId(f"face id {fid} declared twice")
-        seen_f.add(fid)
         if chirality not in (CCW, CW):
             raise ValueError(f"face {fid} has chirality {chirality!r}")
         if len(sides) != p:
             raise WrongSideCount(f"face {fid} has {len(sides)} sides, expected {p}")
-        packed = []
+        darts = []
         for eid, rev in sides:
             if type(eid) is not int:
                 _require_int_parameter("side edge", eid)
-            if eid not in seen:
+            if eid not in types:
                 raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
             if type(rev) is not bool:
                 raise ValueError(f"face {fid}, edge {eid}: reversed must be a bool, got {rev!r}")
-            packed.append((eid, rev))
-        faces.append(Face(fid, chirality, tuple(packed)))
-    faces.sort(key=lambda f: f.id)
-    if [f.id for f in faces] != list(range(len(faces))):
+            darts.append(eid + eid + rev)
+        faces[fid] = (chirality, darts)
+    if sorted(faces) != list(range(len(faces))):
         raise ValueError("face ids must be dense 0..F-1")
 
-    return SurfaceComplex(p, edges, faces)
+    ordered = [faces[f] for f in range(len(faces))]
+    return _assemble(
+        p,
+        [types[e] for e in range(len(types))],
+        [chirality for chirality, _darts in ordered],
+        [d for _chirality, darts in ordered for d in darts],
+    )
+
+
+def _assemble(p, edge_types, chiralities, side):
+    """The complex with these tables, from a builder that wrote them.
+
+    ``edge_types[e]``, ``chiralities[f]`` and ``side[c]`` are the tables of
+    the module docstring, taken as they are, not copied.  Only bulk checks
+    run here: p is an int of at least 3, there are p sides per face, every
+    dart names an edge, every type is in 1..p and every chirality is ccw or
+    cw.  Surface axioms are :func:`validate`'s, the postcondition of every
+    construction.
+    """
+    _require_int_parameter("p", p)
+    if p < 3:
+        raise ValueError("p must be at least 3")
+    if len(side) != p * len(chiralities):
+        raise WrongSideCount(
+            f"{len(side)} sides for {len(chiralities)} faces, expected {p} per face"
+        )
+    n_darts = 2 * len(edge_types)
+    if side and not 0 <= min(side) <= max(side) < n_darts:
+        c = next(c for c, d in enumerate(side) if not 0 <= d < n_darts)
+        raise DanglingEdgeReference(f"face {c // p} references unknown edge {side[c] >> 1}")
+    if edge_types and not 1 <= min(edge_types) <= max(edge_types) <= p:
+        e = next(e for e, t in enumerate(edge_types) if not 1 <= t <= p)
+        raise ValueError(f"edge {e} has type {edge_types[e]} outside 1..{p}")
+    if chiralities.count(CCW) + chiralities.count(CW) != len(chiralities):
+        f = next(f for f, c in enumerate(chiralities) if c not in (CCW, CW))
+        raise ValueError(f"face {f} has chirality {chiralities[f]!r}")
+    cx = SurfaceComplex.__new__(SurfaceComplex)
+    cx.p, cx._edge_types, cx._chiralities, cx._side = p, edge_types, chiralities, side
+    return cx
 
 
 Finding = namedtuple("Finding", "tag detail")
@@ -438,18 +505,19 @@ def validate(cx, expected_genus=None):
 def _axiom_findings(cx):
     """The findings of :func:`validate` that precede and follow its genus
     comparison, with the Euler characteristic and genus."""
-    p, edge_types = cx.p, [e.type for e in cx.edges]
+    p, edge_types = cx.p, cx._edge_types
     # the p-side type cycles, one from each type; a face must read one of them
     cycles = {t: [(t + k - 1) % p + 1 for k in range(p)] for t in range(1, p + 1)}
+    corner_types = [edge_types[d >> 1] for d in cx._side]
     face_findings = []
-    for f in cx.faces:
-        seq = [edge_types[eid] for eid, _rev in f.sides]
-        if f.chirality == CW:
-            seq = seq[::-1]
+    for f, chirality in enumerate(cx._chiralities):
+        seq = corner_types[p * f:p * f + p]
+        if chirality == CW:
+            seq.reverse()
         if seq != cycles[seq[0]]:
             face_findings.append(
                 Finding("FaceLabeling",
-                        f"face {f.id} does not read a consecutive type cycle: {seq}")
+                        f"face {f} does not read a consecutive type cycle: {seq}")
             )
     bad_edges = cx.closedness_defects()
     if bad_edges:
@@ -466,7 +534,7 @@ def _axiom_findings(cx):
 
     # connectivity over the face-adjacency (dual) graph: the face across the
     # side of dart d holds the corner of d ^ 1
-    side, corner_of = tables.side, tables.corner_of
+    side, corner_of = cx._side, tables.corner_of
     reached = bytearray(n_f)
     reached[0] = 1
     stack = [0]
@@ -523,9 +591,12 @@ def dual_graph(cx):
     """The face-adjacency multigraph, deterministically ordered."""
     if not cx.is_closed():
         raise ValueError("dual graph requires a closed complex")
-    occ = cx.occurrences()
-    edges = [(occ[e.id][0][0], occ[e.id][1][0], e.id) for e in cx.edges]
-    return DualGraph(tuple(f.id for f in cx.faces), tuple(edges))
+    p, corner_of = cx.p, cx._derive().corner_of
+    edges = [
+        (min(a, b) // p, max(a, b) // p, e)
+        for e, (a, b) in enumerate(zip(corner_of[::2], corner_of[1::2]))
+    ]
+    return DualGraph(tuple(range(cx.num_faces)), tuple(edges))
 
 
 # ----------------------------------------------------------------------
@@ -768,14 +839,14 @@ def tree_cotree(cx):
             parent[a] = b
             in_tree[e] = True
 
-    cols = []
-    for f in cx.faces:
-        col = {}
-        for e, rev in f.sides:
-            if not in_tree[e]:
-                col[e] = col.get(e, 0) + (-1 if rev else 1)
-        cols.append({e: x for e, x in col.items() if x})
-    adjacent = [[] for _ in cx.faces]
+    cols = [{} for _ in range(cx.num_faces)]
+    for c, d in enumerate(cx._side):
+        e = d >> 1
+        if not in_tree[e]:
+            col = cols[c // p]
+            col[e] = col.get(e, 0) + (-1 if d & 1 else 1)
+    cols = [{e: x for e, x in col.items() if x} for col in cols]
+    adjacent = [[] for _ in cols]
     for e in range(cx.num_edges):
         fa, fb = corner_of[e + e] // p, corner_of[e + e + 1] // p
         if not in_tree[e] and fa != fb:
@@ -914,17 +985,15 @@ def _write_json(obj, out, indent):
 
 
 def complex_to_dict(cx):
+    p = cx.p
+    sides = [{"edge": d >> 1, "reversed": d & 1 == 1} for d in cx._side]
     return {
         "format": COMPLEX_FORMAT,
-        "p": cx.p,
-        "edges": [{"id": e.id, "type": e.type} for e in cx.edges],
+        "p": p,
+        "edges": [{"id": e, "type": t} for e, t in enumerate(cx._edge_types)],
         "faces": [
-            {
-                "id": f.id,
-                "chirality": f.chirality,
-                "sides": [{"edge": eid, "reversed": rev} for eid, rev in f.sides],
-            }
-            for f in cx.faces
+            {"id": f, "chirality": chirality, "sides": sides[p * f:p * f + p]}
+            for f, chirality in enumerate(cx._chiralities)
         ],
     }
 

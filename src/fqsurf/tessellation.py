@@ -25,16 +25,16 @@ glues each face's type-t side to its partner's, which is how the block
 construction and several test fixtures are wired.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import chain
 
 from .loops import trace_geodesic_loops
 from .surface_complex import (
     CCW,
     CW,
+    _assemble,
     _require_int_parameter,
     _require_int_sequence,
-    build_complex,
     validate,
 )
 
@@ -90,8 +90,8 @@ def complex_from_matchings(p, chiralities, matchings):
     face_ids = set(range(n_faces))
     if len(matchings) != p:
         raise ValueError(f"expected {p} matchings, got {len(matchings)}")
-    sides = [[None] * p for _ in range(n_faces)]
-    edge_specs = []
+    side = [-1] * (p * n_faces)  # corner -> dart, as _assemble takes it
+    edge_types = []
     for t in range(1, p + 1):
         ids = list(chain.from_iterable(matchings[t - 1]))
         if not set(map(type, ids)) <= {int} or not face_ids.issuperset(ids):
@@ -108,15 +108,14 @@ def complex_from_matchings(p, chiralities, matchings):
                 if z in seen:
                     raise ValueError(f"face {z} matched twice at type {t}")
                 seen.add(z)
-            eid = len(edge_specs)
-            edge_specs.append((eid, t))
-            for z, rev in ((x, False), (y, True)):
+            d = 2 * len(edge_types)
+            edge_types.append(t)
+            for z, rev in ((x, 0), (y, 1)):
                 pos = t - 1 if chiralities[z] == CCW else (p - t) % p
-                sides[z][pos] = (eid, rev)
+                side[p * z + pos] = d + rev
         if len(seen) != n_faces:
             raise ValueError(f"matching for type {t} does not cover every face")
-    face_specs = [(i, chiralities[i], sides[i]) for i in range(n_faces)]
-    return build_complex(p, edge_specs, face_specs)
+    return _assemble(p, edge_types, list(chiralities), side)
 
 
 def build_block_tessellation(p, g):
@@ -192,14 +191,14 @@ def build_rect_tessellation(p, a, b):
         return i * b + j
 
     F = a * b
-    sides = [[None] * p for _ in range(F)]
-    edge_specs = []
+    side = [-1] * (p * F)  # corner -> dart, as _assemble takes it
+    edge_types = []
 
     def new_edge(etype, face_x, pos_x, face_y, pos_y):
-        eid = len(edge_specs)
-        edge_specs.append((eid, etype))
-        sides[face_x][pos_x] = (eid, False)
-        sides[face_y][pos_y] = (eid, True)
+        d = 2 * len(edge_types)
+        edge_types.append(etype)
+        side[p * face_x + pos_x] = d
+        side[p * face_y + pos_y] = d + 1
 
     for i in range(a):
         for j in range(b):
@@ -238,8 +237,7 @@ def build_rect_tessellation(p, a, b):
             fid(below, k), 2 * m + 2 + 2 * (m + 1 - t),
         )
 
-    face_specs = [(f, CCW, sides[f]) for f in range(F)]
-    cx = build_complex(p, edge_specs, face_specs)
+    cx = _assemble(p, edge_types, [CCW] * F, side)
     target_genus = 1 + F * (p - 4) // 8
     report = validate(cx, expected_genus=target_genus)
     if not report.structurally_ok:
@@ -263,95 +261,93 @@ def _subdivide(cx, pieces, axis, genus):
     step = p // pieces
     new_p = step + (2 if pieces == 2 else 3)
     cut_types = {((axis - 1 + k * step) % p) + 1 for k in range(pieces)}
-    cut_edges = {e.id for e in cx.edges if e.type in cut_types}
 
-    splits = {}
-    carried = {}
+    # edge e becomes edge first[e], or the halves first[e] and first[e] + 1
+    # when its type is cut
+    cut = [t in cut_types for t in cx._edge_types]
+    first = []
     next_id = 0
-    for e in cx.edges:
-        if e.id in cut_edges:
-            splits[e.id] = (next_id, next_id + 1)
-            next_id += 2
-        else:
-            carried[e.id] = next_id
-            next_id += 1
+    for is_cut in cut:
+        first.append(next_id)
+        next_id += 1 + is_cut
+    splits = {e: (h, h + 1) for e, (h, is_cut) in enumerate(zip(first, cut)) if is_cut}
     # face ids are dense and sorted, so face f's chords follow those of f-1
     n_chord = 1 if pieces == 2 else 4
-    occ = [[] for _ in range(next_id + n_chord * cx.num_faces)]
     chords = {}
-    sub_faces = []
-    for f in cx.faces:
-        ks = [k for k, (eid, _rev) in enumerate(f.sides) if eid in cut_edges]
+    side = cx._side
+    new_side = []  # the sub-faces' corners -> darts, as _assemble takes them
+    for f in range(cx.num_faces):
+        darts = side[p * f:p * f + p]
+        ks = [k for k, d in enumerate(darts) if cut[d >> 1]]
         if len(ks) != pieces:
             raise CutSystemFailure(
-                f"axis {axis}: face {f.id} has {len(ks)} sides in the cut class, "
+                f"axis {axis}: face {f} has {len(ks)} sides in the cut class, "
                 f"needs {pieces}"
             )
         if ks != [ks[0] + t * step for t in range(pieces)]:
             raise CutSystemFailure(
-                f"axis {axis}: face {f.id} cut sides sit at {ks}, not evenly spaced"
+                f"axis {axis}: face {f} cut sides sit at {ks}, not evenly spaced"
             )
-        chord = chords[f.id] = [next_id + n_chord * f.id + c for c in range(n_chord)]
+        chord = chords[f] = [next_id + n_chord * f + c for c in range(n_chord)]
         for j, start in enumerate(ks):
-            # half k of a walked side (e, rev) is (splits[e][k ^ rev], rev)
-            eid, rev = f.sides[start]
-            walk = [(splits[eid][1 ^ rev], rev)]
+            # a walked side of dart 2e + rev keeps its sense; of a cut edge
+            # it is half 1 ^ rev where the walk starts and half rev where it
+            # ends
+            d = darts[start]
+            rev = d & 1
+            new_side.append(2 * (first[d >> 1] + (1 ^ rev)) + rev)
             for off in range(1, step):
-                eid, rev = f.sides[(start + off) % p]
-                walk.append((carried[eid], rev))
-            eid, rev = f.sides[(start + step) % p]
-            walk.append((splits[eid][rev], rev))
+                d = darts[(start + off) % p]
+                new_side.append(2 * first[d >> 1] + (d & 1))
+            d = darts[(start + step) % p]
+            rev = d & 1
+            new_side.append(2 * (first[d >> 1] + rev) + rev)
             if pieces == 2:
-                walk.append((chord[0], j == 1))
+                new_side.append(2 * chord[0] + (j == 1))
             else:
-                walk.append((chord[(j + 1) % 4], False))
-                walk.append((chord[j], True))
-            idx = len(sub_faces)
-            for k, (eid, _rev) in enumerate(walk):
-                occ[eid].append((idx, k))
-            sub_faces.append(walk)
+                new_side.append(2 * chord[(j + 1) % 4])
+                new_side.append(2 * chord[j] + 1)
 
     # one breadth-first pass from sub-face 0, whose leading half-side is
     # declared type 1: each face reached takes the sense opposite to the face
     # it was reached from (+1 reads types ascending, i.e. ccw) and the type
     # offset that continues the shared edge.  A type clash is held back until
     # the pass is over, so a dual graph that is not bipartite (which is what
-    # odd loops force) always reports as a cut failure.
-    sense = {0: 1}
-    offsets = {0: 1}
-    queue = deque([0])
-    types = {}
+    # odd loops force) always reports as a cut failure.  The base is closed,
+    # so each dart of the sub-faces is the side of one corner.
+    corner_of = [0] * len(new_side)
+    for c, d in enumerate(new_side):
+        corner_of[d] = c
+    n_sub = len(new_side) // new_p
+    sense = [0] * n_sub
+    offsets = [0] * n_sub
+    sense[0] = offsets[0] = 1
+    queue = [0]
+    types = [0] * (len(new_side) // 2)
     clash = None
-    while queue:
-        f = queue.popleft()
-        for k, (eid, _rev) in enumerate(sub_faces[f]):
+    for f in queue:  # the queue grows while it is walked
+        for k, d in enumerate(new_side[new_p * f:new_p * f + new_p]):
             t = (offsets[f] - 1 + sense[f] * k) % new_p + 1
-            if eid in types and types[eid] != t and clash is None:
+            eid = d >> 1
+            if types[eid] and types[eid] != t and clash is None:
                 clash = f"edge {eid}: {types[eid]} vs {t}"
             types[eid] = t
-            for g, kg in occ[eid]:
-                if (g, kg) == (f, k):
-                    continue
-                if g in sense:
-                    if sense[g] == sense[f]:
-                        raise CutSystemFailure(
-                            f"axis {axis}: subdivided dual graph is not bipartite"
-                        )
-                    continue
-                sense[g] = -sense[f]
-                offsets[g] = (t - 1 + sense[f] * kg) % new_p + 1
-                queue.append(g)
+            g, kg = divmod(corner_of[d ^ 1], new_p)
+            if sense[g]:
+                if sense[g] == sense[f]:
+                    raise CutSystemFailure(
+                        f"axis {axis}: subdivided dual graph is not bipartite"
+                    )
+                continue
+            sense[g] = -sense[f]
+            offsets[g] = (t - 1 + sense[f] * kg) % new_p + 1
+            queue.append(g)
     if clash is not None:
         raise ConstructionFailure(
             f"axis {axis}: no consistent relabeling ({clash})"
         )
 
-    final_edges = [(eid, types[eid]) for eid in range(len(occ))]
-    final_faces = [
-        (idx, CCW if sense[idx] == 1 else CW, walk)
-        for idx, walk in enumerate(sub_faces)
-    ]
-    out = build_complex(new_p, final_edges, final_faces)
+    out = _assemble(new_p, types, [CCW if s == 1 else CW for s in sense], new_side)
     frep = validate(out, expected_genus=genus)
     if not frep.passed:
         raise ConstructionFailure(
@@ -365,7 +361,7 @@ def _subdivide(cx, pieces, axis, genus):
     # the head of (h, True) is the tail of (h, False), dart 2h + 1
     tail = out._derive().tail
     midpoints = {old_eid: tail[2 * h1 + 1] for old_eid, (h1, _h2) in splits.items()}
-    centers = {f.id: tail[2 * chords[f.id][0] + 1] for f in cx.faces} if pieces == 4 else {}
+    centers = {f: tail[2 * chord[0] + 1] for f, chord in chords.items()} if pieces == 4 else {}
     return out, SubdivisionMap(
         pieces=pieces,
         axis=axis,

@@ -171,7 +171,7 @@ def test_cached_validation_keeps_the_finding_order():
 
 def test_subdivision_builds_and_validates_once(monkeypatch):
     rect = build_rect_tessellation(8, 1, 2)
-    built = _count_calls(monkeypatch, fqsurf.tessellation, "build_complex")
+    built = _count_calls(monkeypatch, fqsurf.tessellation, "_assemble")
     validated = _count_calls(monkeypatch, fqsurf.tessellation, "validate")
     dual = [
         _count_calls(monkeypatch, fqsurf.coloring, "dual_graph"),
@@ -183,6 +183,27 @@ def test_subdivision_builds_and_validates_once(monkeypatch):
     assert len(validated) == 2
     assert validated[0][0] is rect and validated[1][0] is out
     assert dual == [[], []]
+
+
+@pytest.mark.parametrize(
+    "p, q, genus, method",
+    [
+        (6, (2, 3) * 3, 17, "Block"),
+        (8, (2, 4) * 4, 32, "Subdiv2"),
+        (12, (2, 4) * 6, 66, "Subdiv4"),
+    ],
+)
+def test_certified_decide_builds_no_edge_or_face_records(monkeypatch, p, q, genus, method):
+    """The builders write flat tables and every pass reads them, so no
+    ``edges`` or ``faces`` record is made."""
+    edges = _count_calls(monkeypatch, fqsurf.surface_complex, "Edge")
+    faces = _count_calls(monkeypatch, fqsurf.surface_complex, "Face")
+    verdict = decide(p, q, genus, certify=True)
+    assert (verdict.outcome, verdict.method) == ("Exists", method)
+    assert edges == [] and faces == []
+    # the counters do see the records that a read of the public API builds
+    cx = build_block_tessellation(6, 2)
+    assert len(cx.edges) == len(edges) == 12 and len(cx.faces) == len(faces) == 4
 
 
 ACCESSORS = (

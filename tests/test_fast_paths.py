@@ -19,6 +19,11 @@ position)`` corners, finding each opposite side in ``occurrences()``, with a
 ray table keyed by ``(edge id, forward)`` pairs.  The closedness defects,
 the connectivity finding, the Betti numbers and the subdivision maps are
 checked against their former bodies on that walk.
+
+The builders write a complex's flat tables and hand them to ``_assemble``;
+each builder's complex is checked against ``build_complex`` of the specs
+read back from its public ``edges`` and ``faces``, and ``_assemble``'s bulk
+checks against corrupted tables.
 """
 
 import pytest
@@ -38,7 +43,10 @@ from fqsurf.coloring import (
 from fqsurf.lattice import assign_groups, decide
 from fqsurf.loops import GeodesicLoop, trace_geodesic_loops
 from fqsurf.surface_complex import (
+    DanglingEdgeReference,
     IntegerMatrix,
+    WrongSideCount,
+    _assemble,
     betti_numbers,
     build_complex,
     complex_from_dict,
@@ -50,6 +58,7 @@ from fqsurf.surface_complex import (
 from fqsurf.tessellation import (
     build_block_tessellation,
     build_rect_tessellation,
+    face_count,
     subdivide_four,
     subdivide_two,
 )
@@ -344,7 +353,7 @@ def _assert_hanging_edges_match(cx):
         return
     for lp in trace_geodesic_loops(cx).loops:
         cycle = lp.directed_edges
-        assert _outcome(_hanging_edges, cx, cycle) == _outcome(
+        assert _outcome(_hanging_edges, cx, cx._darts(cycle)) == _outcome(
             _reference_hanging_edges, cx, cycle
         )
 
@@ -507,7 +516,7 @@ def test_degree_eight_vertex_fails_alike():
     cx = make_octagon()
     (lp, *_rest) = trace_geodesic_loops(cx).loops
     expected = ("raised", ValueError, "vertex 0 has degree 8, not 4")
-    assert _outcome(_hanging_edges, cx, lp.directed_edges) == expected
+    assert _outcome(_hanging_edges, cx, cx._darts(lp.directed_edges)) == expected
     assert _outcome(_reference_hanging_edges, cx, lp.directed_edges) == expected
     _assert_loops_match(cx)
 
@@ -587,3 +596,116 @@ def test_contradiction_builds_no_constraint_system(monkeypatch, request, name):
     witness = solve_good_coloring(cx)
     assert isinstance(witness, ContradictionWitness)
     assert calls == []
+
+
+# ------------------------------------------------------------ assembled tables
+
+
+def _rebuilt(cx):
+    """``build_complex`` of the specs read back from ``cx.edges`` and ``cx.faces``."""
+    return build_complex(
+        cx.p,
+        [(e.id, e.type) for e in cx.edges],
+        [(f.id, f.chirality, list(f.sides)) for f in cx.faces],
+    )
+
+
+def _assert_assembled_alike(cx):
+    rebuilt = _rebuilt(cx)
+    assert cx == rebuilt
+    assert (cx.edges, cx.faces) == (rebuilt.edges, rebuilt.faces)
+    assert (cx._edge_types, cx._chiralities, cx._side) == (
+        rebuilt._edge_types, rebuilt._chiralities, rebuilt._side)
+    assert complex_from_dict(complex_to_dict(cx)) == cx
+    assert complex_to_dict(rebuilt) == complex_to_dict(cx)
+
+
+BUILT = {
+    "block-p6": lambda: build_block_tessellation(6, 5),
+    "block-p8": lambda: build_block_tessellation(8, 3),
+    "block-p10": lambda: build_block_tessellation(10, 7),
+    "rect-p8": lambda: build_rect_tessellation(8, 3, 2),
+    "rect-p12": lambda: build_rect_tessellation(12, 3, 3),
+    "halved-rect": lambda: subdivide_two(build_rect_tessellation(8, 3, 4), axis=1)[0],
+    "halved-block": lambda: subdivide_two(build_block_tessellation(8, 3))[0],
+    "quartered-rect": lambda: subdivide_four(build_rect_tessellation(12, 3, 5), axis=1)[0],
+    "quartered-block": lambda: subdivide_four(build_block_tessellation(12, 5))[0],
+}
+
+
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+def test_builders_assemble_what_build_complex_builds(build):
+    _assert_assembled_alike(build())
+
+
+def test_hand_built_complexes_round_trip():
+    for make in HAND_BUILT:
+        _assert_assembled_alike(make())
+
+
+@given(closed_complexes())
+@settings(max_examples=40, deadline=None)
+def test_matchings_assemble_what_build_complex_builds(cx):
+    _assert_assembled_alike(cx)
+
+
+def _corrupt(position, value):
+    """Tables of a Block p=6 complex with ``table[position] = value`` in the
+    named table, or with the entry removed when ``value`` is None."""
+    cx = build_block_tessellation(6, 2)
+    tables = {"types": list(cx._edge_types), "chiralities": list(cx._chiralities),
+              "side": list(cx._side)}
+    name, index = position
+    if value is None:
+        del tables[name][index]
+    else:
+        tables[name][index] = value
+    return cx.p, tables["types"], tables["chiralities"], tables["side"]
+
+
+@pytest.mark.parametrize("position, value, error, message", [
+    (("side", 7), 24, DanglingEdgeReference, "face 1 references unknown edge 12"),
+    (("side", 0), -1, DanglingEdgeReference, "face 0 references unknown edge -1"),
+    (("types", 5), 0, ValueError, "edge 5 has type 0 outside 1..6"),
+    (("types", 11), 7, ValueError, "edge 11 has type 7 outside 1..6"),
+    (("side", 23), None, WrongSideCount, "23 sides for 4 faces, expected 6 per face"),
+    (("chiralities", 2), "up", ValueError, "face 2 has chirality 'up'"),
+], ids=["dart-past-the-end", "negative-dart", "type-0", "type-p-plus-1", "short-side",
+        "unknown-chirality"])
+def test_assemble_rejects_corrupted_tables(position, value, error, message):
+    with pytest.raises(error) as info:
+        _assemble(*_corrupt(position, value))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_assemble_takes_the_uncorrupted_tables():
+    cx = build_block_tessellation(6, 2)
+    p, types, chiralities, side = _corrupt(("types", 0), cx.edges[0].type)
+    assert _assemble(p, types, chiralities, side) == cx
+
+
+# (p, genus) of the Block complexes with 4 to 32 faces
+BLOCK_SIZES = [(p, g) for p in (6, 8, 10, 12) for g in range(2, 34)
+               if 8 * (g - 1) % (p - 4) == 0 and face_count(p, g) in (4, 8, 16, 32)]
+
+
+@st.composite
+def built_complexes(draw):
+    """Builder outputs at small random sizes: Block complexes, and rect
+    grids halved (p=8) or quartered (p=12); every one has a good coloring."""
+    kind = draw(st.sampled_from(["block", "halved", "quartered"]))
+    if kind == "block":
+        return build_block_tessellation(*draw(st.sampled_from(BLOCK_SIZES)))
+    a = draw(st.integers(1, 3))
+    if kind == "halved":
+        return subdivide_two(build_rect_tessellation(8, a, draw(st.sampled_from([2, 4]))))[0]
+    return subdivide_four(build_rect_tessellation(12, a, draw(st.integers(1, 3))))[0]
+
+
+@given(built_complexes())
+@settings(max_examples=40, deadline=None)
+def test_built_complexes_match_references(cx):
+    """Unlike the matchings strategies, each draw reaches a coloring."""
+    assert isinstance(solve_good_coloring(cx), EdgeColoring)
+    for check in [*ALL_CHECKS, _assert_assembled_alike]:
+        check(cx)
