@@ -10,10 +10,13 @@ reproduces a complete bipartite link of the right size.
 
 Two independent routes check the vertex condition: direct arithmetic on
 factor subsets (products, intersections and index sums), and an explicit
-enumeration of cosets that builds the link graph and inspects it.  Both
-read the vertex's local signature (type pair, ray factor sets and types,
-sector factor sets), which the group assignment computes once per vertex;
-each reaches its verdict on its own.
+enumeration of cosets.  The enumeration numbers each ray's cosets in
+mixed radix over the ray's absent factors and lists every sector coset
+as the pair of its endpoint numbers; the link's verdict is read from
+those numbers, and ``build_link_graph`` spells them out as a graph for
+inspection.  Both routes read the vertex's local signature (type pair,
+ray factor sets and types, sector factor sets), which the group
+assignment computes once per vertex; each reaches its verdict on its own.
 
 Local data repeats heavily across a tessellation, so each fact is computed
 once per distinct key and shared by every cell with that key: one factor
@@ -28,9 +31,7 @@ the constructions into a verdict, optionally backed by a full certificate.
 """
 
 from collections import namedtuple
-from itertools import product as iter_product
 from math import gcd
-from operator import itemgetter
 
 from .coloring import (
     EdgeColoring,
@@ -346,16 +347,74 @@ class LinkGraph(namedtuple(
         return self.simple and self.complete and self.sizes_ok
 
 
-def _picker(positions):
-    """``values -> tuple(values[p] for p in positions)``, without the loop."""
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda values: (values[p],)
-    return itemgetter(*positions) if positions else lambda values: ()
+def _link_cosets(assignment, vertex):
+    """The coset link of a vertex as numbers, with its verdict.
+
+    A ray coset is numbered in mixed radix over the ray's absent factors in
+    sorted order, the last varying fastest, so where the ray has cosets a
+    coset's number is its position in the ray's coset list.  A factor of
+    order 0 counts with radix 1, so a number stays decodable where the ray
+    has no cosets.  Sector k's cosets are enumerated one absent factor at
+    a time, each as the pair number ``a * radix(b) + b`` of its endpoints
+    on its type-i ray a and its other ray b, a factor the sector contains
+    reading 0.
+
+    The link is simple when each sector's pair numbers are distinct (the
+    four sectors join four different ray pairs).  It is complete when every
+    endpoint is enumerated (its ray has cosets), every sector with cosets
+    joins a type-i ray to a type-j ray, and the distinct pairs number
+    |side i|·|side j|.  Returns ``((i, j), sides, rays, sectors, simple,
+    complete, sizes_ok)``: ``sides`` maps each type to its side size,
+    ``rays[k]`` is ray k's ``(absent factors, strides, radix, cosets)`` and
+    ``sectors[k]`` is ``(ray a, ray b, pair numbers)``.
+    """
+    signatures = assignment.signatures
+    if type(vertex) is not int or not 0 <= vertex < len(signatures):
+        raise ValueError(f"vertex {vertex!r} is not an int in 0..{len(signatures) - 1}")
+    (i, j), ray_factors, ray_types, sector_factors = signatures[vertex]
+    universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+    orders = assignment.orders
+
+    rays = []
+    sides = {i: 0, j: 0}
+    for factors, t in zip(ray_factors, ray_types):
+        absent = sorted(universe - factors)
+        strides = {}
+        radix = count = 1
+        for f in reversed(absent):
+            strides[f] = radix
+            radix *= max(orders[f], 1)
+            count *= max(orders[f], 0)
+        rays.append((absent, strides, radix, count))
+        sides[t] += count
+
+    sectors = []
+    simple = enumerated = bipartite = True
+    distinct = 0
+    for k in range(4):
+        a, b = (k, (k + 1) % 4) if ray_types[k] == i else ((k + 1) % 4, k)
+        _, strides_a, _, count_a = rays[a]
+        _, strides_b, radix_b, count_b = rays[b]
+        pairs = [0]
+        for f in sorted(universe - sector_factors[k]):
+            step = strides_a.get(f, 0) * radix_b + strides_b.get(f, 0)
+            steps = [n * step for n in range(orders[f])]
+            pairs = [n + s for n in pairs for s in steps]
+        sectors.append((a, b, pairs))
+        if pairs:
+            n = len(set(pairs))
+            simple = simple and n == len(pairs)
+            distinct += n
+            enumerated = enumerated and count_a > 0 and count_b > 0
+            bipartite = bipartite and (ray_types[a], ray_types[b]) == (i, j)
+
+    complete = enumerated and bipartite and distinct == sides[i] * sides[j]
+    sizes_ok = sides[i] == assignment.q[j - 1] and sides[j] == assignment.q[i - 1]
+    return (i, j), sides, rays, sectors, simple, complete, sizes_ok
 
 
 def build_link_graph(assignment, vertex):
-    """Enumerate the link of a vertex coset by coset.
+    """The link of a vertex as a LinkGraph, built from its coset numbers.
 
     Link vertices are the cosets of the four edge groups in the vertex
     group, identified by rotation position; link edges are the cosets of
@@ -364,70 +423,31 @@ def build_link_graph(assignment, vertex):
     graph whose type-i side has exactly q_j vertices (and vice versa) —
     the same conditions as verify_link_conditions, derived independently.
 
-    A coset is the tuple of its values on the factors absent from its
-    group, in sorted factor order.  Each ray's cosets are enumerated once;
-    a sector coset's two endpoints are its values projected onto each
-    ray's absent factors, a factor the sector group contains reading 0.
-    The link is complete when every endpoint is an enumerated ray coset,
-    every edge joins the type-i side to the type-j side, and the distinct
-    edges number |side i|·|side j|: then they are all the pairs.
+    ``_link_cosets`` numbers the cosets and reaches the verdict; this
+    step only decodes the numbers.  A coset is ``(ray, ((factor, value),
+    ...))`` over the factors absent from its group, in sorted factor
+    order; a ray's cosets are listed in number order and an edge is
+    ``(type-i end, type-j end)``.  An endpoint on a ray with no cosets,
+    which only an order-0 factor makes, decodes like any other.  Nothing
+    in the pipeline calls this: certificates read the numbers.
     """
-    q = assignment.q
-    signatures = assignment.signatures
-    if type(vertex) is not int or not 0 <= vertex < len(signatures):
-        raise ValueError(f"vertex {vertex!r} is not an int in 0..{len(signatures) - 1}")
-    (i, j), ray_factors, ray_types, sector_factors = signatures[vertex]
-    universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+    (i, j), _sides, rays, sectors, simple, complete, sizes_ok = _link_cosets(
+        assignment, vertex
+    )
+    ray_types = assignment.signatures[vertex][2]
     orders = assignment.orders
 
-    ray_absent = [sorted(universe - factors) for factors in ray_factors]
-    nodes = []
+    def coset(k, number):
+        absent, strides, _radix, _count = rays[k]
+        return k, tuple((f, number // strides[f] % max(orders[f], 1)) for f in absent)
+
     side_vertices = {i: [], j: []}
-    for k in range(4):
-        absent = ray_absent[k]
-        spaces = [range(orders[t]) for t in absent]
-        nodes.append({
-            values: (k, tuple(zip(absent, values)))
-            for values in iter_product(*spaces)
-        })
-        side_vertices[ray_types[k]].extend(nodes[k].values())
-
+    for k, (t, ray) in enumerate(zip(ray_types, rays)):
+        side_vertices[t].extend(coset(k, n) for n in range(ray[3]))
     edges = []
-    enumerated = bipartite = True
-    for k in range(4):
-        k2 = (k + 1) % 4
-        first, second = (k, k2) if ray_types[k] == i else (k2, k)
-        absent = sorted(universe - sector_factors[k])
-        # each values tuple ends in a 0 for the factors the sector contains
-        spaces = [range(orders[t]) for t in absent] + [(0,)]
-        position = {t: n for n, t in enumerate(absent)}
-        pick_a, pick_b = (
-            _picker([position.get(t, len(absent)) for t in ray_absent[r]])
-            for r in (first, second)
-        )
-        nodes_a, nodes_b = nodes[first], nodes[second]
-        start = len(edges)
-        for values in iter_product(*spaces):
-            key_a, key_b = pick_a(values), pick_b(values)
-            a, b = nodes_a.get(key_a), nodes_b.get(key_b)
-            if a is None or b is None:
-                enumerated = False
-                a = a or (first, tuple(zip(ray_absent[first], key_a)))
-                b = b or (second, tuple(zip(ray_absent[second], key_b)))
-            edges.append((a, b))
-        if len(edges) > start and (ray_types[first], ray_types[second]) != (i, j):
-            bipartite = False
-
-    distinct = set(edges)
-    simple = len(edges) == len(distinct)
-    complete = (
-        enumerated
-        and bipartite
-        and len(distinct) == len(side_vertices[i]) * len(side_vertices[j])
-    )
-    sizes_ok = (
-        len(side_vertices[i]) == q[j - 1] and len(side_vertices[j]) == q[i - 1]
-    )
+    for a, b, pairs in sectors:
+        radix_b = rays[b][2]
+        edges.extend((coset(a, n // radix_b), coset(b, n % radix_b)) for n in pairs)
     return LinkGraph(
         vertex=vertex,
         types=(i, j),
@@ -520,9 +540,10 @@ def build_certificate(cx, coloring, q):
     """Certificate payload: the assignment plus both vertex oracles.
 
     The coset link at a vertex depends only on its local signature in
-    ``assignment.signatures``.  It is enumerated once per distinct
-    signature, by ``build_link_graph`` at the lowest vertex that has it,
-    and every vertex with that signature takes its side sizes and verdict.
+    ``assignment.signatures``.  Its coset numbers are enumerated once per
+    distinct signature, at the lowest vertex that has it, and every vertex
+    with that signature takes the side sizes and verdict read from them;
+    no link graph is built.
     The arithmetic fields of each vertex entry come from that vertex's own
     check in ``assignment.vertex_checks``.  Every entry gets fresh
     containers: no mutable object is shared between entries.
@@ -536,9 +557,11 @@ def build_certificate(cx, coloring, q):
     for v, signature in enumerate(assignment.signatures):
         entry = links.get(signature)
         if entry is None:
-            link = build_link_graph(assignment, v)
-            sides = [len(link.side_vertices[t]) for t in link.types]
-            entry = links[signature] = (sides, link.ok)
+            types, sizes, _rays, _sectors, simple, complete, sizes_ok = _link_cosets(
+                assignment, v
+            )
+            sides = [sizes[t] for t in types]
+            entry = links[signature] = (sides, simple and complete and sizes_ok)
         sides, link_ok = entry
         check = assignment.vertex_checks[v]
         vertices.append({

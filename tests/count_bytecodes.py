@@ -35,11 +35,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from fqsurf.lattice import decide  # noqa: E402
 from fqsurf.tessellation import face_count  # noqa: E402
 
-# (p, q, genus): the Block, Subdiv2 and Subdiv4 calls at F close to 64
+# (p, q, genus): the Block, Subdiv2 and Subdiv4 calls at F close to 64, then
+# a thick Block call at F=16 whose coset links dominate its count
 CALLS = (
     (6, (2, 3) * 3, 17),
     (8, (2, 4) * 4, 32),
     (12, (2, 4) * 6, 66),
+    (6, (30, 42) * 3, 5),
 )
 
 # (method, p, q, genera): four rungs each; Block and Subdiv2 at F close to

@@ -92,7 +92,7 @@ def test_lattice_facts_are_computed_once_per_key(monkeypatch, genus):
 
 
 def _lowest_vertex_per_signature(cx, coloring, q):
-    """Each distinct local signature (everything build_link_graph reads at
+    """Each distinct local signature (everything the coset link reads at
     a vertex, in rotation order) with the lowest vertex that has it.
 
     The signatures are recomputed here from the complex and checked
@@ -126,7 +126,7 @@ def test_certificate_enumerates_one_link_per_signature(monkeypatch):
     coloring = solve_good_coloring(cx)
     q = (12, 18) * 3
     lowest = _lowest_vertex_per_signature(cx, coloring, q)
-    calls = _count_calls(monkeypatch, fqsurf.lattice, "build_link_graph")
+    calls = _count_calls(monkeypatch, fqsurf.lattice, "_link_cosets")
     assert build_certificate(cx, coloring, q)["ok"] is True
     assert len(calls) == len(lowest) < cx.num_vertices
     assert [args[1] for args in calls] == list(lowest.values())

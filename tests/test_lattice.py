@@ -41,7 +41,7 @@ from fqsurf.lattice import (
     verdict_to_dict,
     verify_link_conditions,
 )
-from fqsurf.loops import trace_geodesic_loops
+from fqsurf.loops import _dart_cycles, trace_geodesic_loops
 from fqsurf.surface_complex import build_complex, canonical_json
 from fqsurf.tessellation import (
     NonIntegralFaceCount,
@@ -53,6 +53,7 @@ from fqsurf.tessellation import (
 )
 
 from conftest import make_torus
+from test_fast_paths import built_complexes
 from test_loops import MATCHINGS, _right_angled_pairs
 
 Q6 = (2, 3, 2, 3, 2, 3)
@@ -540,6 +541,13 @@ def _assert_same_link(assignment, vertex):
     for name in LinkGraph._fields:
         assert getattr(link, name) == getattr(reference, name), (vertex, name)
     assert list(link.side_vertices) == list(reference.side_vertices)
+    # the side sizes and verdict a certificate reads from the coset numbers
+    types, sides, _rays, _sectors, *verdict = lattice._link_cosets(assignment, vertex)
+    assert types == reference.types
+    assert [sides[t] for t in types] == [
+        len(reference.side_vertices[t]) for t in reference.types
+    ]
+    assert verdict == [reference.simple, reference.complete, reference.sizes_ok]
     return link
 
 
@@ -552,12 +560,13 @@ def _with_signature(assignment, vertex, signature, **changes):
 def _certified_links(monkeypatch, p, q, g):
     """Every (assignment, vertex) whose link ``decide(certify=True)`` enumerates."""
     seen = []
+    link_cosets = lattice._link_cosets
 
     def recording(assignment, vertex):
         seen.append((assignment, vertex))
-        return build_link_graph(assignment, vertex)
+        return link_cosets(assignment, vertex)
 
-    monkeypatch.setattr(lattice, "build_link_graph", recording)
+    monkeypatch.setattr(lattice, "_link_cosets", recording)
     verdict = decide(p, q, g, certify=True)
     monkeypatch.undo()
     assert verdict.outcome == "Exists" and verdict.certificate["ok"] is True
@@ -579,8 +588,9 @@ LADDER_BASES = [
 
 
 class TestLinkGraphAgainstReference:
-    """build_link_graph counts completeness from one index per ray; the
-    pair-set enumeration it replaced must give the same LinkGraph."""
+    """build_link_graph reads its verdict from coset numbers; the pair-set
+    enumeration it replaced must give the same LinkGraph, and the side
+    sizes and verdict that certificates read must agree with it."""
 
     @pytest.mark.parametrize("p, variants, g", THICK_FAMILIES + LADDER_BASES)
     def test_certified_families(self, monkeypatch, p, variants, g):
@@ -623,6 +633,21 @@ class TestLinkGraphAgainstReference:
             link.side_vertices[j]
         )
         assert link.complete is False
+
+    def test_a_sector_coset_that_repeats_a_pair(self, block_assignment):
+        (i, j), _rays, types, _sectors = block_assignment.signatures[0]
+        universe = frozenset({D_FACTOR, E_FACTOR, _type_factor(i), _type_factor(j)})
+        # every ray has one coset; sector 0 lacks E, of order 2, which both
+        # of its rays contain, so its two cosets join the same pair
+        corrupted = _with_signature(
+            block_assignment, 0,
+            ((i, j), (universe,) * 4, types, (frozenset(),) + (universe,) * 3),
+            orders={D_FACTOR: 1, E_FACTOR: 2, _type_factor(i): 1, _type_factor(j): 1},
+        )
+        link = _assert_same_link(corrupted, 0)
+        assert len(link.edges) == 5 and len(set(link.edges)) == 4
+        # the distinct edges are all the pairs, so only the link is not simple
+        assert (link.simple, link.complete) == (False, True)
 
     def test_an_endpoint_that_is_no_ray_coset(self, block_assignment):
         (i, j), _rays, _types, _sectors = block_assignment.signatures[0]
@@ -869,6 +894,67 @@ class TestLatticeAgainstReference:
         assert failing == [e["id"] for e in cert["vertices"] if not (
             e["product_ok"] and e["intersection_ok"] and e["index_ok"])]
         assert cert["ok"] is False
+
+
+class TestGoodColoringsHaveNoFaceConflicts:
+    """A good coloring gives every face one corner group: the same-parity
+    sides of a face share one color (the consistency condition), and one
+    color per parity class is exactly what makes the corners agree."""
+
+    @pytest.mark.parametrize("p", [6, 8, 10, 12])
+    def test_corners_agree_exactly_when_each_parity_class_has_one_color(self, p):
+        """Every coloring of one face whose side k has type k+1; corner k
+        lies between sides k-1 and k."""
+        agreeing = 0
+        for colors in iter_product((0, 1), repeat=p):
+            sets = [_edge_factor_set(k + 1, c) for k, c in enumerate(colors)]
+            corners = {a & b for a, b in zip(sets[-1:] + sets[:-1], sets)}
+            one_per_class = len(set(colors[0::2])) == len(set(colors[1::2])) == 1
+            assert (len(corners) == 1) == one_per_class, colors
+            agreeing += len(corners) == 1
+        assert agreeing == 4
+
+    @staticmethod
+    def _assert_sides_k_and_k2_hang_off_one_loop(cx, coloring, q):
+        """Sides k and k+2 of each face are the hanging edges on one side of
+        side k+1 at its two ends, at consecutive passages of the loop along
+        side k+1, so the good coloring gives them one color."""
+        assert verify_good_coloring(cx, coloring)[0]
+        tables = cx._derive()
+        passages = {}  # edge id -> (previous dart, dart) of its loop
+        for cycle in _dart_cycles(cx, trace_geodesic_loops(cx).loops):
+            for before, d in zip(cycle[-1:] + cycle[:-1], cycle):
+                assert d >> 1 not in passages
+                passages[d >> 1] = (before, d)
+        assert len(passages) == cx.num_edges
+        p = cx.p
+        colors = coloring.colors
+        for f in range(cx.num_faces):
+            edges = [d >> 1 for d in cx._side[p * f:p * f + p]]
+            types = [cx._edge_types[e] for e in edges]
+            # side types run round the face, as in the single-face test
+            assert {(b - a) % p for a, b in zip(types, types[1:] + types[:1])} in ({1}, {p - 1})
+            for k in range(p):
+                outer = sorted((edges[k], edges[(k + 2) % p]))
+                before, d = passages[edges[(k + 1) % p]]
+                assert outer in (
+                    sorted((tables.left[before], tables.left[d])),
+                    sorted((tables.right[before], tables.right[d])),
+                ), (f, k)
+                assert colors[outer[0]] == colors[outer[1]], (f, k)
+        assert assign_groups(cx, coloring, q).face_conflicts == {}
+
+    @pytest.mark.parametrize("p, variants, g", LADDER_BASES)
+    def test_ladder_bases(self, monkeypatch, p, variants, g):
+        for q in variants:
+            for cx, coloring, q_cx in _certificate_inputs(monkeypatch, p, q, g):
+                self._assert_sides_k_and_k2_hang_off_one_loop(cx, coloring, q_cx)
+
+    @given(built_complexes())
+    @settings(max_examples=20, deadline=None)
+    def test_built_complexes(self, cx):
+        coloring = solve_good_coloring(cx)
+        self._assert_sides_k_and_k2_hang_off_one_loop(cx, coloring, (2, 4) * (cx.p // 2))
 
 
 def _containers(doc):
