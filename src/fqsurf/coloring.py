@@ -329,23 +329,14 @@ def verify_good_coloring(cx, coloring):
 
     Walks every geodesic loop and compares colors edge to edge — no
     constraint system involved, so this is an independent check of solver
-    output.  Returns (ok, violations).  Raises ValueError, naming the lowest
-    such id, when an edge of the complex has no color or one other than the
-    int 0 or 1, and then, naming the lowest by ``_least_foreign_key``,
-    when a colored key is not an edge id of the complex.
+    output.  Returns (ok, violations).  Raises ValueError when an edge has
+    no color or one other than the int 0 or 1, or when a colored key is not
+    an edge id of the complex, naming the first fault ``_key_fault`` finds.
     """
     colors = coloring.colors
-    n_edges = cx.num_edges
-    for e in range(n_edges):
-        c = colors.get(e)
-        if type(c) is not int or c not in (0, 1):
-            if e not in colors:
-                raise ValueError(f"edge {e} is not colored")
-            raise ValueError(f"edge {e} has color {c!r}, not 0 or 1")
-    # every edge id is a key, so any other key makes one too many or is no int
-    if len(colors) != n_edges or not all(type(e) is int for e in colors):
-        key = _least_foreign_key(colors, n_edges)
-        raise ValueError(f"edge {key} is colored but not in the complex")
+    fault = _key_fault(colors, cx.num_edges)
+    if fault is not None:
+        raise ValueError(fault)
     loops = trace_geodesic_loops(cx).loops
     violations = []
     for loop, cycle in zip(loops, _dart_cycles(cx, loops)):
@@ -368,13 +359,24 @@ def verify_good_coloring(cx, coloring):
     return (not violations, violations)
 
 
-def _least_foreign_key(colors, n_edges):
-    """The lowest colored key that is not an int edge id in 0..n_edges-1,
-    or None: the least such int, else the least repr of any other key (even
-    3.0 or True), which is returned."""
-    foreign = {e for e in colors if type(e) is not int or not 0 <= e < n_edges}
-    ints = [e for e in foreign if type(e) is int]
-    return min(ints) if ints else min(map(repr, foreign), default=None)
+def _key_fault(colors, n_edges):
+    """The first fault of a coloring's keys, or None: the lowest edge id
+    with no color or one other than the int 0 or 1, then the lowest colored
+    key that is not an int edge id in 0..n_edges-1, which is the least such
+    int, else the least repr of any other key (even 3.0 or True)."""
+    for e in range(n_edges):
+        c = colors.get(e)
+        if type(c) is not int or c not in (0, 1):
+            if e not in colors:
+                return f"edge {e} is not colored"
+            return f"edge {e} has color {c!r}, not 0 or 1"
+    # every edge id is a key, so any other key makes one too many or is no int
+    if len(colors) != n_edges or not all(type(e) is int for e in colors):
+        foreign = {e for e in colors if type(e) is not int or not 0 <= e < n_edges}
+        ints = [e for e in foreign if type(e) is int]
+        key = min(ints) if ints else min(map(repr, foreign))
+        return f"edge {key} is colored but not in the complex"
+    return None
 
 
 class OrientationAssignment(namedtuple("OrientationAssignment", "colors odd_cycle")):

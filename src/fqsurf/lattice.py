@@ -35,7 +35,7 @@ from math import gcd
 
 from .coloring import (
     EdgeColoring,
-    _least_foreign_key,
+    _key_fault,
     solve_good_coloring,
     verify_good_coloring,
 )
@@ -206,21 +206,17 @@ def assign_groups(cx, coloring, q):
         raise NotAlternatingNonCoprime(f"{q} has no alternating decomposition")
 
     colors = coloring.colors
+    fault = _key_fault(colors, cx.num_edges)
+    if fault is not None:
+        raise NotGoodColoring(fault)
     factor_sets = {}
     edge_sets = []  # by edge id
     for e, t in enumerate(cx._edge_types):
-        if e not in colors:
-            raise NotGoodColoring(f"edge {e} is not colored")
         c = colors[e]
-        if type(c) is not int or c not in (0, 1):
-            raise NotGoodColoring(f"edge {e} has color {c!r}, not 0 or 1")
         factors = factor_sets.get((t, c))
         if factors is None:
             factors = factor_sets[t, c] = _edge_factor_set(t, c)
         edge_sets.append(factors)
-    key = _least_foreign_key(coloring.colors, cx.num_edges)
-    if key is not None:
-        raise NotGoodColoring(f"edge {key} is colored but not in the complex")
     base = coloring.base_vertex
     if type(base) is not int or not 0 <= base < cx.num_vertices:
         raise NotGoodColoring(f"base_vertex {base!r} is not a vertex of the complex")

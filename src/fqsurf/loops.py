@@ -31,16 +31,7 @@ class GeodesicLoop(namedtuple(
 
     def vertex_ids(self, cx):
         tail = cx._derive().tail
-        n = len(tail)
-        ids = set()
-        # cx._darts inline: short loops make a second pass and call cost more
-        for dedge in self.directed_edges:
-            e, fwd = dedge
-            d = e + e + (not fwd) if type(e) is int and fwd in (True, False) else -1
-            if not 0 <= d < n:
-                raise ValueError(f"{dedge!r} is not a directed edge of the complex")
-            ids.add(tail[d])
-        return ids
+        return {tail[d] for d in cx._darts(self.directed_edges)}
 
 
 # pairwise_intersections holds the shared-vertex counts for each unordered

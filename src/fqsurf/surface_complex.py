@@ -12,9 +12,10 @@ An edge of a closed surface is mentioned by exactly two sides, once forward
 and once reversed; storing coherent counterclockwise walks is what makes the
 surface oriented.  ``chirality`` records whether the edge types ascend
 (``"ccw"``) or descend (``"cw"``) along the stored walk — the stored side
-order itself never flips.  The builders write the tables directly; the
-public ``edges`` and ``faces`` records, with each side a plain ``(edge id,
-reversed)`` pair, are built from them on first read.
+order itself never flips.  The constructor takes the tables as they are:
+the builders write them directly and :func:`build_complex` writes them from
+plain listings.  The public ``edges`` and ``faces`` records, with each side
+a plain ``(edge id, reversed)`` pair, are built from them on first read.
 
 Vertices are not stored.  Identifying the two sides that mention an edge glues
 corners by the rule "the corner following my opposite side touches the same
@@ -104,12 +105,15 @@ def _dedge(d):
 class SurfaceComplex:
     """A polygonal surface with typed edges; immutable once built.
 
-    The stored form is ``p`` and the flat tables of the module docstring:
-    ``_edge_types[e]``, ``_chiralities[f]`` and ``_side[c]``.  ``edges`` and
-    ``faces`` are read-only properties, tuples of ``Edge`` and ``Face``
-    records built from the tables on first read.  The constructor takes
-    such records, with ids dense from 0 and in order and p sides per face,
-    and checks nothing; :func:`build_complex` checks them.
+    The stored form is ``p`` and the flat tables of the module docstring,
+    ``edge_types[e]``, ``chiralities[f]`` and ``side[c]``, which the
+    constructor takes as they are, not copied, and keeps as ``_edge_types``,
+    ``_chiralities`` and ``_side``.  Only bulk checks run there: p is an int
+    of at least 3, there are p sides per face, every dart names an edge,
+    every type is in 1..p and every chirality is ccw or cw.  Surface axioms
+    are :func:`validate`'s, the postcondition of every construction.
+    ``edges`` and ``faces`` are read-only properties, tuples of ``Edge`` and
+    ``Face`` records built from the tables on first read.
 
     Derived structures are computed on first use and cached per complex:
     the ``edges`` and ``faces`` records, closedness defects, the dart tables
@@ -128,12 +132,26 @@ class SurfaceComplex:
     _edges = _faces = _occ = _defects = _tables = _vertices = _rotations = None
     _validation = _loop_report = _loop_darts = None
 
-    def __init__(self, p, edges, faces):
-        faces = tuple(faces)
+    def __init__(self, p, edge_types, chiralities, side):
+        _require_int_parameter("p", p)
+        if p < 3:
+            raise ValueError("p must be at least 3")
+        if len(side) != p * len(chiralities):
+            raise WrongSideCount(
+                f"{len(side)} sides for {len(chiralities)} faces, expected {p} per face"
+            )
+        n_darts = 2 * len(edge_types)
+        if side and not 0 <= min(side) <= max(side) < n_darts:
+            c = next(c for c, d in enumerate(side) if not 0 <= d < n_darts)
+            raise DanglingEdgeReference(f"face {c // p} references unknown edge {side[c] >> 1}")
+        if edge_types and not 1 <= min(edge_types) <= max(edge_types) <= p:
+            e = next(e for e, t in enumerate(edge_types) if not 1 <= t <= p)
+            raise ValueError(f"edge {e} has type {edge_types[e]} outside 1..{p}")
+        if chiralities.count(CCW) + chiralities.count(CW) != len(chiralities):
+            f = next(f for f, c in enumerate(chiralities) if c not in (CCW, CW))
+            raise ValueError(f"face {f} has chirality {chiralities[f]!r}")
         self.p = p
-        self._edge_types = [e.type for e in edges]
-        self._chiralities = [f.chirality for f in faces]
-        self._side = [e + e + rev for f in faces for e, rev in f.sides]
+        self._edge_types, self._chiralities, self._side = edge_types, chiralities, side
 
     # ------------------------------------------------------------------
     # raw structure
@@ -288,31 +306,23 @@ class SurfaceComplex:
     def num_vertices(self):
         return len(self._derive().rotations)
 
-    def _dart(self, dedge):
-        """The dart of a directed edge, checked as the accessors check it."""
-        self._derive()
-        if (type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool)
-                and 0 <= dedge[0] < len(self._edge_types)):
-            return 2 * dedge[0] + (not dedge[1])
-        raise ValueError(f"{dedge!r} is not a directed edge of the complex")
-
     def _darts(self, dedges):
-        """The darts of directed edges; ValueError names the first one the complex lacks."""
-        n = 2 * len(self._edge_types)
+        """The darts of directed edges, each a tuple of an int edge id of
+        the complex and a bool; ValueError names the first that is not."""
+        n = len(self._edge_types)
         darts = []
         for dedge in dedges:
-            e, fwd = dedge
-            d = e + e + (not fwd) if type(e) is int and fwd in (True, False) else -1
-            if not 0 <= d < n:
+            if not (type(dedge) is tuple and tuple(map(type, dedge)) == (int, bool)
+                    and 0 <= dedge[0] < n):
                 raise ValueError(f"{dedge!r} is not a directed edge of the complex")
-            darts.append(d)
+            darts.append(2 * dedge[0] + (not dedge[1]))
         return darts
 
     def tail_vertex(self, dedge):
-        return self._derive().tail[self._dart(dedge)]
+        return self._derive().tail[self._darts([dedge])[0]]
 
     def head_vertex(self, dedge):
-        return self._derive().tail[self._dart(dedge) ^ 1]
+        return self._derive().tail[self._darts([dedge])[0] ^ 1]
 
     def rotation(self, vertex_id):
         """Outgoing directed edges at a vertex, in clockwise order."""
@@ -335,8 +345,8 @@ class SurfaceComplex:
         """
         if type(turn) is not int:
             raise ValueError(f"turn {turn!r} is not an int")
-        back = self._dart(dedge) ^ 1
         tables = self._derive()
+        back = self._darts([dedge])[0] ^ 1
         rays = tables.rotations[tables.tail[back]]
         return _dedge(rays[(rays.index(back) + turn) % len(rays)])
 
@@ -366,16 +376,17 @@ class SurfaceComplex:
 def build_complex(p, edge_specs, face_specs):
     """Assemble a SurfaceComplex from plain id/type/side listings.
 
-    Ids must be dense from 0; side counts must equal p; every referenced edge
-    must exist.  Semantic surface axioms are deliberately not enforced here —
-    run :func:`validate` for those.  Degenerate but well-formed inputs (a
-    single face, a pair of squares) are accepted on purpose, and p may be as
-    small as 3.  Every id and type, and p, must be a Python int, and every
-    side's reversed flag a bool.
+    Checked here is what only the listings show: p and every id and type
+    are Python ints, every side's reversed flag is a bool, ids are unique
+    and dense from 0, and each face has p sides.  The :class:`SurfaceComplex`
+    constructor then checks the tables (p at least 3, types in 1..p,
+    chiralities, edges that exist).  Semantic surface axioms are
+    deliberately not enforced — run :func:`validate` for those.  Degenerate
+    but well-formed inputs (a single face, a pair of squares) are accepted
+    on purpose.  ``build_complex(cx.p, cx.edges, cx.faces)`` rebuilds a
+    complex from its records.
     """
     _require_int_parameter("p", p)
-    if p < 3:
-        raise ValueError("p must be at least 3")
     types = {}  # edge id -> type
     for eid, etype in edge_specs:
         if type(eid) is not int or type(etype) is not int:
@@ -383,8 +394,6 @@ def build_complex(p, edge_specs, face_specs):
             _require_int_parameter("edge type", etype)
         if eid in types:
             raise DuplicateId(f"edge id {eid} declared twice")
-        if not 1 <= etype <= p:
-            raise ValueError(f"edge {eid} has type {etype} outside 1..{p}")
         types[eid] = etype
     if sorted(types) != list(range(len(types))):
         raise ValueError("edge ids must be dense 0..E-1")
@@ -394,16 +403,12 @@ def build_complex(p, edge_specs, face_specs):
         _require_int_parameter("face id", fid)
         if fid in faces:
             raise DuplicateId(f"face id {fid} declared twice")
-        if chirality not in (CCW, CW):
-            raise ValueError(f"face {fid} has chirality {chirality!r}")
         if len(sides) != p:
             raise WrongSideCount(f"face {fid} has {len(sides)} sides, expected {p}")
         darts = []
         for eid, rev in sides:
             if type(eid) is not int:
                 _require_int_parameter("side edge", eid)
-            if eid not in types:
-                raise DanglingEdgeReference(f"face {fid} references unknown edge {eid}")
             if type(rev) is not bool:
                 raise ValueError(f"face {fid}, edge {eid}: reversed must be a bool, got {rev!r}")
             darts.append(eid + eid + rev)
@@ -412,44 +417,12 @@ def build_complex(p, edge_specs, face_specs):
         raise ValueError("face ids must be dense 0..F-1")
 
     ordered = [faces[f] for f in range(len(faces))]
-    return _assemble(
+    return SurfaceComplex(
         p,
         [types[e] for e in range(len(types))],
         [chirality for chirality, _darts in ordered],
         [d for _chirality, darts in ordered for d in darts],
     )
-
-
-def _assemble(p, edge_types, chiralities, side):
-    """The complex with these tables, from a builder that wrote them.
-
-    ``edge_types[e]``, ``chiralities[f]`` and ``side[c]`` are the tables of
-    the module docstring, taken as they are, not copied.  Only bulk checks
-    run here: p is an int of at least 3, there are p sides per face, every
-    dart names an edge, every type is in 1..p and every chirality is ccw or
-    cw.  Surface axioms are :func:`validate`'s, the postcondition of every
-    construction.
-    """
-    _require_int_parameter("p", p)
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    if len(side) != p * len(chiralities):
-        raise WrongSideCount(
-            f"{len(side)} sides for {len(chiralities)} faces, expected {p} per face"
-        )
-    n_darts = 2 * len(edge_types)
-    if side and not 0 <= min(side) <= max(side) < n_darts:
-        c = next(c for c, d in enumerate(side) if not 0 <= d < n_darts)
-        raise DanglingEdgeReference(f"face {c // p} references unknown edge {side[c] >> 1}")
-    if edge_types and not 1 <= min(edge_types) <= max(edge_types) <= p:
-        e = next(e for e, t in enumerate(edge_types) if not 1 <= t <= p)
-        raise ValueError(f"edge {e} has type {edge_types[e]} outside 1..{p}")
-    if chiralities.count(CCW) + chiralities.count(CW) != len(chiralities):
-        f = next(f for f, c in enumerate(chiralities) if c not in (CCW, CW))
-        raise ValueError(f"face {f} has chirality {chiralities[f]!r}")
-    cx = SurfaceComplex.__new__(SurfaceComplex)
-    cx.p, cx._edge_types, cx._chiralities, cx._side = p, edge_types, chiralities, side
-    return cx
 
 
 Finding = namedtuple("Finding", "tag detail")

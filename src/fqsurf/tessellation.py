@@ -32,7 +32,7 @@ from .loops import trace_geodesic_loops
 from .surface_complex import (
     CCW,
     CW,
-    _assemble,
+    SurfaceComplex,
     _require_int_parameter,
     _require_int_sequence,
     validate,
@@ -90,7 +90,7 @@ def complex_from_matchings(p, chiralities, matchings):
     face_ids = set(range(n_faces))
     if len(matchings) != p:
         raise ValueError(f"expected {p} matchings, got {len(matchings)}")
-    side = [-1] * (p * n_faces)  # corner -> dart, as _assemble takes it
+    side = [-1] * (p * n_faces)  # corner -> dart, as SurfaceComplex takes it
     edge_types = []
     for t in range(1, p + 1):
         ids = list(chain.from_iterable(matchings[t - 1]))
@@ -115,7 +115,7 @@ def complex_from_matchings(p, chiralities, matchings):
                 side[p * z + pos] = d + rev
         if len(seen) != n_faces:
             raise ValueError(f"matching for type {t} does not cover every face")
-    return _assemble(p, edge_types, list(chiralities), side)
+    return SurfaceComplex(p, edge_types, list(chiralities), side)
 
 
 def build_block_tessellation(p, g):
@@ -191,7 +191,7 @@ def build_rect_tessellation(p, a, b):
         return i * b + j
 
     F = a * b
-    side = [-1] * (p * F)  # corner -> dart, as _assemble takes it
+    side = [-1] * (p * F)  # corner -> dart, as SurfaceComplex takes it
     edge_types = []
 
     def new_edge(etype, face_x, pos_x, face_y, pos_y):
@@ -237,7 +237,7 @@ def build_rect_tessellation(p, a, b):
             fid(below, k), 2 * m + 2 + 2 * (m + 1 - t),
         )
 
-    cx = _assemble(p, edge_types, [CCW] * F, side)
+    cx = SurfaceComplex(p, edge_types, [CCW] * F, side)
     target_genus = 1 + F * (p - 4) // 8
     report = validate(cx, expected_genus=target_genus)
     if not report.structurally_ok:
@@ -275,7 +275,7 @@ def _subdivide(cx, pieces, axis, genus):
     n_chord = 1 if pieces == 2 else 4
     chords = {}
     side = cx._side
-    new_side = []  # the sub-faces' corners -> darts, as _assemble takes them
+    new_side = []  # the sub-faces' corners -> darts, as SurfaceComplex takes them
     for f in range(cx.num_faces):
         darts = side[p * f:p * f + p]
         ks = [k for k, d in enumerate(darts) if cut[d >> 1]]
@@ -347,7 +347,7 @@ def _subdivide(cx, pieces, axis, genus):
             f"axis {axis}: no consistent relabeling ({clash})"
         )
 
-    out = _assemble(new_p, types, [CCW if s == 1 else CW for s in sense], new_side)
+    out = SurfaceComplex(new_p, types, [CCW if s == 1 else CW for s in sense], new_side)
     frep = validate(out, expected_genus=genus)
     if not frep.passed:
         raise ConstructionFailure(

@@ -57,6 +57,12 @@ def _replace(*path, value):
     return edit
 
 
+def _naming(fault, edit):
+    """The edit, marked with the fault the error message must name."""
+    edit.fault = fault
+    return edit
+
+
 def _two_copies(cx):
     """Two disjoint copies of a complex, the second with shifted ids."""
     n_e, n_f = cx.num_edges, cx.num_faces
@@ -520,12 +526,16 @@ class TestCertifyAndDecide:
             ("coloring", _replace("seed", 2, value=[3])),
             ("coloring", _replace("seed", value="x")),
             ("complex", _replace("edges", 1, "id", value=0)),
-            ("complex", _replace("faces", 0, "sides", 0, "edge", value=99)),
+            ("complex", _naming("DanglingEdgeReference('face 0 references unknown edge 99')",
+                                _replace("faces", 0, "sides", 0, "edge", value=99))),
             ("complex", _face_short_a_side),
-            ("complex", _replace("edges", 0, "type", value=0)),
-            ("complex", _replace("faces", 0, "chirality", value="up")),
+            ("complex", _naming("ValueError('edge 0 has type 0 outside 1..6')",
+                                _replace("edges", 0, "type", value=0))),
+            ("complex", _naming("""ValueError("face 0 has chirality 'up'")""",
+                                _replace("faces", 0, "chirality", value="up"))),
             ("complex", _replace("faces", 0, "id", value=7)),
-            ("complex", _replace("p", value=2)),
+            ("complex", _naming("WrongSideCount('face 0 has 6 sides, expected 2')",
+                                _replace("p", value=2))),
         ],
         ids=["seed-int", "colors-int", "no-base_vertex", "no-colors",
              "coloring-list", "no-edges", "side-no-reversed",
@@ -555,6 +565,7 @@ class TestCertifyAndDecide:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"fq-{target}/1" in err
+        assert getattr(edit, "fault", "") in err
         assert not cert.exists()
 
     def test_decide_exists(self, capsys):

@@ -171,7 +171,7 @@ def test_cached_validation_keeps_the_finding_order():
 
 def test_subdivision_builds_and_validates_once(monkeypatch):
     rect = build_rect_tessellation(8, 1, 2)
-    built = _count_calls(monkeypatch, fqsurf.tessellation, "_assemble")
+    built = _count_calls(monkeypatch, fqsurf.tessellation, "SurfaceComplex")
     validated = _count_calls(monkeypatch, fqsurf.tessellation, "validate")
     dual = [
         _count_calls(monkeypatch, fqsurf.coloring, "dual_graph"),

@@ -20,10 +20,10 @@ ray table keyed by ``(edge id, forward)`` pairs.  The closedness defects,
 the connectivity finding, the Betti numbers and the subdivision maps are
 checked against their former bodies on that walk.
 
-The builders write a complex's flat tables and hand them to ``_assemble``;
-each builder's complex is checked against ``build_complex`` of the specs
-read back from its public ``edges`` and ``faces``, and ``_assemble``'s bulk
-checks against corrupted tables.
+The builders write a complex's flat tables and hand them to the
+``SurfaceComplex`` constructor; each builder's complex is checked against
+``build_complex`` of the specs read back from its public ``edges`` and
+``faces``, and the constructor's bulk checks against corrupted tables.
 """
 
 import pytest
@@ -45,8 +45,8 @@ from fqsurf.loops import GeodesicLoop, trace_geodesic_loops
 from fqsurf.surface_complex import (
     DanglingEdgeReference,
     IntegerMatrix,
+    SurfaceComplex,
     WrongSideCount,
-    _assemble,
     betti_numbers,
     build_complex,
     complex_from_dict,
@@ -651,16 +651,17 @@ def test_matchings_assemble_what_build_complex_builds(cx):
 
 def _corrupt(position, value):
     """Tables of a Block p=6 complex with ``table[position] = value`` in the
-    named table, or with the entry removed when ``value`` is None."""
+    named table, or with the entry removed when ``value`` is None; p is
+    the one entry of the table named "p"."""
     cx = build_block_tessellation(6, 2)
-    tables = {"types": list(cx._edge_types), "chiralities": list(cx._chiralities),
-              "side": list(cx._side)}
+    tables = {"p": [cx.p], "types": list(cx._edge_types),
+              "chiralities": list(cx._chiralities), "side": list(cx._side)}
     name, index = position
     if value is None:
         del tables[name][index]
     else:
         tables[name][index] = value
-    return cx.p, tables["types"], tables["chiralities"], tables["side"]
+    return tables["p"][0], tables["types"], tables["chiralities"], tables["side"]
 
 
 @pytest.mark.parametrize("position, value, error, message", [
@@ -670,18 +671,23 @@ def _corrupt(position, value):
     (("types", 11), 7, ValueError, "edge 11 has type 7 outside 1..6"),
     (("side", 23), None, WrongSideCount, "23 sides for 4 faces, expected 6 per face"),
     (("chiralities", 2), "up", ValueError, "face 2 has chirality 'up'"),
+    (("p", 0), 2, ValueError, "p must be at least 3"),
+    (("p", 0), 6.0, ValueError, "p must be an integer, got 6.0"),
 ], ids=["dart-past-the-end", "negative-dart", "type-0", "type-p-plus-1", "short-side",
-        "unknown-chirality"])
+        "unknown-chirality", "p-2", "p-float"])
 def test_assemble_rejects_corrupted_tables(position, value, error, message):
     with pytest.raises(error) as info:
-        _assemble(*_corrupt(position, value))
+        SurfaceComplex(*_corrupt(position, value))
     assert type(info.value) is error and str(info.value) == message
 
 
 def test_assemble_takes_the_uncorrupted_tables():
     cx = build_block_tessellation(6, 2)
     p, types, chiralities, side = _corrupt(("types", 0), cx.edges[0].type)
-    assert _assemble(p, types, chiralities, side) == cx
+    built = SurfaceComplex(p, types, chiralities, side)
+    assert built == cx
+    assert built._edge_types is types and built._chiralities is chiralities
+    assert built._side is side
 
 
 # (p, genus) of the Block complexes with 4 to 32 faces

@@ -283,7 +283,9 @@ class TestForeignLoops:
         assert str(info.value) == "(12, True) is not a directed edge of the complex"
 
     @pytest.mark.parametrize(
-        "dedge", [(1.0, True), (True, True), ("a", True), (0, "x"), (-1, False), (12, False)]
+        "dedge",
+        [(1.0, True), (True, True), ("a", True), (0, "x"), (-1, False), (12, False),
+         (0, 1), (0, 0), (0, 1.0)],
     )
     @pytest.mark.parametrize(
         "check",
