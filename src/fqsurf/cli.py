@@ -254,10 +254,17 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    """Run one command and return its exit code.  The parser is built on the
+    first call, not at import, and reused: each parse fills a new namespace."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:

@@ -109,8 +109,9 @@ class SurfaceComplex:
     ``edge_types[e]``, ``chiralities[f]`` and ``side[c]``, which the
     constructor takes as they are, not copied, and keeps as ``_edge_types``,
     ``_chiralities`` and ``_side``.  Only bulk checks run there: p is an int
-    of at least 3, there are p sides per face, every dart names an edge,
-    every type is in 1..p and every chirality is ccw or cw.  Surface axioms
+    of at least 3, there are p sides per face, every dart and type is an
+    int (not a float or bool), every dart names an edge, every type is in
+    1..p and every chirality is ccw or cw.  Surface axioms
     are :func:`validate`'s, the postcondition of every construction.
     ``edges`` and ``faces`` are read-only properties, tuples of ``Edge`` and
     ``Face`` records built from the tables on first read.
@@ -140,6 +141,12 @@ class SurfaceComplex:
             raise WrongSideCount(
                 f"{len(side)} sides for {len(chiralities)} faces, expected {p} per face"
             )
+        if set(map(type, side)) - {int}:
+            c = next(c for c, d in enumerate(side) if type(d) is not int)
+            raise ValueError(f"corner {c} of face {c // p} has dart {side[c]!r}, not an integer")
+        if set(map(type, edge_types)) - {int}:
+            e = next(e for e, t in enumerate(edge_types) if type(t) is not int)
+            raise ValueError(f"edge {e} has type {edge_types[e]!r}, not an integer")
         n_darts = 2 * len(edge_types)
         if side and not 0 <= min(side) <= max(side) < n_darts:
             c = next(c for c, d in enumerate(side) if not 0 <= d < n_darts)
@@ -899,8 +906,8 @@ def _write_json(obj, out, indent):
     """Append the JSON text of ``obj`` to ``out``.
 
     ``indent`` is a newline plus the indentation of the line ``obj`` starts
-    on.  Ints and strs inside a container are written inline, the common
-    case, without a recursive call.
+    on.  Ints, strs, bools and None inside a container are written inline,
+    the common case, without a recursive call.
     """
     append = out.append
     kind = type(obj)
@@ -923,6 +930,10 @@ def _write_json(obj, out, indent):
                 append(int.__repr__(value))
             elif value_kind is str:
                 append(_json_str(value))
+            elif value_kind is bool:
+                append("true" if value else "false")
+            elif value is None:
+                append("null")
             else:
                 _write_json(value, out, inner)
         append(indent + "}")
@@ -940,6 +951,10 @@ def _write_json(obj, out, indent):
                 append(int.__repr__(value))
             elif value_kind is str:
                 append(_json_str(value))
+            elif value_kind is bool:
+                append("true" if value else "false")
+            elif value is None:
+                append("null")
             else:
                 _write_json(value, out, inner)
         append(indent + "]")

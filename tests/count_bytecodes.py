@@ -1,4 +1,4 @@
-"""Count the bytecodes one certified ``decide`` executes.
+"""Count the bytecodes one certified ``decide``, or one CLI chain, executes.
 
 A ``sys.settrace`` hook turns on opcode events in every frame and counts
 them, so the count is deterministic for a given Python minor version and
@@ -12,9 +12,16 @@ Run from the repository root::
 
     python tests/count_bytecodes.py
     python tests/count_bytecodes.py --ladder
+    python tests/count_bytecodes.py --cli
 
 The first prints the Python version, then one line per call: the
-construction, the face count and the bytecode count.  ``--ladder`` counts
+construction, the face count and the bytecode count.  ``--cli`` prints one
+line instead: the count of README's Block genus-2 chain (tessellate,
+validate, loops, color, certify, export) run in process through
+``fqsurf.cli.main`` in a temporary directory, after one uncounted warm-up
+chain, so it charges what each in-process command costs once the CLI is
+loaded: argument parsing, the JSON files read and written, and the library
+work.  ``--ladder`` counts
 each construction at four rungs of the face count F, from about 16 to about
 1024, and exits 1 when a construction is not the one expected or when its
 count grows faster than F: count(top) / count(bottom) above
@@ -25,13 +32,17 @@ Linux host with Python 3.11.  The file is not collected by pytest.
 """
 
 import argparse
+import contextlib
 import gc
+import io
 import os
 import platform
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from fqsurf import cli  # noqa: E402
 from fqsurf.lattice import decide  # noqa: E402
 from fqsurf.tessellation import face_count  # noqa: E402
 
@@ -52,6 +63,17 @@ LADDER = (
     ("Subdiv4", 12, (2, 4) * 6, (10, 26, 66, 1026)),
 )
 GROWTH_BOUND = 1.15
+
+# README's Block p=6 genus-2 chain, file names relative to the chain's directory
+CLI_CHAIN = (
+    ("tessellate", "--p", "6", "--genus", "2", "-o", "block.json"),
+    ("validate", "-i", "block.json", "--genus", "2"),
+    ("loops", "-i", "block.json", "--report", "loops.json"),
+    ("color", "-i", "block.json", "-o", "coloring.json"),
+    ("certify", "-i", "block.json", "--coloring", "coloring.json",
+     "--q", "2,3,2,3,2,3", "-o", "cert.json"),
+    ("export", "-i", "block.json", "--dual", "dual.dot"),
+)
 
 
 def count_opcodes(fn, *args):
@@ -89,6 +111,27 @@ def count_certified_decide(p, q, genus):
     return verdict.method, count
 
 
+def _run_cli_chain():
+    """The exit codes of ``fqsurf.cli.main`` on each command of ``CLI_CHAIN``."""
+    return [cli.main(list(argv)) for argv in CLI_CHAIN]
+
+
+def count_cli_chain():
+    """The bytecodes of ``CLI_CHAIN``, run in a temporary directory and
+    warmed up once; raises RuntimeError when a command exits nonzero."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(io.StringIO()):
+        os.chdir(workdir)
+        try:
+            _run_cli_chain()
+            count, codes = count_opcodes(_run_cli_chain)
+        finally:
+            os.chdir(here)
+    if any(codes):
+        raise RuntimeError(f"the CLI chain exited {codes}")
+    return count
+
+
 def growth_within_bound(f_bottom, count_bottom, f_top, count_top):
     """True when the count grows by at most ``GROWTH_BOUND`` times F's growth."""
     return count_top * f_bottom <= GROWTH_BOUND * f_top * count_bottom
@@ -116,13 +159,19 @@ def ladder():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="Count the bytecodes of certified decide calls.")
+    parser = argparse.ArgumentParser(
+        description="Count the bytecodes of certified decide calls or of a CLI chain.")
     parser.add_argument("--ladder", action="store_true",
                         help="count four rungs per construction and gate their growth")
+    parser.add_argument("--cli", action="store_true",
+                        help="count README's Block genus-2 chain through fqsurf.cli.main")
     args = parser.parse_args(argv)
     print(f"python {platform.python_version()}")
     if args.ladder:
         return 1 if ladder() else 0
+    if args.cli:
+        print(f"cli Block F=4 chain of {len(CLI_CHAIN)} commands: {count_cli_chain()}")
+        return 0
     for p, q, genus in CALLS:
         method, count = count_certified_decide(p, q, genus)
         print(f"{method} F={face_count(p, genus)} decide({p}, {q}, {genus}): {count}")

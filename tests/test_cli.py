@@ -2,10 +2,13 @@
 
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from fqsurf import cli
 from fqsurf.cli import main
 from fqsurf.coloring import solve_good_coloring
 from fqsurf.lattice import build_certificate, decide, verdict_to_dict
@@ -630,3 +633,83 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["faces", "--p", "6"]) == 2
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Clear the cached parser and count the ``build_parser`` calls made
+    from then on; the previous parser is restored afterwards."""
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return builds
+
+
+class TestParserReuse:
+    def test_built_once_across_commands(self, parser_builds, tmp_path, capsys):
+        block = str(tmp_path / "block.json")
+        assert main(["faces", "--p", "6", "--genus", "2"]) == 0
+        assert main(["tessellate", "--p", "6", "--genus", "2", "-o", block]) == 0
+        assert main(["validate", "-i", block]) == 0
+        assert main(["frobnicate"]) == 2
+        assert len(parser_builds) == 1
+        assert capsys.readouterr().out == "4\nvalid (genus 2)\n"
+
+    def test_a_flag_does_not_carry_to_the_next_command(self, parser_builds, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        decide_argv = ["decide", "--p", "6", "--genus", "2", "--q", "2,3,2,3,2,3"]
+        assert main([*decide_argv, "--certify", "-o", str(a)]) == 0
+        assert main([*decide_argv, "-o", str(b)]) == 0
+        assert json.loads(a.read_text())["certificate"]["ok"] is True
+        assert json.loads(b.read_text())["certificate"] is None
+        assert len(parser_builds) == 1
+
+    def test_an_axis_does_not_carry_to_the_next_command(self, parser_builds, tmp_path,
+                                                        rect_p8_1x2):
+        src = write_complex(tmp_path / "rect.json", rect_p8_1x2)
+        out = str(tmp_path / "hex.json")
+        sidecar = tmp_path / "hex.subdiv.json"
+        assert main(["subdivide", "--pieces", "2", "--axis", "5", "-i", src, "-o", out]) == 0
+        assert json.loads(sidecar.read_text())["axis"] == 5
+        # without --axis the command searches again, and the search picks axis 1
+        assert main(["subdivide", "--pieces", "2", "-i", src, "-o", out]) == 0
+        assert json.loads(sidecar.read_text())["axis"] == 1
+        assert len(parser_builds) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["faces", "--p", "6"],
+        ["decide", "--p", "six", "--genus", "2", "--q", "2"],
+        ["subdivide", "--pieces", "3", "-i", "x.json", "-o", "y.json"],
+        ["frobnicate"],
+        [],
+    ], ids=["missing-flag", "bad-int", "bad-choice", "unknown-command", "no-command"])
+    def test_usage_errors_read_the_same_on_a_reused_parser(self, parser_builds, capsys,
+                                                          argv):
+        assert main(argv) == 2
+        first = capsys.readouterr()
+        assert main(argv) == 2
+        later = capsys.readouterr()
+        assert later.err == first.err and later.out == first.out == ""
+        assert first.err.startswith("usage: fqsurf")
+        assert main(["faces", "--p", "6", "--genus", "2"]) == 0
+        assert capsys.readouterr() == ("4\n", "")
+        assert len(parser_builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import fqsurf.cli; print(len(built), fqsurf.cli._parser)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "0 None\n"

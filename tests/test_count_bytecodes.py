@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from count_bytecodes import (
+    CLI_CHAIN,
     GROWTH_BOUND,
     LADDER,
     count_certified_decide,
+    count_cli_chain,
     count_opcodes,
     growth_within_bound,
 )
@@ -21,6 +23,16 @@ def test_two_counts_of_one_call_agree():
     second = count_certified_decide(6, (2, 3) * 3, 2)
     assert first == second
     assert first[0] == "Block" and first[1] > 0
+
+
+def test_two_counts_of_the_cli_chain_agree(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    first = count_cli_chain()
+    assert count_cli_chain() == first > 0
+    assert [argv[0] for argv in CLI_CHAIN] == [
+        "tessellate", "validate", "loops", "color", "certify", "export"]
+    # the chain ran in a directory of its own, which is gone
+    assert list(tmp_path.iterdir()) == [] and os.getcwd() == str(tmp_path)
 
 
 def test_counter_restores_the_trace_function_and_the_collector():
@@ -39,6 +51,7 @@ def test_workflow_logs_the_counts():
     runs = [step.get("run", "") for step in steps]
     assert any("python tests/count_bytecodes.py" in run for run in runs)
     assert any("python tests/count_bytecodes.py --ladder" in run for run in runs)
+    assert any("python tests/count_bytecodes.py --cli" in run for run in runs)
 
 
 def test_growth_bound_is_relative_to_the_face_count():

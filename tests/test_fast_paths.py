@@ -673,8 +673,13 @@ def _corrupt(position, value):
     (("chiralities", 2), "up", ValueError, "face 2 has chirality 'up'"),
     (("p", 0), 2, ValueError, "p must be at least 3"),
     (("p", 0), 6.0, ValueError, "p must be an integer, got 6.0"),
+    (("side", 8), 10.0, ValueError, "corner 8 of face 1 has dart 10.0, not an integer"),
+    (("types", 3), 2.0, ValueError, "edge 3 has type 2.0, not an integer"),
+    (("side", 1), True, ValueError, "corner 1 of face 0 has dart True, not an integer"),
+    (("side", 2), "4", ValueError, "corner 2 of face 0 has dart '4', not an integer"),
 ], ids=["dart-past-the-end", "negative-dart", "type-0", "type-p-plus-1", "short-side",
-        "unknown-chirality", "p-2", "p-float"])
+        "unknown-chirality", "p-2", "p-float", "float-dart", "float-type", "bool-dart",
+        "str-dart"])
 def test_assemble_rejects_corrupted_tables(position, value, error, message):
     with pytest.raises(error) as info:
         SurfaceComplex(*_corrupt(position, value))

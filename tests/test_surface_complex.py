@@ -544,6 +544,9 @@ class TestSerialization:
     @example([])
     @example(-(10**300))
     @example("\ud800")
+    @example(True)
+    @example(False)
+    @example(None)
     def test_matches_stdlib_on_generated_documents(self, doc):
         assert canonical_json(doc) == _stdlib_json(doc)
 
@@ -555,12 +558,29 @@ class TestSerialization:
             ({1: "x"}, "int"),
             ({"seen": {1, 2}}, "set"),
             ([b"abc"], "bytes"),
+            ({"ok": True, "none": None, "ratio": 0.5}, "float"),
         ],
-        ids=["float", "nested-float", "int-key", "set", "bytes"],
+        ids=["float", "nested-float", "int-key", "set", "bytes", "float-beside-flags"],
     )
     def test_rejects_types_outside_the_contract(self, obj, kind):
         with pytest.raises(TypeError, match=rf"\b{kind}\b"):
             canonical_json(obj)
+
+    def test_flags_and_nulls_are_written_inline(self, monkeypatch):
+        from fqsurf import surface_complex
+
+        write = surface_complex._write_json
+        calls = []
+
+        def counted(obj, out, indent):
+            calls.append(obj)
+            write(obj, out, indent)
+
+        monkeypatch.setattr(surface_complex, "_write_json", counted)
+        doc = {"ok": True, "certificate": None, "flags": [False, None, True, 3, "x"]}
+        assert canonical_json(doc) == _stdlib_json(doc)
+        # only the outer dict and the nested list take a call of their own
+        assert calls == [doc, doc["flags"]]
 
     def test_canonical_json_is_stable(self, block_p6_g2):
         doc = complex_to_dict(block_p6_g2)
