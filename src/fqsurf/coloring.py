@@ -26,7 +26,10 @@ the rotation either way from the reversal of a passage, as
 ``SurfaceComplex.continue_through`` turns 1 and -1.
 """
 
+from bisect import bisect
 from collections import namedtuple
+from itertools import accumulate, chain, compress
+from operator import attrgetter, eq, itemgetter, ne, not_
 
 from .loops import _dart_cycles, trace_geodesic_loops
 from .surface_complex import _require_int, dual_graph
@@ -329,41 +332,66 @@ def verify_good_coloring(cx, coloring):
 
     Walks every geodesic loop and compares colors edge to edge — no
     constraint system involved, so this is an independent check of solver
-    output.  Returns (ok, violations).  Raises ValueError when an edge has
-    no color or one other than the int 0 or 1, or when a colored key is not
-    an edge id of the complex, naming the first fault ``_key_fault`` finds.
+    output.  Returns (ok, violations).  Raises ValueError when the colors
+    are not a dict, when an edge has no color or one other than the int 0
+    or 1, or when a colored key is not an edge id of the complex, naming
+    the first fault ``_key_fault`` finds.
     """
-    colors = coloring.colors
-    fault = _key_fault(colors, cx.num_edges)
-    if fault is not None:
-        raise ValueError(fault)
-    loops = trace_geodesic_loops(cx).loops
-    violations = []
-    for loop, cycle in zip(loops, _dart_cycles(cx, loops)):
-        if loop.degenerate:
-            continue
-        n = len(cycle)
-        for k in range(n):
-            e = cycle[k] >> 1
-            f = cycle[(k + 1) % n] >> 1
-            if colors[e] == colors[f]:
-                violations.append(
-                    (ALTERNATING, loop.loop_id, e, f)
-                )
-        for name, side in zip(("left", "right"), _hanging_edges(cx, cycle)):
-            observed = {colors[e] for e in side}
-            if len(observed) > 1:
-                violations.append(
-                    (CONSISTENCY, loop.loop_id, name, tuple(sorted(set(side))))
-                )
+    violations = _violations(cx, _checked_colors(coloring.colors, cx.num_edges, ValueError))
     return (not violations, violations)
 
 
+def _checked_colors(colors, n_edges, error):
+    """The colors of edges 0..n_edges-1 as a list, or ``error`` naming the
+    fault ``_key_fault`` finds."""
+    fault = _key_fault(colors, n_edges)
+    if fault is not None:
+        raise error(fault)
+    return list(map(colors.__getitem__, range(n_edges)))
+
+
+def _violations(cx, colors):
+    """The good-coloring violations of ``colors``, a list by edge id, loop by
+    loop: the alternating ones in passage order, then the left and right
+    consistency ones.  Degenerate loops are skipped.
+
+    Each loop's next dart is ``straight`` of its dart, so every condition
+    compares a dart with that one, over all loops at once, by C-level maps.
+    """
+    tables = cx._derive()
+    loops = trace_geodesic_loops(cx).loops
+    kept = list(map(not_, map(attrgetter("degenerate"), loops)))
+    cycles = list(compress(_dart_cycles(cx, loops), kept))
+    loop_ids = list(compress(map(attrgetter("loop_id"), loops), kept))
+    ends = list(accumulate(map(len, cycles)))  # the loop of position k is bisect(ends, k)
+    darts = list(chain.from_iterable(cycles))
+    after = list(map(tables.straight.__getitem__, darts))
+    dart_colors = list(chain.from_iterable(zip(colors, colors)))
+    same = map(eq, map(dart_colors.__getitem__, darts), map(dart_colors.__getitem__, after))
+    found = []  # (loop position, violation), sorted stably by loop at the end
+    for k in compress(range(len(darts)), same):
+        i = bisect(ends, k)
+        found.append((i, (ALTERNATING, loop_ids[i], darts[k] >> 1, after[k] >> 1)))
+    for name, turn in (("left", tables.left), ("right", tables.right)):
+        side = list(map(turn.__getitem__, darts))
+        if -1 in side:
+            raise _degree_error(tables, darts[side.index(-1)])
+        differ = map(ne, map(colors.__getitem__, side),
+                     map(colors.__getitem__, map(turn.__getitem__, after)))
+        for i in sorted({bisect(ends, k) for k in compress(range(len(darts)), differ)}):
+            hanging = tuple(sorted({turn[d] for d in cycles[i]}))
+            found.append((i, (CONSISTENCY, loop_ids[i], name, hanging)))
+    return [v for _i, v in sorted(found, key=itemgetter(0))]
+
+
 def _key_fault(colors, n_edges):
-    """The first fault of a coloring's keys, or None: the lowest edge id
-    with no color or one other than the int 0 or 1, then the lowest colored
-    key that is not an int edge id in 0..n_edges-1, which is the least such
-    int, else the least repr of any other key (even 3.0 or True)."""
+    """The first fault of a coloring's colors, or None: colors that are not
+    a dict, then the lowest edge id with no color or one other than the int
+    0 or 1, then the lowest colored key that is not an int edge id in
+    0..n_edges-1, which is the least such int, else the least repr of any
+    other key (even 3.0 or True)."""
+    if not isinstance(colors, dict):
+        return f"colors must be a dict of edge ids to colors, not a {type(colors).__name__}"
     for e in range(n_edges):
         c = colors.get(e)
         if type(c) is not int or c not in (0, 1):

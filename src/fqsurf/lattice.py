@@ -19,9 +19,13 @@ ray factor sets and types, sector factor sets), which the group
 assignment computes once per vertex; each reaches its verdict on its own.
 
 Local data repeats heavily across a tessellation, so each fact is computed
-once per distinct key and shared by every cell with that key: one factor
-set per (edge type, color) and, in each vertex oracle separately, one
-verdict per distinct signature.
+once per distinct key, where the data are made, and shared by every cell
+with that key: one factor set per (edge type, color), one face group per
+tuple of side sets and one object per distinct signature.  Later tables
+are keyed by the identity of those objects, never by value: each vertex
+oracle keeps its own verdict per signature object, and certificates sort
+factor names once per factor set.  What callers receive is never shared:
+every VertexCheck and every certificate entry gets fresh containers.
 
 Odd-length geodesic loops obstruct existence: each one forces a reflection
 symmetry on the sequence indices, and the closure of those reflections
@@ -31,14 +35,11 @@ the constructions into a verdict, optionally backed by a full certificate.
 """
 
 from collections import namedtuple
+from itertools import chain, count, repeat
 from math import gcd
+from operator import and_, floordiv, itemgetter
 
-from .coloring import (
-    EdgeColoring,
-    _key_fault,
-    solve_good_coloring,
-    verify_good_coloring,
-)
+from .coloring import EdgeColoring, _checked_colors, _violations, solve_good_coloring
 from .surface_complex import _require_int_parameter, _require_int_sequence
 from .tessellation import (
     build_block_tessellation,
@@ -190,9 +191,12 @@ def assign_groups(cx, coloring, q):
     four rays and the factor sets of the four sectors, sector k lying
     clockwise between rays k and k+1.
 
-    Edges of one (type, color) share one frozenset, and the type pairs and
-    ray types are the complex's own derived tables.  Everything here is
-    read-only and shared between cells.
+    The coloring's keys are checked once, and the conditions are walked on
+    the checked color list.  Edges of one (type, color) share one
+    frozenset, faces with one tuple of side sets share one group (and one
+    conflict tuple), equal signatures are one object, and the type pairs
+    and ray types are the complex's own derived tables.  Everything here
+    is read-only and shared between cells.
     """
     q = _require_int_sequence(q)
     if cx.p % 2 != 0:
@@ -205,53 +209,44 @@ def assign_groups(cx, coloring, q):
     if deco is None:
         raise NotAlternatingNonCoprime(f"{q} has no alternating decomposition")
 
-    colors = coloring.colors
-    fault = _key_fault(colors, cx.num_edges)
-    if fault is not None:
-        raise NotGoodColoring(fault)
-    factor_sets = {}
-    edge_sets = []  # by edge id
-    for e, t in enumerate(cx._edge_types):
-        c = colors[e]
-        factors = factor_sets.get((t, c))
-        if factors is None:
-            factors = factor_sets[t, c] = _edge_factor_set(t, c)
-        edge_sets.append(factors)
+    colors = _checked_colors(coloring.colors, cx.num_edges, NotGoodColoring)
+    factor_sets = {key: _edge_factor_set(*key) for key in set(zip(cx._edge_types, colors))}
+    edge_sets = list(map(factor_sets.__getitem__, zip(cx._edge_types, colors)))  # by edge id
     base = coloring.base_vertex
     if type(base) is not int or not 0 <= base < cx.num_vertices:
         raise NotGoodColoring(f"base_vertex {base!r} is not a vertex of the complex")
-    coloring_ok, _violations = verify_good_coloring(cx, coloring)
+    coloring_ok = not _violations(cx, colors)
 
     orders = _factor_orders(q, deco)
     p = cx.p
-    side_sets = [edge_sets[d >> 1] for d in cx._side]
-    face_sets = []  # by face id
-    face_conflicts = {}
-    for f in range(cx.num_faces):
-        sets = side_sets[p * f:p * f + p]
+    dart_sets = list(chain.from_iterable(zip(edge_sets, edge_sets)))
+    faces = list(zip(*[iter(map(dart_sets.__getitem__, cx._side))] * p))
+    group_of, conflicts_of = {}, {}  # by the side sets of a face
+    for sets in set(faces):
         # corner k lies between sides k-1 and k
-        per_corner = [a & b for a, b in zip(sets[-1:] + sets[:-1], sets)]
-        face_sets.append(per_corner[0])
-        if per_corner.count(per_corner[0]) != p:
-            face_conflicts[f] = tuple(per_corner)
+        corners = tuple(map(and_, sets[-1:] + sets[:-1], sets))
+        group_of[sets] = corners[0]
+        if corners.count(corners[0]) != p:
+            conflicts_of[sets] = corners
+    face_sets = list(map(group_of.__getitem__, faces))  # by face id
+    face_conflicts = {f: conflicts_of[s] for f, s in enumerate(faces) if s in conflicts_of}
 
     tables = cx._derive()
-    corner_of = tables.corner_of
-    signatures = []
-    for v, (rays, pair, ray_types) in enumerate(
-        zip(tables.rotations, tables.pairs, tables.ray_types)
-    ):
-        if pair is None:
-            raise ValueError(f"vertex {v} has no alternating type pair")
-        # a type pair needs four rays; sector k is the face of corner k+1
-        d0, d1, d2, d3 = rays
-        signatures.append((
-            pair,
-            (edge_sets[d0 >> 1], edge_sets[d1 >> 1], edge_sets[d2 >> 1], edge_sets[d3 >> 1]),
-            ray_types,
-            (face_sets[corner_of[d1] // p], face_sets[corner_of[d2] // p],
-             face_sets[corner_of[d3] // p], face_sets[corner_of[d0] // p]),
-        ))
+    if None in tables.pairs:
+        v = tables.pairs.index(None)
+        raise ValueError(f"vertex {v} has no alternating type pair")
+    # a type pair needs four rays, so rays and sectors come in fours per
+    # vertex; sector k is the face of the corner of ray k+1
+    dart_faces = list(map(face_sets.__getitem__, map(floordiv, tables.corner_of, repeat(p))))
+    rays = chain.from_iterable(tables.rotations)
+    sectors = chain.from_iterable(map(itemgetter(1, 2, 3, 0), tables.rotations))
+    interned = {}  # equal signatures are one object
+    signatures = tuple(interned.setdefault(sig, sig) for sig in zip(
+        tables.pairs,
+        zip(*[iter(map(dart_sets.__getitem__, rays))] * 4),
+        tables.ray_types,
+        zip(*[iter(map(dart_faces.__getitem__, sectors))] * 4),
+    ))
 
     assignment = GroupAssignment(
         cx=cx,
@@ -263,7 +258,7 @@ def assign_groups(cx, coloring, q):
         face_factors=dict(enumerate(face_sets)),
         face_conflicts=face_conflicts,
         coloring_ok=coloring_ok,
-        signatures=tuple(signatures),
+        signatures=signatures,
         vertex_checks={},
         certified=False,
     )
@@ -307,28 +302,28 @@ def verify_link_conditions(assignment):
     to q_j and the two type-j edges sum to q_i.
 
     The conditions read nothing but the vertex's signature, so they are
-    evaluated once per distinct signature; each vertex still gets its own
-    VertexCheck with its own ``index_sums`` and ``expected_sums`` dicts.
+    evaluated once per signature object, keyed by its id: once per distinct
+    signature for ``assign_groups``' interned ones, once per copy for equal
+    signatures built apart.  Each vertex still gets its own VertexCheck
+    with its own ``index_sums`` and ``expected_sums`` dicts.
     """
-    q = assignment.q
-    orders = assignment.orders
-    by_signature = {}
-    checks = {}
-    for v, signature in enumerate(assignment.signatures):
-        fields = by_signature.get(signature)
-        if fields is None:
-            fields = by_signature[signature] = _link_arithmetic(signature, q, orders)
-        types, product_ok, intersection_ok, index_ok, sums, expected = fields
-        checks[v] = VertexCheck(
-            vertex=v,
-            types=types,
-            product_ok=product_ok,
-            intersection_ok=intersection_ok,
-            index_ok=index_ok,
-            index_sums=dict(sums),
-            expected_sums=dict(expected),
-        )
-    return LinkConditionReport(checks=checks)
+    signatures = assignment.signatures
+    fields_of = {
+        key: _link_arithmetic(signatures[v], assignment.q, assignment.orders)
+        for key, v in _lowest_vertices(signatures).items()
+    }
+    return LinkConditionReport(checks={
+        v: VertexCheck(v, types, product, intersection, index, sums.copy(), expected.copy())
+        for v, (types, product, intersection, index, sums, expected)
+        in enumerate(map(fields_of.__getitem__, map(id, signatures)))
+    })
+
+
+def _lowest_vertices(signatures):
+    """The lowest vertex with each signature object, keyed by the object's id,
+    in vertex order."""
+    lowest = dict(zip(map(id, reversed(signatures)), range(len(signatures) - 1, -1, -1)))
+    return dict(sorted(lowest.items(), key=itemgetter(1)))
 
 
 class LinkGraph(namedtuple(
@@ -535,50 +530,53 @@ CERT_FORMAT = "fq-cert/1"
 def build_certificate(cx, coloring, q):
     """Certificate payload: the assignment plus both vertex oracles.
 
-    The coset link at a vertex depends only on its local signature in
-    ``assignment.signatures``.  Its coset numbers are enumerated once per
-    distinct signature, at the lowest vertex that has it, and every vertex
-    with that signature takes the side sizes and verdict read from them;
-    no link graph is built.
-    The arithmetic fields of each vertex entry come from that vertex's own
-    check in ``assignment.vertex_checks``.  Every entry gets fresh
-    containers: no mutable object is shared between entries.
+    A vertex entry depends only on the vertex's local signature in
+    ``assignment.signatures``, where equal signatures are one object.  Its
+    fields are computed once per signature, at the lowest vertex that has
+    it: the arithmetic ones from that vertex's check in
+    ``assignment.vertex_checks``, the side sizes and link verdict from its
+    coset numbers, with no link graph built.  Factor names are sorted once
+    per (type, color).  Every entry gets fresh containers: no mutable
+    object is shared between entries.
 
     A coloring that fails verification still yields a certificate; the
     failures end up in the per-vertex entries and the overall flag.
     """
     assignment = assign_groups(cx, coloring, q)
-    links = {}
-    vertices = []
-    for v, signature in enumerate(assignment.signatures):
-        entry = links.get(signature)
-        if entry is None:
-            types, sizes, _rays, _sectors, simple, complete, sizes_ok = _link_cosets(
-                assignment, v
-            )
-            sides = [sizes[t] for t in types]
-            entry = links[signature] = (sides, simple and complete and sizes_ok)
-        sides, link_ok = entry
-        check = assignment.vertex_checks[v]
-        vertices.append({
-            "id": v,
-            "types": list(check.types),
-            "product_ok": check.product_ok,
-            "intersection_ok": check.intersection_ok,
-            "index_ok": check.index_ok,
-            "index_sums": {str(t): s for t, s in sorted(check.index_sums.items())},
-            "link_sides": list(sides),
-            "link_ok": link_ok,
-        })
-    ok = assignment.certified and all(link_ok for _, link_ok in links.values())
-    edges = [
+    signatures, checks = assignment.signatures, assignment.vertex_checks
+    fields_of = {}  # id of a signature -> the fields of its vertex entries
+    for key, v in _lowest_vertices(signatures).items():
+        check = checks[v]
+        types, sizes, _rays, _sectors, simple, complete, sizes_ok = _link_cosets(assignment, v)
+        fields_of[key] = (
+            list(check.types), check.product_ok, check.intersection_ok, check.index_ok,
+            {str(t): s for t, s in sorted(check.index_sums.items())},
+            [sizes[t] for t in types], simple and complete and sizes_ok,
+        )
+    vertices = [
         {
-            "id": e,
-            "type": t,
-            "color": coloring.colors[e],
-            "factors": sorted(assignment.edge_factors[e]),
+            "id": v,
+            "types": types.copy(),
+            "product_ok": product_ok,
+            "intersection_ok": intersection_ok,
+            "index_ok": index_ok,
+            "index_sums": sums.copy(),
+            "link_sides": sides.copy(),
+            "link_ok": link_ok,
         }
-        for e, t in enumerate(cx._edge_types)
+        for v, (types, product_ok, intersection_ok, index_ok, sums, sides, link_ok)
+        in enumerate(map(fields_of.__getitem__, map(id, signatures)))
+    ]
+    ok = assignment.certified and all(fields[-1] for fields in fields_of.values())
+    factor_sets = assignment.edge_factors.values()
+    distinct = dict(zip(map(id, factor_sets), factor_sets))  # one per (type, color)
+    names = {key: sorted(factors) for key, factors in distinct.items()}
+    edges = [
+        {"id": e, "type": t, "color": c, "factors": factors}
+        for e, t, c, factors in zip(
+            count(), cx._edge_types, map(coloring.colors.__getitem__, range(cx.num_edges)),
+            map(list.copy, map(names.__getitem__, map(id, factor_sets))),
+        )
     ]
     deco = assignment.decomposition
     return {

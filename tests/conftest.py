@@ -1,10 +1,20 @@
 """Shared fixtures: builder outputs, small hand-glued complexes, the
-sparse linear algebra the homology oracles are built on, and the
-constraint-system transport that the coloring walk is checked against."""
+sparse linear algebra the homology oracles are built on, the
+constraint-system transport that the coloring walk is checked against, and
+the per-passage coloring check that the all-loops walk is checked against."""
 
 import pytest
 
-from fqsurf.coloring import ContradictionWitness, EdgeColoring, _seed_priorities
+from fqsurf.coloring import (
+    ALTERNATING,
+    CONSISTENCY,
+    ContradictionWitness,
+    EdgeColoring,
+    _hanging_edges,
+    _key_fault,
+    _seed_priorities,
+)
+from fqsurf.loops import _dart_cycles, trace_geodesic_loops
 from fqsurf.surface_complex import IntegerMatrix, build_complex, snf_with_transforms
 from fqsurf.tessellation import (
     build_block_tessellation,
@@ -252,6 +262,35 @@ def reference_propagate(cx, system):
     colors = {v: colors[v] for v in sorted(colors)}
     seed = tuple((eid, colors[eid]) for eid, _c in priorities)
     return EdgeColoring(colors=colors, base_vertex=base, seed=seed)
+
+
+def reference_verify_good_coloring(cx, coloring):
+    """The per-passage coloring check that ``verify_good_coloring`` replaced:
+    each loop in turn, its edges compared with the next one round the loop,
+    then its left and right hanging edges, raising on the first passage
+    whose head has a degree other than 4.  The keys are checked first, by
+    the same ``_key_fault``."""
+    colors = coloring.colors
+    fault = _key_fault(colors, cx.num_edges)
+    if fault is not None:
+        raise ValueError(fault)
+    loops = trace_geodesic_loops(cx).loops
+    violations = []
+    for loop, cycle in zip(loops, _dart_cycles(cx, loops)):
+        if loop.degenerate:
+            continue
+        n = len(cycle)
+        for k in range(n):
+            e = cycle[k] >> 1
+            f = cycle[(k + 1) % n] >> 1
+            if colors[e] == colors[f]:
+                violations.append((ALTERNATING, loop.loop_id, e, f))
+        for name, side in zip(("left", "right"), _hanging_edges(cx, cycle)):
+            if len({colors[e] for e in side}) > 1:
+                violations.append(
+                    (CONSISTENCY, loop.loop_id, name, tuple(sorted(set(side))))
+                )
+    return (not violations, violations)
 
 
 def assert_odd_closed_chain(cycle, constraints):

@@ -1,10 +1,15 @@
 """Parity constraints, the two solvers, verification, serialization."""
 
 import itertools
+import runpy
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqsurf.coloring
+import fqsurf.lattice
 from fqsurf.coloring import (
     ALTERNATING,
     CONSISTENCY,
@@ -32,10 +37,16 @@ from fqsurf.tessellation import (
 
 from conftest import (
     assert_odd_closed_chain,
+    make_crossing,
     make_octagon,
+    make_pillowcase,
     make_tied_octagons,
+    make_torus,
+    make_twelve_gon,
     reference_components,
+    reference_verify_good_coloring,
 )
+from test_fast_paths import built_complexes
 
 
 class TestConstraintSystem:
@@ -327,6 +338,107 @@ class TestVerification:
             verify_good_coloring(block_p6_g2, bad)
         assert type(got.value) is ValueError
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("colors", [list, tuple], ids=["list", "tuple"])
+    def test_colors_that_are_not_a_dict_are_named(self, colors):
+        """The solver's colors passed as a sequence by edge id."""
+        cx = build_block_tessellation(6, 2)
+        coloring = solve_good_coloring(cx)
+        listed = coloring._replace(colors=colors(map(coloring.colors.get, range(cx.num_edges))))
+        message = f"colors must be a dict of edge ids to colors, not a {colors.__name__}"
+        with pytest.raises(ValueError) as got:
+            verify_good_coloring(cx, listed)
+        assert type(got.value) is ValueError and str(got.value) == message
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "fqbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def benchmark_colorings():
+    """(complex, solver coloring) of every complex that ``decide(certify=True)``
+    certifies in the certify_ladder and thick_links workloads."""
+    families = runpy.run_path(str(WORKLOADS))
+    seen = []
+    build_certificate = fqsurf.lattice.build_certificate
+
+    def recording(cx, coloring, q):
+        seen.append((cx, coloring))
+        return build_certificate(cx, coloring, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fqsurf.lattice, "build_certificate", recording)
+        for family in (*families["CERTIFY_LADDER"], *families["THICK_LINKS"]):
+            for g in family.genera:
+                assert fqsurf.lattice.decide(family.p, family.variants[0], g, True).certificate
+    assert len(seen) == 28
+    return seen
+
+
+def _flip_on_several_loops(cx, colors):
+    """One edge flipped on each of four loops spread over the loop list."""
+    loops = trace_geodesic_loops(cx).loops
+    picked = {loops[k].directed_edges[0][0] for k in (0, 1, len(loops) // 2, len(loops) - 1)}
+    return {e: c ^ (e in picked) for e, c in colors.items()}
+
+
+def _assert_verified_alike(cx, coloring):
+    """Equal (ok, violations), in the same order, or the same ValueError."""
+    try:
+        expected = reference_verify_good_coloring(cx, coloring)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            verify_good_coloring(cx, coloring)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return None
+    assert verify_good_coloring(cx, coloring) == expected
+    return expected
+
+
+class TestVerifyAgainstReference:
+    """``verify_good_coloring`` compares each dart with the next one round
+    its loop over all loops at once; the per-passage walk it replaced must
+    give the same verdict and the same violations in the same order."""
+
+    @pytest.mark.parametrize(
+        "recolor, good",
+        [
+            (lambda cx, colors: colors, True),
+            (_flip_on_several_loops, False),
+            # both conditions compare colors, so the complement is good too
+            (lambda cx, colors: {e: 1 - c for e, c in colors.items()}, True),
+        ],
+        ids=["solver", "flipped-on-several-loops", "all-flipped"],
+    )
+    def test_benchmark_complexes(self, benchmark_colorings, recolor, good):
+        for cx, coloring in benchmark_colorings:
+            recolored = coloring._replace(colors=recolor(cx, coloring.colors))
+            ok, violations = _assert_verified_alike(cx, recolored)
+            assert ok is good and bool(violations) is not good
+
+    @given(built_complexes(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_built_complexes_with_any_colors(self, cx, data):
+        colors = data.draw(st.lists(st.integers(0, 1), min_size=cx.num_edges,
+                                    max_size=cx.num_edges))
+        _assert_verified_alike(cx, EdgeColoring(dict(enumerate(colors)), 0, ()))
+
+    @pytest.mark.parametrize(
+        "make", [make_octagon, make_twelve_gon, make_pillowcase, make_torus, make_crossing,
+                 make_tied_octagons],
+    )
+    @pytest.mark.parametrize("color", [0, 1])
+    def test_hand_built_complexes(self, make, color):
+        cx = make()
+        colors = dict.fromkeys(range(cx.num_edges), color)
+        _assert_verified_alike(cx, EdgeColoring(colors, 0, ()))
+
+    def test_degree_error_is_the_reference_one(self):
+        cx = make_octagon()
+        coloring = EdgeColoring(dict.fromkeys(range(cx.num_edges), 0), 0, ())
+        with pytest.raises(ValueError, match="^vertex 0 has degree 8, not 4$"):
+            reference_verify_good_coloring(cx, coloring)
+        assert _assert_verified_alike(cx, coloring) is None
 
 
 @pytest.mark.parametrize("mode", ["propagate", "exhaustive"])

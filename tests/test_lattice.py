@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqsurf import coloring as coloring_module
 from fqsurf import lattice
 from fqsurf.coloring import (
     ContradictionWitness,
@@ -214,6 +215,16 @@ class TestAssignGroups:
         )
         with pytest.raises(NotGoodColoring, match="edge 40"):
             assign_groups(block_p6_g2, extra, Q6)
+
+    @pytest.mark.parametrize("entry", [assign_groups, build_certificate])
+    def test_colors_that_are_not_a_dict_rejected(self, entry):
+        """The solver's colors passed as a list by edge id."""
+        cx = build_block_tessellation(6, 2)
+        coloring = solve_good_coloring(cx)
+        listed = coloring._replace(colors=[coloring.colors[e] for e in range(cx.num_edges)])
+        message = "^colors must be a dict of edge ids to colors, not a list$"
+        with pytest.raises(NotGoodColoring, match=message):
+            entry(cx, listed, Q6)
 
     @pytest.mark.parametrize(
         "keys, shown",
@@ -1016,6 +1027,78 @@ class TestNoSharedContainers:
         checks[v].index_sums[i] += 1
         checks[v].expected_sums[i] += 1
         assert all(checks[u] == pristine[u] for u in checks if u != v)
+
+
+class TestSharedTables:
+    """Each local fact is one object per distinct key, made where the data
+    are made; later tables key on those objects' identity, and what the
+    callers receive is never shared (``TestNoSharedContainers``)."""
+
+    @pytest.fixture(scope="class", params=["good", "one-flipped"])
+    def inputs(self, request):
+        cx = build_block_tessellation(6, 5)
+        coloring = solve_good_coloring(cx)
+        if request.param == "one-flipped":
+            coloring = _flipped(coloring, {0})
+        return cx, coloring, Q6
+
+    @pytest.mark.parametrize("entry", [assign_groups, build_certificate])
+    def test_keys_are_checked_once(self, monkeypatch, inputs, entry):
+        calls = []
+        key_fault = coloring_module._key_fault
+
+        def counted(*args):
+            calls.append(args)
+            return key_fault(*args)
+
+        monkeypatch.setattr(coloring_module, "_key_fault", counted)
+        entry(*inputs)
+        assert len(calls) == 1
+
+    def test_equal_signatures_are_one_object(self, inputs):
+        signatures = assign_groups(*inputs).signatures
+        first = {}
+        for sig in signatures:
+            assert first.setdefault(sig, sig) is sig
+        assert len(first) < len(signatures)
+
+    def test_faces_with_one_side_pattern_share_one_group(self, inputs):
+        cx, coloring, q = inputs
+        a = assign_groups(cx, coloring, q)
+        by_pattern = {}
+        for f in range(cx.num_faces):
+            pattern = tuple(a.edge_factors[e] for e, _rev in cx.faces[f].sides)
+            group = by_pattern.setdefault(pattern, a.face_factors[f])
+            assert group is a.face_factors[f]
+            if f in a.face_conflicts:
+                conflict = by_pattern.setdefault((pattern, "conflict"), a.face_conflicts[f])
+                assert conflict is a.face_conflicts[f]
+        assert len(by_pattern) < cx.num_faces
+        assert bool(a.face_conflicts) is (not coloring_module.verify_good_coloring(
+            cx, coloring)[0])
+
+    def test_link_checks_of_signatures_built_apart(self, monkeypatch, inputs):
+        """Equal signatures that are separate objects each get their own
+        evaluation and the same checks as the interned ones."""
+        a = assign_groups(*inputs)
+        apart = tuple(copy.deepcopy(sig) for sig in a.signatures)
+        assert apart == a.signatures
+        assert not any(x is y for x in apart for y in a.signatures)
+        arithmetic = []
+        link_arithmetic = lattice._link_arithmetic
+
+        def counted(signature, q, orders):
+            arithmetic.append(signature)
+            return link_arithmetic(signature, q, orders)
+
+        monkeypatch.setattr(lattice, "_link_arithmetic", counted)
+        report = verify_link_conditions(a._replace(signatures=apart))
+        assert len(arithmetic) == len(apart)
+        assert report.checks == verify_link_conditions(a).checks == a.vertex_checks
+        assert [list(c.index_sums) for c in report.checks.values()] == [
+            list(c.index_sums) for c in a.vertex_checks.values()
+        ]
+        assert report.ok is a.certified
 
 
 class TestLoopObstructions:
