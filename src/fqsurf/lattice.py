@@ -262,10 +262,10 @@ def assign_groups(cx, coloring, q):
         vertex_checks={},
         certified=False,
     )
-    report = verify_link_conditions(assignment)
+    checks = verify_link_conditions(assignment).checks
     return assignment._replace(
-        vertex_checks=report.checks,
-        certified=coloring_ok and not face_conflicts and report.ok,
+        vertex_checks=checks,
+        certified=coloring_ok and not face_conflicts and _links_hold(signatures, checks),
     )
 
 
@@ -324,6 +324,12 @@ def _lowest_vertices(signatures):
     in vertex order."""
     lowest = dict(zip(map(id, reversed(signatures)), range(len(signatures) - 1, -1, -1)))
     return dict(sorted(lowest.items(), key=itemgetter(1)))
+
+
+def _links_hold(signatures, checks):
+    """Whether every link check holds, read at the lowest vertex of each
+    signature object: the checks of one object agree."""
+    return LinkConditionReport({v: checks[v] for v in _lowest_vertices(signatures).values()}).ok
 
 
 class LinkGraph(namedtuple(

@@ -48,7 +48,9 @@ elimination and are never truncated.
 """
 
 from collections import namedtuple
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import eq
 
 CCW = "ccw"
 CW = "cw"
@@ -894,82 +896,73 @@ def canonical_json(obj):
     two-space indent and sorted keys, plus the newline.  Only dict (with str
     keys), list, tuple (written as an array), str, int, bool and None are
     accepted; anything else, floats included, raises ``TypeError`` naming
-    its type.
+    its type.  The document is written a column at a time (``_column``), so
+    of several such values the one named is the first in column order: for
+    ``[{"a": 1, "b": 1.5}, {"a": b"x", "b": 2}]`` it is bytes, since every
+    value under "a" is written before any under "b".
     """
-    out = []
-    _write_json(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    return _column([obj], "\n")[0] + "\n"
 
 
-def _write_json(obj, out, indent):
-    """Append the JSON text of ``obj`` to ``out``.
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALAR = {int: repr, str: _json_str, bool: _LITERAL, type(None): _LITERAL}
 
-    ``indent`` is a newline plus the indentation of the line ``obj`` starts
-    on.  Ints, strs, bools and None inside a container are written inline,
-    the common case, without a recursive call.
+
+def _column(values, indent):
+    """The JSON text of each of ``values``, every one starting on a line
+    indented by ``indent`` (a newline and spaces).
+
+    Scalars of one type are one ``map``; objects of one key set are one
+    column per key, stitched row by row; arrays are the one column of all
+    their items, cut back by length.  Mixed types or key sets go through
+    ``_regroup``.
     """
-    append = out.append
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            append("{}")
-            return
-        inner = indent + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(obj):
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return _regroup(values, list(map(type, values)), indent)
+    kind = kinds.pop()
+    if kind in _SCALAR:
+        return list(map(_SCALAR[kind], values))
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        flat = list(chain.from_iterable(values))
+        if not flat:
+            return ["[]"] * len(values)
+        lengths = set(map(len, values))
+        items = iter(_column(flat, inner))
+        start, sep, end = "[" + inner, "," + inner, indent + "]"
+        if len(lengths) != 1:
+            return [start + sep.join(islice(items, len(a))) + end if a else "[]" for a in values]
+        # arrays of one length are stitched like objects with that many keys
+        rows = [repeat(start), items] + [repeat(sep), items] * (lengths.pop() - 1)
+    elif kind is dict:
+        shapes = list(map(tuple, values))
+        if shapes.count(shapes[0]) != len(shapes):
+            return _regroup(values, shapes, indent)
+        if not shapes[0]:
+            return ["{}"] * len(values)
+        rows, sep = [], "{" + inner
+        for key in sorted(shapes[0]):
             if type(key) is not str:
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            append(sep)
-            sep = comma
-            append(_json_str(key))
-            append(": ")
-            value = obj[key]
-            value_kind = type(value)
-            if value_kind is int:
-                append(int.__repr__(value))
-            elif value_kind is str:
-                append(_json_str(value))
-            elif value_kind is bool:
-                append("true" if value else "false")
-            elif value is None:
-                append("null")
-            else:
-                _write_json(value, out, inner)
-        append(indent + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            append("[]")
-            return
-        inner = indent + "  "
-        sep, comma = "[" + inner, "," + inner
-        for value in obj:
-            append(sep)
-            sep = comma
-            value_kind = type(value)
-            if value_kind is int:
-                append(int.__repr__(value))
-            elif value_kind is str:
-                append(_json_str(value))
-            elif value_kind is bool:
-                append("true" if value else "false")
-            elif value is None:
-                append("null")
-            else:
-                _write_json(value, out, inner)
-        append(indent + "]")
-    elif kind is str:
-        append(_json_str(obj))
-    elif kind is int:
-        append(int.__repr__(obj))
-    elif obj is True:
-        append("true")
-    elif obj is False:
-        append("false")
-    elif obj is None:
-        append("null")
+            rows += repeat(sep + _json_str(key) + ": "), _column([v[key] for v in values], inner)
+            sep = "," + inner
+        end = indent + "}"
     else:
         raise TypeError(f"{kind.__name__} is not JSON-serializable in a canonical document")
+    rows.append(repeat(end))
+    return list(map("".join, zip(*rows)))
+
+
+def _regroup(values, shapes, indent):
+    """``_column`` of values of several shapes (types, or key sets): each
+    group of one shape is written as a column, in the order of the groups'
+    first values, and the texts are put back in place."""
+    where = [list(compress(count(), map(eq, shapes, repeat(s)))) for s in dict.fromkeys(shapes)]
+    texts = []
+    for group in where:
+        texts += _column(list(map(values.__getitem__, group)), indent)
+    return [text for _i, text in sorted(zip(chain.from_iterable(where), texts))]
 
 
 def complex_to_dict(cx):

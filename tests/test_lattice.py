@@ -1100,6 +1100,40 @@ class TestSharedTables:
         ]
         assert report.ok is a.certified
 
+    def test_certified_reads_one_check_per_signature(self, monkeypatch, inputs):
+        """``certified`` reads ``VertexCheck.ok`` once per signature object,
+        at its lowest vertex, not once per vertex."""
+        reads = []
+        ok = lattice.VertexCheck.ok
+
+        def counted(check):
+            reads.append(check.vertex)
+            return ok.fget(check)
+
+        monkeypatch.setattr(lattice.VertexCheck, "ok", property(counted))
+        a = assign_groups(*inputs)
+        if a.coloring_ok and not a.face_conflicts:
+            assert reads == list(lattice._lowest_vertices(a.signatures).values())
+            assert len(reads) < a.cx.num_vertices
+        else:  # the verdict is already decided
+            assert reads == []
+
+    def test_certified_on_a_failing_signature_shared_or_apart(self, inputs):
+        """One failing signature shared by several vertices, and the same
+        signature as separate objects, give the same verdict."""
+        a = assign_groups(*inputs)
+        sig = max(a.signatures, key=a.signatures.count)
+        failing = sig[:3] + ((frozenset(),) * 4,)  # no sector matches its rays
+        shared = tuple(failing if s is sig else s for s in a.signatures)
+        assert shared.count(failing) > 1
+        apart = tuple(copy.deepcopy(s) for s in shared)
+        verdicts = []
+        for signatures in (a.signatures, shared, apart):
+            report = verify_link_conditions(a._replace(signatures=signatures))
+            assert lattice._links_hold(signatures, report.checks) is report.ok
+            verdicts.append(report.ok)
+        assert verdicts[1:] == [False, False]
+
 
 class TestLoopObstructions:
     def test_odd_loops_pin_reflections(self, rect_p8_1x2):

@@ -32,7 +32,7 @@ from fqsurf.surface_complex import (
 )
 from fqsurf import cli
 from fqsurf.coloring import solve_good_coloring, witness_to_dict
-from fqsurf.lattice import decide, verdict_to_dict
+from fqsurf.lattice import build_certificate, decide, verdict_to_dict
 from fqsurf.loops import loop_report_to_dict, trace_geodesic_loops
 from fqsurf.tessellation import (
     build_block_tessellation,
@@ -514,6 +514,38 @@ _JSON_DOCUMENTS = st.recursive(
     max_leaves=40,
 )
 
+# a column's usual values, and the odd values planted among them
+_PLANTS = (
+    (st.integers(), st.booleans()),
+    (_JSON_STRINGS, st.none()),
+    (st.lists(st.integers(), max_size=3), st.tuples(st.integers(), st.booleans())),
+    (st.fixed_dictionaries({"a": st.integers(), "b": st.booleans()}), st.just({})),
+    (
+        st.lists(st.lists(st.integers(), max_size=3), max_size=3),
+        st.lists(st.lists(st.none() | st.lists(st.integers(), max_size=2), max_size=4), max_size=3),
+    ),
+)
+
+
+@st.composite
+def _column_documents(draw):
+    """Lists of 0-30 dicts sharing one key set, so that canonical_json writes
+    long columns of like values, with odd values planted in one column and
+    at times one dict given an extra key."""
+    keys = draw(st.lists(_JSON_STRINGS, min_size=1, max_size=4, unique=True))
+    plants = {key: draw(st.sampled_from(_PLANTS)) for key in keys}
+    planted = draw(st.sampled_from(keys))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        row = {}
+        for key, (usual, odd) in plants.items():
+            row[key] = draw(odd if key == planted and draw(st.booleans()) else usual)
+        rows.append(row)
+    if rows and draw(st.booleans()):
+        extra = draw(_JSON_STRINGS.filter(lambda key: key not in plants))
+        rows[draw(st.integers(0, len(rows) - 1))][extra] = draw(st.integers())
+    return rows
+
 
 class TestSerialization:
     def test_matches_stdlib_on_every_golden_document(self, monkeypatch):
@@ -566,21 +598,56 @@ class TestSerialization:
         with pytest.raises(TypeError, match=rf"\b{kind}\b"):
             canonical_json(obj)
 
-    def test_flags_and_nulls_are_written_inline(self, monkeypatch):
+    @settings(max_examples=150, deadline=None)
+    @given(_column_documents())
+    @example([{"n": 1}, {"n": True}, {"n": 2}, {"n": False}])
+    @example([{"s": "x"}, {"s": None}, {"s": "y"}])
+    @example([{"a": [1, 2]}, {"a": (3, False)}, {"a": []}])
+    @example([{"d": {"a": 1, "b": True}}, {"d": {}}, {"d": {"a": 2, "b": False}}])
+    @example([{"a": 1, "b": "x"}, {"a": 2, "b": "y", "c": None}, {"a": 3, "b": "z"}])
+    @example([{"n": [[1], [], [2, 3]]}, {"n": []}, {"n": [[], [[]], [None, [4]]]}])
+    @example({"ok": True, "certificate": None, "flags": [False, None, True, 3, "x"]})
+    def test_matches_stdlib_on_columns(self, doc):
+        assert canonical_json(doc) == _stdlib_json(doc)
+
+    def test_first_fault_in_column_order_is_named(self):
+        """Values under one key are written, nested ones included, before
+        the values under the next key, so the bytes under "a" are named
+        before the float under "b" that comes first in the document."""
+        with pytest.raises(TypeError, match=r"\bbytes\b"):
+            canonical_json([{"a": 1, "b": 1.5}, {"a": b"x", "b": 2}])
+        with pytest.raises(TypeError, match=r"\bfloat\b"):
+            canonical_json([{"a": 1, "b": b"x"}, {"a": 1.5, "b": 2}])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            complex_to_dict,
+            lambda cx: build_certificate(cx, solve_good_coloring(cx), (2, 3) * 3),
+        ],
+        ids=["complex", "certificate"],
+    )
+    def test_column_count_does_not_grow_with_the_complex(self, monkeypatch, make):
+        """The writer makes one call per column, not per value: the Block
+        p=6 documents at F=16 and F=1024 take the same number of calls."""
         from fqsurf import surface_complex
 
-        write = surface_complex._write_json
+        column = surface_complex._column
         calls = []
 
-        def counted(obj, out, indent):
-            calls.append(obj)
-            write(obj, out, indent)
+        def counted(values, indent):
+            calls.append(len(values))
+            return column(values, indent)
 
-        monkeypatch.setattr(surface_complex, "_write_json", counted)
-        doc = {"ok": True, "certificate": None, "flags": [False, None, True, 3, "x"]}
-        assert canonical_json(doc) == _stdlib_json(doc)
-        # only the outer dict and the nested list take a call of their own
-        assert calls == [doc, doc["flags"]]
+        monkeypatch.setattr(surface_complex, "_column", counted)
+        counts = []
+        for genus in (5, 257):
+            doc = make(build_block_tessellation(6, genus))
+            calls.clear()
+            assert canonical_json(doc) == _stdlib_json(doc)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert max(calls) > 1000
 
     def test_canonical_json_is_stable(self, block_p6_g2):
         doc = complex_to_dict(block_p6_g2)
