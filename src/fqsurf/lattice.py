@@ -47,7 +47,6 @@ from .tessellation import (
     derived_sequence,
     face_count,
     is_symmetric,
-    q_at,
     subdivide_four,
     subdivide_two,
 )
@@ -477,10 +476,12 @@ def loop_obstructions(loop_report):
 def symmetry_closure(p, axes):
     """Orbits of {1..p} under the group the reflections about ``axes`` generate.
 
-    The reflection about m sends k to 2m - k, read mod p in 1..p.  An orbit
-    is everything single reflections reach from one index, so the orbits are
-    the connected components of k ~ 2m - k.  They come back as sorted
-    tuples, listed by least element.  p >= 1 and the axes must be ints.
+    The reflection about m sends k to 2m - k, read mod p in 1..p.  The
+    reflections about m_1..m_k generate the rotations by s = gcd(p,
+    2(m_i - m_1)) and the reflection about m_1, so an orbit is a residue
+    class mod s joined with its mirror image; with no axes each index is
+    alone.  Orbits come back as sorted tuples, listed by least element.
+    p >= 1 and the axes must be ints.
     """
     _require_int_parameter("p", p)
     if p < 1:
@@ -488,23 +489,14 @@ def symmetry_closure(p, axes):
     axes = tuple(axes)
     for m in axes:
         _require_int_parameter("axis", m)
-    orbits = []
-    seen = set()
+    if not axes:
+        return tuple((k,) for k in range(1, p + 1))
+    m1 = axes[0]
+    s = gcd(p, *(2 * (m - m1) for m in axes))
+    orbits = {}
     for k in range(1, p + 1):
-        if k in seen:
-            continue
-        orbit = {k}
-        frontier = [k]
-        while frontier:
-            cur = frontier.pop()
-            for m in axes:
-                nxt = (2 * m - cur - 1) % p + 1
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+        orbits.setdefault(min(k % s, (2 * m1 - k) % s), []).append(k)
+    return tuple(map(tuple, orbits.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +588,6 @@ def build_certificate(cx, coloring, q):
         "vertices": vertices,
         "ok": ok,
     }
-
-
-def _transverse_gcd(q, m):
-    """gcd of the entries at odd offsets from axis m."""
-    return gcd(*(q_at(q, m + t) for t in range(1, len(q), 2)))
 
 
 def _certify(p, q, g, pieces=1, grid=None, axis=None):
@@ -695,7 +682,9 @@ def decide(p, q, g, certify=False):
             )
         if deco is None:
             return Verdict(UNKNOWN, None, "not alternating non-coprime")
-        even_axes = [m for m in axes if _transverse_gcd(q, m) % 2 == 0]
+        # the transverse gcd, of the entries at odd offsets from m, is the
+        # divisor of the class of the other parity
+        even_axes = [m for m in axes if (deco.e if m % 2 else deco.d) % 2 == 0]
         if not even_axes:
             return Verdict(
                 UNKNOWN, None, "no symmetry axis with even transverse gcd"

@@ -415,19 +415,21 @@ def subdivide_four(cx, axis=None):
     return _subdivision_entry(cx, 4, axis)
 
 
-def q_at(q, i):
-    """Entry i of a thickness sequence, indexed cyclically from 1."""
-    return q[(i - 1) % len(q)]
+def _from_axis(q, m):
+    """q read from axis m, as a tuple: entry i is q_{m+i}, indices 1-based and cyclic."""
+    k = (m - 1) % len(q)
+    return tuple(q[k:]) + tuple(q[:k])
 
 
 def is_symmetric(q, m, pieces):
     """Is the thickness sequence ``pieces``-symmetric about axis m?
 
     2-symmetric: q reads the same both ways from m, so q[m+i] = q[m-i].
-    4-symmetric: it also reads the same both ways from the antipode m+p/2,
-    which needs p divisible by 4.  These are the symmetries a cut into two
-    or four pieces along axis m needs.  An empty sequence has no axis and
-    raises ValueError.
+    4-symmetric: also unchanged by the half turn, q[m+i] = q[m+p/2+i], so
+    2-symmetric about m + p/4 too (about the antipode m + p/2 it is the
+    same reflection as about m); this needs p divisible by 4.  These are
+    the symmetries a cut into two or four pieces along axis m needs.  An
+    empty sequence has no axis and raises ValueError.
     """
     q = _require_int_sequence(q)
     _require_int_parameter("axis", m)
@@ -439,11 +441,8 @@ def is_symmetric(q, m, pieces):
         raise ValueError("an empty sequence has no symmetry axis")
     if pieces == 4 and p % 4:
         raise BadDivisibility(f"4-symmetry needs a length divisible by 4, got {p}")
-    centers = (m,) if pieces == 2 else (m, m + p // 2)
-    return all(
-        len({q_at(q, c + s * i) for c in centers for s in (1, -1)}) == 1
-        for i in range(1, p // 2 + 1)
-    )
+    r = _from_axis(q, m)
+    return r[1:] == r[:0:-1] and (pieces == 2 or r[:p // 2] == r[p // 2:])
 
 
 def derived_sequence(q, pieces, m):
@@ -455,8 +454,7 @@ def derived_sequence(q, pieces, m):
     """
     if not is_symmetric(q, m, pieces):
         raise SymmetryViolation(f"q is not {pieces}-symmetric about {m}")
-    read = tuple(q_at(q, m + i) for i in range(len(q) // pieces + 1))
-    return read + (2,) * (pieces // 2)
+    return _from_axis(q, m)[:len(q) // pieces + 1] + (2,) * (pieces // 2)
 
 
 SUBDIV_FORMAT = "fq-subdiv/1"

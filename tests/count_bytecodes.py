@@ -1,4 +1,4 @@
-"""Count the bytecodes one certified ``decide``, or one CLI chain, executes.
+"""Count the bytecodes one ``decide`` call, or one CLI chain, executes.
 
 A ``sys.settrace`` hook turns on opcode events in every frame and counts
 them, so the count is deterministic for a given Python minor version and
@@ -14,8 +14,11 @@ Run from the repository root::
     python tests/count_bytecodes.py --ladder
     python tests/count_bytecodes.py --cli
 
-The first prints the Python version, then one line per call: the
-construction, the face count and the bytecode count.  ``--cli`` prints one
+The first prints the Python version, then one line per certified call:
+the construction, the face count and the bytecode count; then one line for
+each of the Block, Subdiv2 and Subdiv4 calls run uncertified, which counts
+the decision procedure alone, as the census and ``fqsurf decide`` without
+``--certify`` run it.  ``--cli`` prints one
 line instead: the count of README's Block genus-2 chain (tessellate,
 validate, loops, color, certify, export) run in process through
 ``fqsurf.cli.main`` in a temporary directory, after one uncounted warm-up
@@ -104,10 +107,10 @@ def count_opcodes(fn, *args):
     return count, out
 
 
-def count_certified_decide(p, q, genus):
-    """(method, bytecodes) of ``decide(p, q, genus, certify=True)``, warmed up once."""
-    decide(p, q, genus, certify=True)
-    count, verdict = count_opcodes(decide, p, q, genus, True)
+def count_decide(p, q, genus, certify):
+    """(method, bytecodes) of ``decide(p, q, genus, certify)``, warmed up once."""
+    decide(p, q, genus, certify)
+    count, verdict = count_opcodes(decide, p, q, genus, certify)
     return verdict.method, count
 
 
@@ -143,7 +146,7 @@ def ladder():
     for expected, p, q, genera in LADDER:
         rungs = []
         for genus in genera:
-            method, count = count_certified_decide(p, q, genus)
+            method, count = count_decide(p, q, genus, True)
             f = face_count(p, genus)
             print(f"{method} F={f} decide({p}, {q}, {genus}): {count}")
             if method != expected:
@@ -160,7 +163,7 @@ def ladder():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Count the bytecodes of certified decide calls or of a CLI chain.")
+        description="Count the bytecodes of decide calls or of a CLI chain.")
     parser.add_argument("--ladder", action="store_true",
                         help="count four rungs per construction and gate their growth")
     parser.add_argument("--cli", action="store_true",
@@ -173,8 +176,12 @@ def main(argv=None):
         print(f"cli Block F=4 chain of {len(CLI_CHAIN)} commands: {count_cli_chain()}")
         return 0
     for p, q, genus in CALLS:
-        method, count = count_certified_decide(p, q, genus)
+        method, count = count_decide(p, q, genus, True)
         print(f"{method} F={face_count(p, genus)} decide({p}, {q}, {genus}): {count}")
+    for p, q, genus in CALLS[:3]:
+        method, count = count_decide(p, q, genus, False)
+        print(f"{method} F={face_count(p, genus)} decide({p}, {q}, {genus}, "
+              f"certify=False): {count}")
     return 0
 
 

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from count_bytecodes import (
+    CALLS,
     CLI_CHAIN,
     GROWTH_BOUND,
     LADDER,
-    count_certified_decide,
     count_cli_chain,
+    count_decide,
     count_opcodes,
     growth_within_bound,
 )
@@ -19,10 +20,19 @@ from fqsurf.tessellation import face_count
 
 
 def test_two_counts_of_one_call_agree():
-    first = count_certified_decide(6, (2, 3) * 3, 2)
-    second = count_certified_decide(6, (2, 3) * 3, 2)
+    first = count_decide(6, (2, 3) * 3, 2, True)
+    second = count_decide(6, (2, 3) * 3, 2, True)
     assert first == second
     assert first[0] == "Block" and first[1] > 0
+
+
+@pytest.mark.parametrize("call", CALLS[:3], ids=["Block", "Subdiv2", "Subdiv4"])
+def test_two_counts_of_one_uncertified_call_agree(call):
+    first = count_decide(*call, False)
+    assert count_decide(*call, False) == first
+    assert first[1] > 0
+    # the decision procedure alone costs less than the certified call
+    assert first[1] < count_decide(*call, True)[1]
 
 
 def test_two_counts_of_the_cli_chain_agree(tmp_path, monkeypatch):

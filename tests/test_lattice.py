@@ -4,10 +4,10 @@ import copy
 import functools
 import random
 import re
-from itertools import product as iter_product
+from itertools import combinations_with_replacement, product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqsurf import coloring as coloring_module
@@ -1212,9 +1212,19 @@ class TestSymmetryClosure:
         assert orbits == ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))
 
     @given(st.integers(3, 24), st.lists(st.integers(), max_size=4))
+    @example(7, [-3])
+    @example(9, [-20, 31, 4])
+    @example(12, [13, -1])
+    @example(15, [40, 2, -7, 16])
     @settings(max_examples=200, deadline=None)
     def test_matches_the_brute_force_closure(self, p, axes):
         assert symmetry_closure(p, axes) == _brute_force_orbits(p, axes)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_the_brute_force_closure_on_every_small_axis_set(self, p):
+        for n in range(4):
+            for axes in combinations_with_replacement(range(1, p + 1), n):
+                assert symmetry_closure(p, axes) == _brute_force_orbits(p, axes), axes
 
     @pytest.mark.parametrize(
         "p,axes,name",
